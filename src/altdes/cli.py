@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import divisibility, gamma, oracle, permutations, recurrences
-from .oracle import LimitExceeded
+from .oracle import DEFAULT_BRUTE_MAX, LimitExceeded
 from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand, shape_predicates
 
-DEFAULT_BRUTE_MAX = 11
 ORACLE_STATS = ("altmaj", "altdes", "maj", "des3")
 COMPUTE_TABLES = ("alt", "simsun", "gamma", "two-sided")
 

@@ -260,8 +260,8 @@ def thm411_bijection_check(
         again = np.concatenate([Q[:, mod - 1 :: -1], Q[:, mod:]], axis=1)
         if not np.array_equal(again, P):
             return CheckResult.failed(f"n={n}, m={m}: prefix reversal not an involution")
-        am = oracle._stat_vector(P, "altmaj")
-        am2 = oracle._stat_vector(Q, "altmaj")
+        am = oracle._stat_vector(P.T, "altmaj")
+        am2 = oracle._stat_vector(Q.T, "altmaj")
         off = (am2 - am - m) % mod
         if off.any():
             row = int(np.flatnonzero(off)[0])

@@ -1,20 +1,27 @@
 """Brute-force ground truth over symmetric groups.
 
-Every function here enumerates all of S_n (or a filtered subset) and
-tallies statistics straight from the definitions, independently of any
-recurrence.  Enumeration is in lexicographic order, materialized block
-by block as numpy int8 arrays and partitioned by the first letter, which
-is also the parallelism seam for the jobs knob.  Counts live in int64
-(safe up to n = 20, far beyond any enumerable size) and are converted to
-Python ints on the way out.
+Every histogram here is a tally over materialized words, never read from
+a recurrence.  S_k is an int8 array of shape (k, k!), one word per
+column in lexicographic order; blocks up to S_10 are cached (about
+40 MB, published under a lock).  The partition of S_n with first letter
+v is v over S_{n-1} relabelled by x -> x + [x >= v].  Partitions are the
+parallelism seam: they run on at most min(jobs, partitions, cpu count)
+processes, forked after S_{n-1} is built so that workers inherit it.
 
-Pure-Python definitional loops for the same quantities exist in the
-test-suite for small n; the vectorized routines must and do agree with
-them.
+Each word becomes the code sum_i [w_i > w_{i+1}] << i of its descent
+set.  des, maj, altdes and altmaj are read off one histogram of codes
+(the alternating descent set is the descent set XOR the even-position
+mask); the two-sided tally uses the codes of w and of w^-1, and des3,
+not a function of the descent set, has its own kernel.  Simsun words are
+generated by inserting each new largest letter where it makes no double
+descent.  Counts are int64 and leave as Python ints; the test-suite's
+pure-Python definitional loops must agree with all of it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _perms
@@ -23,7 +30,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .permutations import alt_stats, cd_word, is_down_up, is_simsun
+from .permutations import cd_word
 from .polynomials import BiPolyTQ, IntPoly, NCPoly
 
 DEFAULT_BRUTE_MAX = 11
@@ -47,174 +54,179 @@ def _guard(n: int, brute_max: int | None) -> int:
 
 
 _BLOCK_CACHE: dict[int, np.ndarray] = {}
-_BLOCK_CACHE_MAX = 10  # block(10) is 36 MB; never materialize 11!
+_BLOCK_CACHE_MAX = 10  # S_10 is 36 MB, the whole cache about 40 MB; never hold S_11
+_BLOCK_LOCK = threading.Lock()
 
 
-def _perm_block(k: int) -> np.ndarray:
-    """All permutations of 0..k-1 as a (k!, k) int8 array in
-    lexicographic order."""
-    if k in _BLOCK_CACHE:
-        return _BLOCK_CACHE[k]
-    arr = np.zeros((1, 1), dtype=np.int8)
-    for m in range(2, k + 1):
-        sub = arr
-        fact = sub.shape[0]
-        arr = np.empty((fact * m, m), dtype=np.int8)
-        base = np.arange(m, dtype=np.int8)
-        for v in range(m):
-            rest = np.concatenate([base[:v], base[v + 1 :]])
-            blk = arr[v * fact : (v + 1) * fact]
-            blk[:, 0] = v
-            blk[:, 1:] = rest[sub]
+def _place(sub: np.ndarray, v: int, out: np.ndarray) -> None:
+    """Write v followed by each column of sub (S_{k-1}) relabelled onto
+    the letters other than v; the relabelling keeps lexicographic order."""
+    out[0] = v
+    np.add(sub, sub >= v, out=out[1:])
+
+
+def _columns(k: int) -> np.ndarray:
+    """All permutations of 0..k-1 as a read-only (k, k!) int8 array,
+    one word per column, in lexicographic order."""
+    W = _BLOCK_CACHE.get(k)
+    if W is not None:
+        return W
+    if k == 0:
+        W = np.zeros((0, 1), dtype=np.int8)
+    else:
+        sub = _columns(k - 1)
+        f = sub.shape[1]
+        W = np.empty((k, k * f), dtype=np.int8)
+        for v in range(k):
+            _place(sub, v, W[:, v * f : (v + 1) * f])
+    W.flags.writeable = False
     if k <= _BLOCK_CACHE_MAX:
-        _BLOCK_CACHE[k] = arr
-    return arr
-
-
-def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
-    """Yield S_n as 0-based int8 arrays, one partition per first letter
-    (a single block for small n).  Concatenated top to bottom the rows
-    are exactly S_n in lexicographic order."""
-    if n == 0:
-        yield np.zeros((1, 0), dtype=np.int8)
-        return
-    if n <= _BLOCK_CACHE_MAX:
-        yield _perm_block(n)
-        return
-    sub = _perm_block(n - 1)
-    base = np.arange(n, dtype=np.int8)
-    for v in range(n):
-        rest = np.concatenate([base[:v], base[v + 1 :]])
-        block = np.empty((sub.shape[0], n), dtype=np.int8)
-        block[:, 0] = v
-        block[:, 1:] = rest[sub]
-        yield block
+        with _BLOCK_LOCK:
+            W = _BLOCK_CACHE.setdefault(k, W)
+    return W
 
 
 def _n_partitions(n: int) -> int:
     return 1 if n <= _BLOCK_CACHE_MAX else n
 
 
-def _partition_array(n: int, idx: int) -> np.ndarray:
+def _partition(n: int, idx: int) -> np.ndarray:
+    """Partition idx of S_n, column-major: all of S_n while it is
+    cached, else the words with first letter idx."""
     if n <= _BLOCK_CACHE_MAX:
-        return _perm_block(n)
-    sub = _perm_block(n - 1)
-    base = np.arange(n, dtype=np.int8)
-    rest = np.concatenate([base[:idx], base[idx + 1 :]])
-    block = np.empty((sub.shape[0], n), dtype=np.int8)
-    block[:, 0] = idx
-    block[:, 1:] = rest[sub]
-    return block
+        return _columns(n)
+    sub = _columns(n - 1)
+    W = np.empty((n, sub.shape[1]), dtype=np.int8)
+    _place(sub, idx, W)
+    return W
+
+
+def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
+    """Yield S_n as 0-based int8 arrays with one word per row, one
+    partition per first letter (a single block for small n).
+    Concatenated top to bottom the rows are exactly S_n in
+    lexicographic order."""
+    for idx in range(_n_partitions(n)):
+        yield _partition(n, idx).T
+
+
+def _simsun_columns(n: int) -> np.ndarray:
+    """The Simsun words of length n, column-major.  w is Simsun iff w
+    without its largest letter k is Simsun and w has no double descent,
+    and the only one inserting k at position p can make is k > w_p > w_{p+1}:
+    so k goes in front of an ascent or in one of the last two positions."""
+    W = _columns(min(n, 1))
+    for k in range(1, n):
+        keeps = [W[p] < W[p + 1] for p in range(k - 1)]
+        sizes = [int(np.count_nonzero(m)) for m in keeps] + [W.shape[1]] * 2
+        out = np.empty((k + 1, sum(sizes)), dtype=np.int8)
+        start = 0
+        for p, size in enumerate(sizes):
+            src = W[:, keeps[p]] if p < k - 1 else W
+            block = out[:, start : start + size]
+            block[:p] = src[:p]
+            block[p] = k
+            block[p + 1 :] = src[p:]
+            start += size
+        W = out
+    return W
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-row statistics
+# descent-set kernel: every statistic but des3 is read off the descent set
 
-def _alt_mask(P: np.ndarray) -> np.ndarray:
-    """Boolean (rows, n-1) mask of alternating descent positions."""
-    n = P.shape[1]
-    cmp = P[:, :-1] > P[:, 1:]
-    pattern = (np.arange(1, n) % 2) == 1
-    return cmp == pattern
+def _descent_codes(W: np.ndarray) -> np.ndarray:
+    """Descent set of every column of W as sum_i [w_i > w_{i+1}] << i.
+    16 bits suffice: no S_n with n > 16 fits in memory."""
+    code = np.zeros(W.shape[1], dtype=np.uint16)
+    for i in range(W.shape[0] - 1):
+        code += (W[i] > W[i + 1]) * np.uint16(1 << i)
+    return code
 
 
-def _stat_vector(P: np.ndarray, stat: str) -> np.ndarray:
-    n = P.shape[1]
-    if stat in ("altdes", "altmaj"):
-        mask = _alt_mask(P)
-        if stat == "altdes":
-            return mask.sum(1).astype(np.int64)
-        acc = np.zeros(P.shape[0], dtype=np.int64)
-        for i in range(n - 1):
-            acc += mask[:, i] * (i + 1)
-        return acc
-    if stat in ("des", "maj"):
-        cmp = P[:, :-1] > P[:, 1:]
-        if stat == "des":
-            return cmp.sum(1).astype(np.int64)
-        acc = np.zeros(P.shape[0], dtype=np.int64)
-        for i in range(n - 1):
-            acc += cmp[:, i] * (i + 1)
-        return acc
-    if stat == "des3":
-        a, b, c = P[:, :-2], P[:, 1:-1], P[:, 2:]
+def _inverse_codes(W: np.ndarray) -> np.ndarray:
+    """Descent-set codes of the inverses of the columns of W: i is a
+    descent of w^-1 iff the letter i+1 stands before the letter i in w."""
+    seen = np.zeros(W.shape[1], dtype=np.uint16)
+    code = np.zeros(W.shape[1], dtype=np.uint16)
+    for row in W:
+        # letters are nonnegative, so the unsafe int8 -> uint16 cast is exact
+        bit = np.left_shift(np.uint16(1), row, dtype=np.uint16, casting="unsafe")
+        code |= (seen >> 1) & bit
+        seen |= bit
+    return code
+
+
+def _set_stats(n: int) -> dict[str, np.ndarray]:
+    """Each descent-set statistic of S_n, indexed by descent-set code.
+    Alternating descents are the descents at odd (1-based) positions and
+    the ascents at even ones: the descent set XOR the even-position mask."""
+    pos = np.arange(n - 1)
+    des = (np.arange(1 << (n - 1))[:, None] >> pos) & 1
+    alt = des ^ (pos % 2)
+    return {"des": des.sum(1), "maj": des @ (pos + 1),
+            "altdes": alt.sum(1), "altmaj": alt @ (pos + 1)}
+
+
+def _stat_vector(W: np.ndarray, stat: str) -> np.ndarray:
+    """Per-column value of a descent-set statistic over the words of W."""
+    return _set_stats(W.shape[0])[stat][_descent_codes(W)]
+
+
+def _descent_hist(W: np.ndarray) -> np.ndarray:
+    return np.bincount(_descent_codes(W), minlength=1 << (W.shape[0] - 1))
+
+
+def _two_sided_hist(W: np.ndarray) -> np.ndarray:
+    """Histogram of altdes(w^-1) * n + altdes(w) over the columns of W."""
+    n = W.shape[0]
+    altdes = _set_stats(n)["altdes"].astype(np.uint16)
+    key = altdes[_inverse_codes(W)] * n + altdes[_descent_codes(W)]
+    return np.bincount(key, minlength=n * n)
+
+
+def _des3_hist(W: np.ndarray) -> np.ndarray:
+    count = np.zeros(W.shape[1], dtype=np.uint8)
+    for a, b, c in zip(W, W[1:], W[2:]):
         ab = a > b
         bc = b > c
-        mask = (ab & bc) | ((ab ^ bc) & (a < c))
-        return mask.sum(1).astype(np.int64)
-    raise ValueError(f"unknown statistic {stat!r}")
+        count += (ab & bc) | ((ab ^ bc) & (a < c))
+    return np.bincount(count, minlength=W.shape[0])
 
 
-def _row_inverse(P: np.ndarray) -> np.ndarray:
-    M, n = P.shape
-    inv = np.empty_like(P)
-    inv[np.arange(M)[:, None], P] = np.arange(n, dtype=np.int8)[None, :]
-    return inv
+def _des3_first1_hist(W: np.ndarray) -> np.ndarray:
+    """des3 histogram of the words 0.(w+1), w running over W."""
+    P = np.empty((W.shape[0] + 1, W.shape[1]), dtype=np.int8)
+    _place(W, 0, P)
+    return _des3_hist(P)
 
 
-# ---------------------------------------------------------------------------
-# per-partition workers (module level so they pickle for process pools)
-
-def _work_hist(args) -> list[int]:
-    n, idx, stat, length = args
-    P = _partition_array(n, idx)
-    vec = _stat_vector(P, stat)
-    return np.bincount(vec, minlength=length).tolist()
+def _run(task) -> np.ndarray:
+    kernel, n, idx = task
+    return kernel(_partition(n, idx))
 
 
-def _work_qalt(args) -> list[int]:
-    n, idx, width = args
-    P = _partition_array(n, idx)
-    mask = _alt_mask(P)
-    ad = mask.sum(1).astype(np.int64)
-    am = np.zeros(P.shape[0], dtype=np.int64)
-    for i in range(n - 1):
-        am += mask[:, i] * (i + 1)
-    return np.bincount(ad * width + am, minlength=n * width).tolist()
+def _merge(kernel, n: int, jobs: int) -> np.ndarray:
+    """Sum kernel over the partitions of S_n, on at most
+    min(jobs, partitions, cpu count) worker processes."""
+    parts = _n_partitions(n)
+    workers = min(jobs, parts, os.cpu_count() or 1)
+    tasks = [(kernel, n, idx) for idx in range(parts)]
+    if workers <= 1:
+        return sum(map(_run, tasks))
+    if n - 1 <= _BLOCK_CACHE_MAX:
+        _columns(n - 1)  # build it once here; forked workers inherit it
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(_run, tasks))
 
 
-def _work_two_sided(args) -> list[int]:
-    n, idx = args
-    P = _partition_array(n, idx)
-    ad = _stat_vector(P, "altdes")
-    ad_inv = _stat_vector(_row_inverse(P), "altdes")
-    return np.bincount(ad_inv * n + ad, minlength=n * n).tolist()
-
-
-def _work_simsun(args) -> list[int]:
-    n, idx = args
-    P = _partition_array(n, idx)
-    des = (P[:, :-1] > P[:, 1:]).sum(1).astype(np.int64)
-    W = P
-    k = n
-    while k >= 3:
-        dd = (W[:, :-2] > W[:, 1:-1]) & (W[:, 1:-1] > W[:, 2:])
-        keep = ~dd.any(1)
-        W = W[keep]
-        des = des[keep]
-        if k == 3:
-            break
-        # delete the largest letter from every surviving row
-        M = W.shape[0]
-        pos = (W == (k - 1)).argmax(1)
-        cols = np.arange(k - 1)
-        idx2 = cols[None, :] + (cols[None, :] >= pos[:, None])
-        W = W[np.arange(M)[:, None], idx2]
-        k -= 1
-    return np.bincount(des, minlength=n).tolist()
-
-
-def _merge(worker, tasks, jobs: int) -> list[int]:
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(worker, tasks))
-    else:
-        partials = [worker(t) for t in tasks]
-    out = [0] * len(partials[0])
-    for p in partials:
-        for i, c in enumerate(p):
-            out[i] += c
-    return out
+def _read_off(keys, counts: np.ndarray) -> dict:
+    """Total the counts of equal keys, in ascending key order."""
+    out: dict = {}
+    for key, c in zip(keys, counts.tolist()):
+        if c:
+            out[key] = out.get(key, 0) + c
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +262,11 @@ def stat_multiset(
         raise ValueError(f"stat must be one of {STATS}")
     if n == 0:
         return StatMultiset(0, stat, {0: 1})
-    top = {"altdes": n, "des": n, "des3": n}.get(stat, n * (n - 1) // 2 + 1)
-    tasks = [(n, i, stat, top + 1) for i in range(_n_partitions(n))]
-    hist = _merge(_work_hist, tasks, jobs)
-    return StatMultiset(n, stat, {v: int(c) for v, c in enumerate(hist) if c})
+    if stat == "des3":
+        keys, hist = range(n), _merge(_des3_hist, n, jobs)
+    else:
+        keys, hist = _set_stats(n)[stat].tolist(), _merge(_descent_hist, n, jobs)
+    return StatMultiset(n, stat, _read_off(keys, hist))
 
 
 def brute_alt_eulerian(
@@ -264,8 +277,6 @@ def brute_alt_eulerian(
     >>> brute_alt_eulerian(3).coeffs
     (2, 2, 2)
     """
-    if n == 0:
-        return IntPoly.one()
     return stat_multiset(n, "altdes", brute_max=brute_max, jobs=jobs).polynomial()
 
 
@@ -274,12 +285,9 @@ def brute_qalt(n: int, *, brute_max: int | None = None, jobs: int = 1) -> BiPoly
     _guard(n, brute_max)
     if n == 0:
         return BiPolyTQ.one()
-    width = n * (n - 1) // 2 + 1
-    tasks = [(n, i, width) for i in range(_n_partitions(n))]
-    hist = _merge(_work_qalt, tasks, jobs)
-    return BiPolyTQ(
-        {(k // width, k % width): int(c) for k, c in enumerate(hist) if c}
-    )
+    hist = _merge(_descent_hist, n, jobs)
+    s = _set_stats(n)
+    return BiPolyTQ(_read_off(zip(s["altdes"].tolist(), s["altmaj"].tolist()), hist))
 
 
 def brute_two_sided(
@@ -289,13 +297,15 @@ def brute_two_sided(
     _guard(n, brute_max)
     if n == 0:
         return BiPolyTQ.one()
-    tasks = [(n, i) for i in range(_n_partitions(n))]
-    hist = _merge(_work_two_sided, tasks, jobs)
-    return BiPolyTQ({(k // n, k % n): int(c) for k, c in enumerate(hist) if c})
+    hist = _merge(_two_sided_hist, n, jobs)
+    return BiPolyTQ(_read_off(((k // n, k % n) for k in range(n * n)), hist))
 
 
 def brute_simsun(n: int, *, brute_max: int | None = None, jobs: int = 1) -> IntPoly:
     """Descent polynomial of the Simsun permutations of length n.
+
+    The words are generated rather than filtered from S_n, in a single
+    process, so jobs has no effect.
 
     >>> brute_simsun(3).coeffs
     (1, 4)
@@ -303,9 +313,9 @@ def brute_simsun(n: int, *, brute_max: int | None = None, jobs: int = 1) -> IntP
     _guard(n, brute_max)
     if n == 0:
         return IntPoly.one()
-    tasks = [(n, i) for i in range(_n_partitions(n))]
-    hist = _merge(_work_simsun, tasks, jobs)
-    return IntPoly([int(c) for c in hist])
+    hist = _descent_hist(_simsun_columns(n))
+    des = _read_off(_set_stats(n)["des"].tolist(), hist)
+    return IntPoly([des.get(d, 0) for d in range(n)])
 
 
 class CdIndex(NamedTuple):
@@ -344,26 +354,15 @@ def brute_des3_first1(n: int, *, brute_max: int | None = None) -> StatMultiset:
     _guard(n, brute_max)
     if n == 0:
         return StatMultiset(0, "des3", {0: 1})
-    values: dict[int, int] = {}
-    for sub in iter_perm_arrays(n):
-        P = np.empty((sub.shape[0], n + 1), dtype=np.int8)
-        P[:, 0] = 0
-        P[:, 1:] = sub + 1
-        hist = np.bincount(_stat_vector(P, "des3"), minlength=n + 2)
-        for v, c in enumerate(hist):
-            if c:
-                values[v] = values.get(v, 0) + int(c)
-    return StatMultiset(n + 1, "des3", values)
+    hist = _merge(_des3_first1_hist, n, 1)
+    return StatMultiset(n + 1, "des3", _read_off(range(n + 1), hist))
 
 
 def down_up_simsun_count(n: int, *, brute_max: int | None = None) -> int:
     """Number of length-n permutations that are both down-up and
-    Simsun."""
+    Simsun: the Simsun words whose descent set is {1, 3, 5, ...}."""
     _guard(n, brute_max)
     if n <= 1:
         return 1
-    count = 0
-    for w in _perms(range(1, n + 1)):
-        if is_down_up(w) and is_simsun(w):
-            count += 1
-    return count
+    down_up = sum(1 << i for i in range(0, n - 1, 2))
+    return int(np.count_nonzero(_descent_codes(_simsun_columns(n)) == down_up))

@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import os
+import sys
+import threading
 
 import pytest
 
+from altdes import oracle
 from altdes.oracle import (
     LimitExceeded,
     brute_alt_eulerian,
@@ -142,10 +146,103 @@ def test_down_up_simsun_count_scalar():
 
 
 def test_jobs_do_not_change_results():
-    for n in (5, 8):
+    for n in (5, 8, 11):
         assert brute_alt_eulerian(n, jobs=2) == brute_alt_eulerian(n)
         assert brute_qalt(n, jobs=2) == brute_qalt(n)
         assert stat_multiset(n, "maj", jobs=2).values == stat_multiset(n, "maj").values
+        assert stat_multiset(n, "des3", jobs=2).values == stat_multiset(n, "des3").values
+        two_sided = brute_two_sided(n, jobs=2)
+        assert two_sided == brute_two_sided(n)
+        assert two_sided.at_q1() == brute_alt_eulerian(n)
+
+
+def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    expected = brute_alt_eulerian(11)
+    cpus = os.cpu_count() or 1
+    requested.clear()
+    assert brute_alt_eulerian(11, jobs=10**6) == expected
+    assert requested == ([min(11, cpus)] if cpus > 1 else [])
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    requested.clear()
+    assert brute_alt_eulerian(11, jobs=10**6) == expected
+    assert requested == [11]  # one worker per first letter, no more
+
+
+def nth_permutation(n, rank):
+    """The rank-th permutation of range(n) in lexicographic order."""
+    letters = list(range(n))
+    word = []
+    for i in range(n - 1, -1, -1):
+        q, rank = divmod(rank, math.factorial(i))
+        word.append(letters.pop(q))
+    return tuple(word)
+
+
+def test_column_builder_is_lexicographic():
+    for n in range(0, 8):
+        W = oracle._columns(n)
+        assert W.shape == (n, math.factorial(n)) and W.dtype == "int8"
+        assert not W.flags.writeable
+        assert [tuple(int(x) for x in col) for col in W.T] == list(
+            itertools.permutations(range(n))
+        )
+    f = math.factorial(10)
+    for v in range(11):
+        W = oracle._partition(11, v)
+        assert W.shape == (11, f)
+        for j in (0, f // 2, f - 1):
+            assert tuple(int(x) for x in W[:, j]) == nth_permutation(11, v * f + j)
+
+
+def test_simsun_insertion_matches_filter():
+    for n in range(0, 9):
+        W = oracle._simsun_columns(n)
+        words = [tuple(int(x) for x in col) for col in W.T]
+        expected = {w for w in itertools.permutations(range(n)) if is_simsun(w)}
+        assert len(words) == len(set(words))
+        assert set(words) == expected, n
+
+
+def test_block_cache_is_thread_safe():
+    expected = (brute_qalt(9), brute_simsun(9))
+    results = []
+
+    def work():
+        results.append((brute_qalt(9), brute_simsun(9)))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    old = sys.getswitchinterval()
+    oracle._BLOCK_CACHE.clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+    assert sorted(oracle._BLOCK_CACHE) == list(range(10))
+    assert all(
+        W.shape == (k, math.factorial(k)) for k, W in oracle._BLOCK_CACHE.items()
+    )
 
 
 def test_brute_max_guard():
