@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import divisibility, gamma, oracle, permutations, recurrences
+from .gamma import ExpansionFailed
 from .oracle import DEFAULT_BRUTE_MAX, LimitExceeded
 from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand, shape_predicates
+from .reporting import CheckResult
 
 ORACLE_STATS = ("altmaj", "altdes", "maj", "des3")
 COMPUTE_TABLES = ("alt", "simsun", "gamma", "two-sided")
@@ -108,7 +110,7 @@ def _value_row(name: str, p: IntPoly | BiPolyTQ, *, tvar: str = "t",
 
 
 # ---------------------------------------------------------------------------
-# verify handlers
+# verify registry: each token is a suite of checks
 
 @dataclass(frozen=True)
 class _Ctx:
@@ -116,290 +118,262 @@ class _Ctx:
     jobs: int
 
 
-def _v_five_term(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        ok = recurrences.five_term(n) == oracle.brute_alt_eulerian(
-            n, brute_max=ctx.brute_max, jobs=ctx.jobs)
-        rows.append(_row(f"five-term matches oracle n={n}", ok,
-                         witness=f"five-term recurrence disagrees at n={n}"))
-    return rows
+def _upto(*, start: int = 1, step: int = 1, brute: bool = False):
+    """Cases n = start, start + step, ... up to --max-n, and up to
+    --brute-max as well when brute is set."""
+    def cases(maxn: int, ctx: _Ctx) -> list[dict]:
+        top = min(maxn, ctx.brute_max) if brute else maxn
+        return [{"n": n} for n in range(start, top + 1, step)]
+    return cases
 
 
-def _v_convolution(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        cr = recurrences.chebikin_check(n)
-        rows.append(_row(f"convolution identity n={n}", cr.ok, witness=cr.witness))
-    return rows
+@dataclass(frozen=True)
+class _Check:
+    """One family of rows of a verify token.
+
+    cases(maxn, ctx) lists the cases as keyword dicts, name is formatted
+    with each case's fields, and run(ctx, **case) returns a witness, or
+    None when the property holds.  A failure is a finding when the
+    property is a conjecture; an ArithmeticError raised by run is always
+    a failure, with the error message as its witness.
+    """
+
+    name: str
+    run: Callable[..., str | None]
+    cases: Callable[[int, _Ctx], list[dict]] = _upto()
+    finding: bool = False
 
 
-def _v_gamma_nonneg(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        f = recurrences.five_term(n)
-        sh = shape_predicates(f)
-        problems = []
-        if sh.palindromic_center is None:
-            problems.append("not palindromic")
-        if not sh.unimodal:
-            problems.append("not unimodal")
-        try:
-            gv = gamma_expand(f, n)
-            if any(g < 0 for g in gv.coeffs):
-                problems.append("negative gamma entry")
-        except ArithmeticError as exc:
-            problems.append(str(exc))
-        rows.append(_row(f"palindromic unimodal gamma-nonnegative n={n}",
-                         not problems, witness="; ".join(problems) or None))
-    return rows
+class _Suite:
+    """The checks of one token, run in order as handler(maxn, ctx)."""
+
+    def __init__(self, *checks: _Check):
+        self.checks = checks
+
+    def __call__(self, maxn: int, ctx: _Ctx) -> list[ResultRow]:
+        rows = []
+        for check in self.checks:
+            for case in check.cases(maxn, ctx):
+                name = check.name.format_map(case)
+                try:
+                    witness = check.run(ctx, **case)
+                except ArithmeticError as exc:
+                    rows.append(_row(name, False, witness=str(exc)))
+                    continue
+                rows.append(_row(name, witness is None, witness=witness,
+                                 finding=check.finding))
+        return rows
 
 
-def _v_simsun_relation(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        cr = gamma.simsun_relation_check(n)
-        rows.append(_row(f"gamma vector vs simsun polynomial n={n}", cr.ok,
-                         witness=cr.witness))
-    return rows
+def _witness(cr: CheckResult) -> str | None:
+    """A library check's witness; a failure without one still fails."""
+    return None if cr.ok else cr.witness or ""
 
 
-def _v_minus_one(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    E = recurrences.euler_numbers(max(maxn, 7) + 1)
-    rows = []
-    for n in range(1, maxn + 1, 2):
-        ok = recurrences.five_term(n)(-1) == E[n]
-        rows.append(_row(f"value at -1 equals zigzag count n={n}", ok,
-                         witness=f"five_term({n})(-1) != E_{n}"))
-    for length in (2, 4, 6):
-        if length > ctx.brute_max:
-            continue
-        expected, rem = divmod(E[length + 1], 2 ** (length // 2))
-        got = gamma.down_up_simsun_count(length, brute_max=ctx.brute_max)
-        rows.append(_row(f"down-up simsun count length {length}",
-                         rem == 0 and got == expected,
-                         witness=f"count {got}, expected {expected}"))
-    return rows
-
-
-def _v_cd_index(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    a_plus_b = NCPoly({"a": 1, "b": 1})
-    ab_plus_ba = NCPoly({"ab": 1, "ba": 1})
-    images = {"c": a_plus_b, "d": ab_plus_ba}
-    rows = []
-    for n in range(1, min(maxn, ctx.brute_max) + 1):
-        cd = oracle.brute_cd_index(n, brute_max=ctx.brute_max)
-        tr = gamma.cd_transform(cd.phi)
-        bad = []
-        if cd.psi != cd.phi.substitute(images):
-            bad.append("descent-set index")
-        if cd.psi_hat != tr.phi_hat.substitute(images):
-            bad.append("alternating-descent-set index")
-        if tr.alt_poly != recurrences.five_term(n):
-            bad.append("alternating descent polynomial")
-        if cd.phi.eval_commutative(
-                {"c": IntPoly.one(), "d": IntPoly((1, 1))}) != recurrences.gamma_rec(n):
-            bad.append("gamma vector link")
-        rows.append(_row(f"cd-index relations n={n}", not bad,
-                         witness="; ".join(bad) or None))
-    return rows
-
-
-def _v_simsun_rec(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    eff = min(maxn, ctx.brute_max)
-    E = recurrences.euler_numbers(maxn + 1)
-    rows = []
-    for n in range(1, maxn + 1):
-        r1 = recurrences.simsun_rec(n, "derivative")
-        r2 = recurrences.simsun_rec(n, "quadratic")
-        bad = []
-        if r1 != r2:
-            bad.append("the two recurrences disagree")
-        if r1(1) != E[n + 1]:
-            bad.append(f"total count is not E_{n + 1}")
-        if n <= eff and r1 != oracle.brute_simsun(
-                n, brute_max=ctx.brute_max, jobs=ctx.jobs):
-            bad.append("oracle disagrees")
-        rows.append(_row(f"simsun descent polynomial n={n}", not bad,
-                         witness="; ".join(bad) or None))
-    return rows
-
-
-def _v_factorization(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(2, maxn + 1):
-        try:
-            f = divisibility.extract_Ehat(n)
-        except ArithmeticError as exc:
-            rows.append(_row(f"factorization n={n}", False, witness=str(exc)))
-            continue
-        bad = []
-        if not f.verdicts.e_hat_palindromic:
-            bad.append("reduced factor not palindromic")
-        if not f.verdicts.constant_term_is_euler:
-            bad.append("constant term is not the zigzag number")
-        cr = divisibility.check_thm42(n)
+def _over_j(check: Callable[[int, int], CheckResult], n: int, js: range) -> str | None:
+    bad = []
+    for j in js:
+        cr = check(n, j)
         if not cr.ok:
-            bad.append(cr.witness or "factor order too small")
-        rows.append(_row(f"factorization n={n}", not bad,
-                         witness="; ".join(bad) or None))
-    return rows
+            bad.append(cr.witness or f"j={j}")
+    return "; ".join(bad) or None
 
 
-def _v_parity(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        bad = []
-        for j in range(5):
-            cr = divisibility.check_qj_parity(n, j)
-            if not cr.ok:
-                bad.append(cr.witness or f"j={j}")
-        rows.append(_row(f"one-plus-q order parity n={n}", not bad,
-                         witness="; ".join(bad) or None))
-    return rows
+def _five_term_vs_oracle(ctx: _Ctx, n: int) -> str | None:
+    ok = recurrences.five_term(n) == oracle.brute_alt_eulerian(
+        n, brute_max=ctx.brute_max, jobs=ctx.jobs)
+    return None if ok else f"five-term recurrence disagrees at n={n}"
 
 
-def _v_parity_recursion(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = _v_parity(maxn, ctx)
-    for n in range(1, maxn + 1):
-        bad = []
-        for j in range(1, 5):
-            cr = divisibility.check_specialized_recursion(n, j)
-            if not cr.ok:
-                bad.append(cr.witness or f"j={j}")
-        rows.append(_row(f"substituted recursion n={n}", not bad,
-                         witness="; ".join(bad) or None))
-    return rows
+def _convolution(ctx: _Ctx, n: int) -> str | None:
+    return _witness(recurrences.chebikin_check(n))
 
 
-def _v_prefix_reversal(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(2, min(maxn, ctx.brute_max) + 1):
-        for m in range(1, n // 2 + 1):
-            cr = divisibility.thm411_bijection_check(n, m, brute_max=ctx.brute_max)
-            rows.append(_row(f"prefix-reversal bijection n={n} m={m}", cr.ok,
-                             witness=cr.witness))
-    return rows
+def _gamma_nonneg(ctx: _Ctx, n: int) -> str | None:
+    f = recurrences.five_term(n)
+    sh = shape_predicates(f)
+    problems = []
+    if sh.palindromic_center is None:
+        problems.append("not palindromic")
+    if not sh.unimodal:
+        problems.append("not unimodal")
+    if any(g < 0 for g in gamma_expand(f, n).coeffs):
+        problems.append("negative gamma entry")
+    return "; ".join(problems) or None
 
 
-def _v_series(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    cr = recurrences.egf_check(maxn)
-    return [_row(f"generating function through order {maxn}", cr.ok,
-                 witness=cr.witness)]
+def _simsun_relation(ctx: _Ctx, n: int) -> str | None:
+    return _witness(gamma.simsun_relation_check(n))
 
 
-def _v_derivative_route(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        ok = recurrences.faa_di_bruno_altmaj(n) == recurrences.quadratic_tq(n).at_t1()
-        rows.append(_row(f"derivative route matches recursion n={n}", ok,
-                         witness=f"major-index polynomials disagree at n={n}"))
-    return rows
+def _minus_one(ctx: _Ctx, n: int) -> str | None:
+    ok = recurrences.five_term(n)(-1) == recurrences.euler_numbers(n)[n]
+    return None if ok else f"five_term({n})(-1) != E_{n}"
 
 
-def _v_binomial_criterion(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, min(maxn, ctx.brute_max) + 1):
-        cr = divisibility.verify_conj410(n, brute_max=ctx.brute_max, jobs=ctx.jobs)
-        rows.append(_row(f"binomial criterion n={n}", cr.ok, witness=cr.witness,
-                         finding=True))
-    return rows
+def _down_up_lengths(maxn: int, ctx: _Ctx) -> list[dict]:
+    return [{"length": k} for k in (2, 4, 6) if k <= ctx.brute_max]
 
 
-def _v_log_concave(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        sh = shape_predicates(recurrences.five_term(n))
-        rows.append(_row(f"log-concave n={n}", sh.log_concave,
-                         witness=f"coefficients not log-concave at n={n}",
-                         finding=True))
-    return rows
+def _down_up_simsun(ctx: _Ctx, length: int) -> str | None:
+    e = recurrences.euler_numbers(length + 1)[length + 1]
+    expected, rem = divmod(e, 2 ** (length // 2))
+    got = oracle.down_up_simsun_count(length, brute_max=ctx.brute_max)
+    return None if rem == 0 and got == expected else f"count {got}, expected {expected}"
 
 
-def _v_q_gamma(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, maxn + 1):
-        p = recurrences.quadratic_tq(n)
-        try:
-            qg = gamma.q_gamma_extract(p, n)
-        except ArithmeticError as exc:
-            rows.append(_row(f"q-gamma expansion n={n}", False, witness=str(exc)))
-            continue
-        if qg.reconstruct() != p:
-            rows.append(_row(f"q-gamma expansion n={n}", False,
-                             witness="reconstruction mismatch"))
-            continue
-        a = recurrences.gamma_rec(n)
-        if any(g(1) != (2 ** k) * a[k] for k, g in enumerate(qg.gammas)):
-            rows.append(_row(f"q-gamma expansion n={n}", False,
-                             witness="values at q=1 disagree with gamma vector"))
-            continue
-        rows.append(_row(f"q-gamma expansion n={n}", qg.conjecture_holds(),
-                         witness="negative coefficient or missing 1+q factor",
-                         finding=True))
-    return rows
+_CD_IMAGES = {"c": NCPoly({"a": 1, "b": 1}), "d": NCPoly({"ab": 1, "ba": 1})}
 
 
-def _v_two_sided(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, min(maxn, ctx.brute_max) + 1):
-        A = oracle.brute_two_sided(n, brute_max=ctx.brute_max, jobs=ctx.jobs)
-        try:
-            ext = gamma.two_sided_extract(A)
-        except ArithmeticError as exc:
-            rows.append(_row(f"two-sided expansion n={n}", False, witness=str(exc)))
-            continue
-        if ext.reconstruct() != A or A.at_t1() != recurrences.five_term(n):
-            rows.append(_row(f"two-sided expansion n={n}", False,
-                             witness="reconstruction mismatch"))
-            continue
-        rows.append(_row(f"two-sided expansion n={n}", ext.nonnegative(),
-                         witness="negative expansion entry", finding=True))
-    return rows
+def _cd_index(ctx: _Ctx, n: int) -> str | None:
+    cd = oracle.brute_cd_index(n, brute_max=ctx.brute_max)
+    tr = gamma.cd_transform(cd.phi)
+    bad = []
+    if cd.psi != cd.phi.substitute(_CD_IMAGES):
+        bad.append("descent-set index")
+    if cd.psi_hat != tr.phi_hat.substitute(_CD_IMAGES):
+        bad.append("alternating-descent-set index")
+    if tr.alt_poly != recurrences.five_term(n):
+        bad.append("alternating descent polynomial")
+    if cd.phi.eval_commutative(
+            {"c": IntPoly.one(), "d": IntPoly((1, 1))}) != recurrences.gamma_rec(n):
+        bad.append("gamma vector link")
+    return "; ".join(bad) or None
 
 
-def _v_equidist(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, min(maxn, ctx.brute_max) + 1):
-        left = oracle.stat_multiset(n, "altdes", brute_max=ctx.brute_max,
-                                    jobs=ctx.jobs)
-        right = oracle.brute_des3_first1(n, brute_max=ctx.brute_max)
-        rows.append(_row(f"alternating descents match triple-pattern class n={n}",
-                         left.values == right.values,
-                         witness=f"distributions differ at n={n}"))
-    return rows
+def _simsun_rec(ctx: _Ctx, n: int) -> str | None:
+    r1 = recurrences.simsun_rec(n, "derivative")
+    bad = []
+    if r1 != recurrences.simsun_rec(n, "quadratic"):
+        bad.append("the two recurrences disagree")
+    if r1(1) != recurrences.euler_numbers(n + 1)[n + 1]:
+        bad.append(f"total count is not E_{n + 1}")
+    if n <= ctx.brute_max and r1 != oracle.brute_simsun(
+            n, brute_max=ctx.brute_max, jobs=ctx.jobs):
+        bad.append("oracle disagrees")
+    return "; ".join(bad) or None
 
 
-def _v_double_count(maxn: int, ctx: _Ctx) -> list[ResultRow]:
-    rows = []
-    for n in range(1, min(maxn, ctx.brute_max) + 1):
-        cr = permutations.double_count_check(n)
-        rows.append(_row(f"insertion double count n={n}", cr.ok,
-                         witness=cr.witness))
-    return rows
+def _factorization(ctx: _Ctx, n: int) -> str | None:
+    f = divisibility.extract_Ehat(n)
+    bad = []
+    if not f.verdicts.e_hat_palindromic:
+        bad.append("reduced factor not palindromic")
+    if not f.verdicts.constant_term_is_euler:
+        bad.append("constant term is not the zigzag number")
+    cr = divisibility.check_thm42(n)
+    if not cr.ok:
+        bad.append(cr.witness or "factor order too small")
+    return "; ".join(bad) or None
 
+
+def _parity(ctx: _Ctx, n: int) -> str | None:
+    return _over_j(divisibility.check_qj_parity, n, range(5))
+
+
+def _substituted_recursion(ctx: _Ctx, n: int) -> str | None:
+    return _over_j(recurrences.specialized_recursion_check, n, range(1, 5))
+
+
+def _reversal_cases(maxn: int, ctx: _Ctx) -> list[dict]:
+    return [{"n": n, "m": m} for n in range(2, min(maxn, ctx.brute_max) + 1)
+            for m in range(1, n // 2 + 1)]
+
+
+def _prefix_reversal(ctx: _Ctx, n: int, m: int) -> str | None:
+    return _witness(divisibility.thm411_bijection_check(n, m, brute_max=ctx.brute_max))
+
+
+def _whole_order(maxn: int, ctx: _Ctx) -> list[dict]:
+    return [{"order": maxn}]
+
+
+def _series(ctx: _Ctx, order: int) -> str | None:
+    return _witness(recurrences.egf_check(order))
+
+
+def _derivative_route(ctx: _Ctx, n: int) -> str | None:
+    ok = recurrences.faa_di_bruno_altmaj(n) == recurrences.quadratic_tq(n).at_t1()
+    return None if ok else f"major-index polynomials disagree at n={n}"
+
+
+def _binomial_criterion(ctx: _Ctx, n: int) -> str | None:
+    return _witness(divisibility.verify_conj410(n, brute_max=ctx.brute_max,
+                                                jobs=ctx.jobs))
+
+
+def _log_concave(ctx: _Ctx, n: int) -> str | None:
+    ok = shape_predicates(recurrences.five_term(n)).log_concave
+    return None if ok else f"coefficients not log-concave at n={n}"
+
+
+def _q_gamma(ctx: _Ctx, n: int) -> str | None:
+    p = recurrences.quadratic_tq(n)
+    qg = gamma.q_gamma_extract(p, n)
+    if qg.reconstruct() != p:
+        raise ExpansionFailed("reconstruction mismatch")
+    a = recurrences.gamma_rec(n)
+    if any(g(1) != (2 ** k) * a[k] for k, g in enumerate(qg.gammas)):
+        raise ExpansionFailed("values at q=1 disagree with gamma vector")
+    return None if qg.conjecture_holds() else "negative coefficient or missing 1+q factor"
+
+
+def _two_sided(ctx: _Ctx, n: int) -> str | None:
+    A = oracle.brute_two_sided(n, brute_max=ctx.brute_max, jobs=ctx.jobs)
+    ext = gamma.two_sided_extract(A)
+    if ext.reconstruct() != A or A.at_t1() != recurrences.five_term(n):
+        raise ExpansionFailed("reconstruction mismatch")
+    return None if ext.nonnegative() else "negative expansion entry"
+
+
+def _equidist(ctx: _Ctx, n: int) -> str | None:
+    left = oracle.stat_multiset(n, "altdes", brute_max=ctx.brute_max, jobs=ctx.jobs)
+    right = oracle.brute_des3_first1(n, brute_max=ctx.brute_max)
+    return None if left.values == right.values else f"distributions differ at n={n}"
+
+
+def _double_count(ctx: _Ctx, n: int) -> str | None:
+    return _witness(permutations.double_count_check(n))
+
+
+_PARITY = _Check("one-plus-q order parity n={n}", _parity)
+_BRUTE = _upto(brute=True)
 
 # token -> (default max n, handler)
 VERIFY_HANDLERS: dict[str, tuple[int, Callable[[int, _Ctx], list[ResultRow]]]] = {
-    "thm2.1": (10, _v_five_term),
-    "eq1": (10, _v_convolution),
-    "thm3.1": (12, _v_gamma_nonneg),
-    "thm3.2": (12, _v_simsun_relation),
-    "cor3.3": (13, _v_minus_one),
-    "prop3.4": (7, _v_cd_index),
-    "cor3.5": (10, _v_simsun_rec),
-    "thm4.2": (16, _v_factorization),
-    "thm4.5": (14, _v_parity),
-    "thm4.6": (14, _v_parity_recursion),
-    "thm4.11": (9, _v_prefix_reversal),
-    "eq2": (10, _v_series),
-    "eq-fn0": (20, _v_derivative_route),
-    "conj4.10": (11, _v_binomial_criterion),
-    "conj5.1": (200, _v_log_concave),
-    "conj5.2": (10, _v_q_gamma),
-    "conj5.3": (10, _v_two_sided),
-    "equidist": (7, _v_equidist),
-    "double-count": (7, _v_double_count),
+    "thm2.1": (10, _Suite(_Check("five-term matches oracle n={n}",
+                                 _five_term_vs_oracle))),
+    "eq1": (10, _Suite(_Check("convolution identity n={n}", _convolution))),
+    "thm3.1": (12, _Suite(_Check("palindromic unimodal gamma-nonnegative n={n}",
+                                 _gamma_nonneg))),
+    "thm3.2": (12, _Suite(_Check("gamma vector vs simsun polynomial n={n}",
+                                 _simsun_relation))),
+    "cor3.3": (13, _Suite(
+        _Check("value at -1 equals zigzag count n={n}", _minus_one, _upto(step=2)),
+        _Check("down-up simsun count length {length}", _down_up_simsun,
+               _down_up_lengths))),
+    "prop3.4": (7, _Suite(_Check("cd-index relations n={n}", _cd_index, _BRUTE))),
+    "cor3.5": (10, _Suite(_Check("simsun descent polynomial n={n}", _simsun_rec))),
+    "thm4.2": (16, _Suite(_Check("factorization n={n}", _factorization, _upto(start=2)))),
+    "thm4.5": (14, _Suite(_PARITY)),
+    "thm4.6": (14, _Suite(_PARITY, _Check("substituted recursion n={n}",
+                                          _substituted_recursion))),
+    "thm4.11": (9, _Suite(_Check("prefix-reversal bijection n={n} m={m}",
+                                 _prefix_reversal, _reversal_cases))),
+    "eq2": (10, _Suite(_Check("generating function through order {order}", _series,
+                              _whole_order))),
+    "eq-fn0": (20, _Suite(_Check("derivative route matches recursion n={n}",
+                                 _derivative_route))),
+    "conj4.10": (11, _Suite(_Check("binomial criterion n={n}", _binomial_criterion,
+                                   _BRUTE, finding=True))),
+    "conj5.1": (200, _Suite(_Check("log-concave n={n}", _log_concave, finding=True))),
+    "conj5.2": (10, _Suite(_Check("q-gamma expansion n={n}", _q_gamma, finding=True))),
+    "conj5.3": (10, _Suite(_Check("two-sided expansion n={n}", _two_sided, _BRUTE,
+                                  finding=True))),
+    "equidist": (7, _Suite(_Check("alternating descents match triple-pattern class n={n}",
+                                  _equidist, _BRUTE))),
+    "double-count": (7, _Suite(_Check("insertion double count n={n}", _double_count,
+                                      _BRUTE))),
 }
 
 VERIFY_TOKENS = tuple(VERIFY_HANDLERS)
@@ -410,6 +384,11 @@ VERIFY_TOKENS = tuple(VERIFY_HANDLERS)
 
 def _cmd_compute(args: argparse.Namespace, ctx: _Ctx) -> Report:
     n = args.n
+    if args.q and args.table not in ("alt", "gamma"):
+        raise ValueError("--q applies only to alt and gamma tables")
+    needs_positive = args.table == "simsun" or (args.table == "gamma" and args.q)
+    if n < (1 if needs_positive else 0):
+        raise ValueError("--n out of range")
     params: dict = {"table": args.table, "n": n}
     rows: list[ResultRow]
     if args.table == "alt":
@@ -437,6 +416,8 @@ def _cmd_compute(args: argparse.Namespace, ctx: _Ctx) -> Report:
 
 def _cmd_factor(args: argparse.Namespace, ctx: _Ctx) -> Report:
     n = args.n
+    if n < 2:
+        raise ValueError("--n must be at least 2")
     try:
         f = divisibility.extract_Ehat(n)
     except ArithmeticError as exc:
@@ -465,12 +446,18 @@ def _cmd_verify(args: argparse.Namespace, ctx: _Ctx) -> Report:
 
 
 def _cmd_oracle(args: argparse.Namespace, ctx: _Ctx) -> Report:
+    if args.n < 0:
+        raise ValueError("--n must be nonnegative")
     ms = oracle.stat_multiset(args.n, args.stat, brute_max=ctx.brute_max,
                               jobs=ctx.jobs)
     var = "q" if args.stat in ("altmaj", "maj") else "t"
     rows = [_value_row(f"{args.stat} n={args.n}", ms.polynomial(), tvar=var)]
     return Report("oracle", {"n": args.n, "stat": args.stat,
                              "brute_max": ctx.brute_max, "jobs": ctx.jobs}, rows)
+
+
+_COMMANDS = {"compute": _cmd_compute, "factor": _cmd_factor, "verify": _cmd_verify,
+             "oracle": _cmd_oracle}
 
 
 # ---------------------------------------------------------------------------
@@ -617,33 +604,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError("--brute-max must be at least 1")
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
-        ctx = _Ctx(brute_max=brute_max, jobs=args.jobs)
-        if args.command == "compute":
-            if args.q and args.table not in ("alt", "gamma"):
-                raise ValueError("--q applies only to alt and gamma tables")
-            needs_positive = args.table == "simsun" or (args.table == "gamma" and args.q)
-            if args.n < (1 if needs_positive else 0):
-                raise ValueError("--n out of range")
-            t0 = time.perf_counter()
-            report = _cmd_compute(args, ctx)
-        elif args.command == "factor":
-            if args.n < 2:
-                raise ValueError("--n must be at least 2")
-            t0 = time.perf_counter()
-            report = _cmd_factor(args, ctx)
-        elif args.command == "verify":
-            t0 = time.perf_counter()
-            report = _cmd_verify(args, ctx)
-        else:
-            if args.n < 0:
-                raise ValueError("--n must be nonnegative")
-            t0 = time.perf_counter()
-            report = _cmd_oracle(args, ctx)
+        t0 = time.perf_counter()
+        report = _COMMANDS[args.command](args, _Ctx(brute_max=brute_max, jobs=args.jobs))
     except (LimitExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    _emit(_RENDERERS[args.format](report), args.out)
+    try:
+        _emit(_RENDERERS[args.format](report), args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.ok else 1
 
 

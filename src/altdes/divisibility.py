@@ -35,7 +35,6 @@ from .recurrences import (
     euler_numbers,
     faa_di_bruno_altmaj,
     quadratic_tq,
-    specialized_recursion_check,
 )
 from .reporting import CheckResult
 
@@ -186,11 +185,6 @@ def check_qj_parity(n: int, j: int) -> CheckResult:
     if got < expected:
         return CheckResult.failed(f"n={n}, j={j}: (1+q)-order {got} < {expected}")
     return CheckResult.passed()
-
-
-def check_specialized_recursion(n: int, j: int) -> CheckResult:
-    """The doubled quadratic recursion survives t -> q^j intact."""
-    return specialized_recursion_check(n, j)
 
 
 def check_pochhammer_orders(n: int) -> CheckResult:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import oracle
+from .divisibility import order_of_factor
 from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand
 from .recurrences import five_term, gamma_rec, simsun_rec
 from .reporting import CheckResult
@@ -135,19 +135,8 @@ def q_gamma_extract(p: BiPolyTQ, n: int) -> QGammaVector:
     if residual:
         raise ExpansionFailed("nonzero residual after the final peel step")
     nonneg = tuple(all(c >= 0 for c in g.coeffs) for g in gammas)
-    orders = tuple(_one_plus_q_order(g) for g in gammas)
+    orders = tuple(order_of_factor(g, 1) if g else 0 for g in gammas)
     return QGammaVector(n, tuple(gammas), nonneg, orders)
-
-
-def _one_plus_q_order(g: IntPoly) -> int:
-    order = 0
-    while g:
-        quot, exact = g.div_binomial(1, +1)
-        if not exact:
-            break
-        g = quot
-        order += 1
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +219,3 @@ def two_sided_extract(a: BiPolyTQ) -> TwoSidedGamma:
         if residual:
             raise ExpansionFailed(f"residual at p-degree {pe} after the peel")
     return TwoSidedGamma(n, entries)
-
-
-# ---------------------------------------------------------------------------
-# down-up Simsun counts (enumerative route)
-
-def down_up_simsun_count(n: int, *, brute_max: int | None = None) -> int:
-    """Number of length-n permutations both down-up and Simsun; for
-    even n this should be E_{n+1} / 2^(n/2)."""
-    return oracle.down_up_simsun_count(n, brute_max=brute_max)

@@ -245,12 +245,7 @@ class StatMultiset:
 
     def polynomial(self) -> IntPoly:
         """Generating polynomial sum q^stat."""
-        if not self.values:
-            return IntPoly()
-        cs = [0] * (max(self.values) + 1)
-        for v, c in self.values.items():
-            cs[v] = c
-        return IntPoly(cs)
+        return IntPoly.from_terms(self.values.items())
 
 
 def stat_multiset(

@@ -26,13 +26,6 @@ class PrefixTooLong(ValueError):
 Word = tuple[int, ...]
 
 
-def as_word(seq: Iterable[int]) -> Word:
-    w = tuple(seq)
-    if len(set(w)) != len(w):
-        raise ValueError("letters must be distinct")
-    return w
-
-
 def check_permutation(w: Iterable[int]) -> Word:
     """Validate that w is a permutation of 1..n and return it."""
     w = tuple(w)
@@ -176,10 +169,6 @@ def insertions(w: Iterable[int], j: int, kind: str) -> Word:
 # ---------------------------------------------------------------------------
 # Simsun machinery
 
-def _has_double_descent(w: tuple[int, ...]) -> bool:
-    return any(w[i] > w[i + 1] > w[i + 2] for i in range(len(w) - 2))
-
-
 def is_simsun(w: Iterable[int]) -> bool:
     """No double descents, even after repeatedly deleting the largest
     letter.  The empty word is Simsun."""
@@ -227,17 +216,6 @@ def cd_word(w: Iterable[int]) -> str | None:
             out.append("c")
             i += 1
     return "".join(out)
-
-
-class SimsunTests(NamedTuple):
-    is_simsun: bool
-    is_down_up: bool
-    cd_word: str | None
-
-
-def simsun_tests(w: Iterable[int]) -> SimsunTests:
-    w = tuple(w)
-    return SimsunTests(is_simsun(w), is_down_up(w), cd_word(w))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-class NotPalindromic(ValueError):
+class NotPalindromic(ArithmeticError):
     """Raised when a gamma expansion is requested for a polynomial that
     is not palindromic about the required center."""
 
@@ -71,6 +71,23 @@ class IntPoly:
         if exp < 0:
             raise ValueError("exponent must be nonnegative")
         return cls((0,) * exp + (coeff,))
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[int, int]]) -> "IntPoly":
+        """Sum of coeff * x^exponent over (exponent, coeff) pairs;
+        repeated exponents add up.
+
+        >>> IntPoly.from_terms([(2, 1), (0, 3), (2, 4)])
+        IntPoly((3, 0, 5))
+        >>> IntPoly.from_terms([])
+        IntPoly(())
+        """
+        acc: dict[int, int] = {}
+        for e, c in terms:
+            acc[e] = acc.get(e, 0) + c
+        if acc and min(acc) < 0:
+            raise ValueError("exponent must be nonnegative")
+        return cls(acc.get(e, 0) for e in range(max(acc, default=-1) + 1))
 
     @property
     def degree(self) -> int:
@@ -552,54 +569,23 @@ class BiPolyTQ:
 
     def at_q1(self) -> IntPoly:
         """Set q = 1, leaving a polynomial in t."""
-        out: dict[int, int] = {}
-        for k, c in self._d.items():
-            te = k >> _SHIFT
-            out[te] = out.get(te, 0) + c
-        if not out:
-            return IntPoly()
-        cs = [0] * (max(out) + 1)
-        for e, c in out.items():
-            cs[e] = c
-        return IntPoly(cs)
+        return IntPoly.from_terms((k >> _SHIFT, c) for k, c in self._d.items())
 
     def at_t1(self) -> IntPoly:
         """Set t = 1, leaving a polynomial in q."""
-        out: dict[int, int] = {}
-        for k, c in self._d.items():
-            qe = k & _MASK
-            out[qe] = out.get(qe, 0) + c
-        if not out:
-            return IntPoly()
-        cs = [0] * (max(out) + 1)
-        for e, c in out.items():
-            cs[e] = c
-        return IntPoly(cs)
+        return self.at_t_qpow(0)
 
     def at_t_qpow(self, j: int) -> IntPoly:
         """Set t = q^j, leaving a polynomial in q."""
         if j < 0:
             raise ValueError("power must be nonnegative")
-        out: dict[int, int] = {}
-        for k, c in self._d.items():
-            e = (k >> _SHIFT) * j + (k & _MASK)
-            out[e] = out.get(e, 0) + c
-        if not out:
-            return IntPoly()
-        cs = [0] * (max(out) + 1)
-        for e, c in out.items():
-            cs[e] = c
-        return IntPoly(cs)
+        return IntPoly.from_terms(
+            ((k >> _SHIFT) * j + (k & _MASK), c) for k, c in self._d.items())
 
     def slice_t(self, k: int) -> IntPoly:
         """Coefficient of t^k as a polynomial in q."""
-        terms = {kk & _MASK: c for kk, c in self._d.items() if (kk >> _SHIFT) == k}
-        if not terms:
-            return IntPoly()
-        cs = [0] * (max(terms) + 1)
-        for e, c in terms.items():
-            cs[e] = c
-        return IntPoly(cs)
+        return IntPoly.from_terms(
+            (kk & _MASK, c) for kk, c in self._d.items() if kk >> _SHIFT == k)
 
     def min_t_degree(self) -> int:
         return min((k >> _SHIFT for k in self._d), default=-1)
@@ -634,11 +620,6 @@ class BiPolyTQ:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def substitute_tq(p: BiPolyTQ, j: int) -> BiPolyTQ:
-    """Module-level alias for the t -> t q^j substitution."""
-    return p.substitute_tq(j)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from altdes.divisibility import (
     build_Gn,
     check_pochhammer_orders,
     check_qj_parity,
-    check_specialized_recursion,
     check_thm42,
     extract_Ehat,
     thm411_bijection_check,
@@ -23,7 +22,6 @@ from altdes.divisibility import (
 )
 from altdes.gamma import (
     cd_transform,
-    down_up_simsun_count,
     q_gamma_extract,
     simsun_relation_check,
     two_sided_extract,
@@ -35,6 +33,7 @@ from altdes.oracle import (
     brute_qalt,
     brute_simsun,
     brute_two_sided,
+    down_up_simsun_count,
     stat_multiset,
 )
 from altdes.permutations import double_count_check, theta_check
@@ -54,6 +53,7 @@ from altdes.recurrences import (
     gamma_rec,
     quadratic_tq,
     simsun_rec,
+    specialized_recursion_check,
 )
 
 RESULTS = []
@@ -224,7 +224,7 @@ def test_criterion_09_divisibility():
                 ok = check_qj_parity(n, j)
                 assert ok.ok, ok.witness
                 if j:
-                    ok2 = check_specialized_recursion(n, j)
+                    ok2 = specialized_recursion_check(n, j)
                     assert ok2.ok, ok2.witness
 
     _criterion(9, "divisibility suite: orders, products, parity", body)

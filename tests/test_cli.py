@@ -1,11 +1,14 @@
 """Command-line behavior: formats, exit codes, report schema."""
 
+import csv
+import io
 import json
 
 import pytest
 
-from altdes import cli
+from altdes import cli, gamma, recurrences
 from altdes.cli import ResultRow, main, parse_poly_value
+from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
 from altdes.recurrences import five_term, quadratic_tq
 
@@ -147,6 +150,31 @@ def test_finding_exits_one(capsys, monkeypatch):
     assert out.splitlines()[0].startswith("FINDING")
 
 
+def test_failing_theorem_is_a_fail_row(capsys, monkeypatch):
+    # a non-palindromic A_3 must read as a broken theorem, not a usage error
+    five_term = recurrences.five_term
+    monkeypatch.setattr(recurrences, "five_term",
+                        lambda n: IntPoly((1, 2)) if n == 3 else five_term(n))
+    code, out, err = run(capsys, "verify", "thm3.1", "--max-n", "3",
+                         "--format", "json")
+    assert code == 1 and err == ""
+    rows = {r["name"]: r for r in json.loads(out)["results"]}
+    bad = rows["palindromic unimodal gamma-nonnegative n=3"]
+    assert bad["status"] == "fail" and "not palindromic" in bad["witness"]
+
+
+def test_expansion_errors_are_failures_not_findings(capsys, monkeypatch):
+    def broken(p, n):
+        raise ExpansionFailed(f"forced at n={n}")
+
+    monkeypatch.setattr(gamma, "q_gamma_extract", broken)
+    code, out, _ = run(capsys, "verify", "conj5.2", "--max-n", "3",
+                       "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        f"q-gamma expansion n={n},fail,forced at n={n}" for n in (1, 2, 3)]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "verify", "nosuch")[0] == 2
     assert run(capsys, "compute", "simsun", "--n", "3", "--q")[0] == 2
@@ -183,6 +211,15 @@ def test_out_file(tmp_path, capsys):
     assert report["parameters"]["max_n"] == 6
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.txt"
+    code, out, err = run(capsys, "verify", "eq1", "--max-n", "2",
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_reports_are_deterministic(capsys):
     _, a, _ = run(capsys, "verify", "thm4.5", "--max-n", "8", "--format", "csv")
     _, b, _ = run(capsys, "verify", "thm4.5", "--max-n", "8", "--format", "csv")
@@ -201,7 +238,12 @@ def test_jobs_flag_passes_through(capsys):
     assert out == "altdes n=6 = 61 + 117t + 182t^2 + 182t^3 + 117t^4 + 61t^5\n"
 
 
-def test_every_token_has_a_handler():
+def test_every_token_has_a_handler(capsys):
     assert set(cli.VERIFY_TOKENS) == set(cli.VERIFY_HANDLERS)
     for token, (default_max, handler) in cli.VERIFY_HANDLERS.items():
         assert default_max >= 1 and callable(handler)
+        code, out, _ = run(capsys, "verify", token, "--max-n", "2",
+                           "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and rows, token
+        assert all(r["status"] == "pass" for r in rows), token

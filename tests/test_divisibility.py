@@ -11,7 +11,6 @@ from altdes.divisibility import (
     build_Gn,
     check_pochhammer_orders,
     check_qj_parity,
-    check_specialized_recursion,
     check_thm42,
     cyclotomic,
     extract_Ehat,
@@ -21,7 +20,11 @@ from altdes.divisibility import (
 )
 from altdes.oracle import stat_multiset
 from altdes.polynomials import IntPoly, NotDivisible, one_plus_pow, q_pochhammer
-from altdes.recurrences import euler_numbers, faa_di_bruno_altmaj
+from altdes.recurrences import (
+    euler_numbers,
+    faa_di_bruno_altmaj,
+    specialized_recursion_check,
+)
 
 rng = random.Random(99)
 
@@ -110,7 +113,7 @@ def test_parity_checks():
             ok = check_qj_parity(n, j)
             assert ok.ok, ok.witness
             if j:
-                ok2 = check_specialized_recursion(n, j)
+                ok2 = specialized_recursion_check(n, j)
                 assert ok2.ok, ok2.witness
 
 

@@ -7,12 +7,16 @@ from altdes.gamma import (
     QGammaVector,
     TwoSidedGamma,
     cd_transform,
-    down_up_simsun_count,
     q_gamma_extract,
     simsun_relation_check,
     two_sided_extract,
 )
-from altdes.oracle import LimitExceeded, brute_cd_index, brute_two_sided
+from altdes.oracle import (
+    LimitExceeded,
+    brute_cd_index,
+    brute_two_sided,
+    down_up_simsun_count,
+)
 from altdes.polynomials import BiPolyTQ, IntPoly, NCPoly
 from altdes.recurrences import five_term, gamma_rec, quadratic_tq
 

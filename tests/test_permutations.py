@@ -22,7 +22,6 @@ from altdes.permutations import (
     parse_word,
     reversal,
     reverse_prefix,
-    simsun_tests,
     theta,
     theta_check,
 )
@@ -183,8 +182,8 @@ def test_cd_word_shape():
         if word is not None:
             assert set(word) <= {"c", "d"}
             assert sum(2 if ch == "d" else 1 for ch in word) == 4
-    st = simsun_tests((2, 1, 3))
-    assert st.is_simsun and st.is_down_up and st.cd_word == "d"
+    w = (2, 1, 3)
+    assert is_simsun(w) and is_down_up(w) and cd_word(w) == "d"
 
 
 def test_word_serialization():

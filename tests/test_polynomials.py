@@ -56,6 +56,10 @@ def test_normalization_and_accessors():
     assert f.degree == 2 and f[0] == 3 and f[1] == 0 and f[2] == 5 and f[7] == 0
     assert list(f) == [3, 0, 5]
     assert IntPoly.monomial(3, -2) == IntPoly((0, 0, 0, -2))
+    # from_terms adds repeated exponents, so full cancellation is zero
+    assert IntPoly.from_terms([(1, 2), (3, 1), (1, -2), (3, -1)]) == IntPoly.zero()
+    with pytest.raises(ValueError):
+        IntPoly.from_terms([(-1, 1)])
     assert hash(IntPoly((1, 1))) == hash(IntPoly([1, 1]))
 
 
