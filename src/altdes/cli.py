@@ -293,7 +293,7 @@ def _series(ctx: _Ctx, order: int) -> str | None:
 
 
 def _derivative_route(ctx: _Ctx, n: int) -> str | None:
-    ok = recurrences.faa_di_bruno_altmaj(n) == recurrences.quadratic_tq(n).at_t1()
+    ok = recurrences.faa_di_bruno_altmaj(n) == recurrences.alt_at_t_qpow(n, 0)
     return None if ok else f"major-index polynomials disagree at n={n}"
 
 
@@ -342,7 +342,7 @@ _BRUTE = _upto(brute=True)
 # token -> (default max n, handler)
 VERIFY_HANDLERS: dict[str, tuple[int, Callable[[int, _Ctx], list[ResultRow]]]] = {
     "thm2.1": (10, _Suite(_Check("five-term matches oracle n={n}",
-                                 _five_term_vs_oracle))),
+                                 _five_term_vs_oracle, _BRUTE))),
     "eq1": (10, _Suite(_Check("convolution identity n={n}", _convolution))),
     "thm3.1": (12, _Suite(_Check("palindromic unimodal gamma-nonnegative n={n}",
                                  _gamma_nonneg))),

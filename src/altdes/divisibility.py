@@ -34,7 +34,6 @@ from .recurrences import (
     alt_at_t_qpow,
     euler_numbers,
     faa_di_bruno_altmaj,
-    quadratic_tq,
 )
 from .reporting import CheckResult
 
@@ -70,7 +69,7 @@ def build_Gn(n: int, method: str = "product") -> IntPoly:
         k = 1
         while n >> k:
             for i in range(1, (n >> k) + 1):
-                out = out * one_plus_pow(i)
+                out = out.mul_binomial(i, 1)
             k += 1
         return out
     if method == "cyclotomic":
@@ -90,12 +89,11 @@ def build_Ev(k: int) -> IntPoly:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    direct = IntPoly.one()
     t = k
-    direct = direct * one_plus_pow(t)
+    direct = one_plus_pow(t)
     while t % 2 == 0:
         t //= 2
-        direct = direct * one_plus_pow(t)
+        direct = direct.mul_binomial(t, 1)
     via_cyclotomic = IntPoly.one()
     for d in range(1, k + 1):
         if k % d == 0:
@@ -151,7 +149,7 @@ def extract_Ehat(n: int, source: str = "faa") -> Factorization:
     if source == "faa":
         alt1q = faa_di_bruno_altmaj(n)
     elif source == "quadratic":
-        alt1q = quadratic_tq(n).at_t1()
+        alt1q = alt_at_t_qpow(n, 0)
     else:
         raise ValueError(f"unknown source {source!r}")
     g = build_Gn(n)

@@ -17,7 +17,9 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -157,6 +159,8 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
+        if min(len(a), len(b)) >= _KRONECKER_MIN:
+            return IntPoly(_kronecker(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -241,16 +245,24 @@ class IntPoly:
             return self
         return IntPoly((0,) * k + self.coeffs)
 
+    def mul_binomial(self, k: int, sign: int) -> "IntPoly":
+        """Product with (1 + sign*x^k), sign in {+1, -1}, in linear time.
+
+        >>> IntPoly((1, 1)).mul_binomial(2, -1)
+        IntPoly((1, 1, -1, -1))
+        """
+        _check_binomial(k, sign)
+        a = self.coeffs
+        pad = (0,) * k
+        return IntPoly(map(add if sign > 0 else sub, a + pad, pad + a))
+
     def div_binomial(self, k: int, sign: int) -> "tuple[IntPoly, bool]":
         """Fast division by (1 + sign*x^k), sign in {+1, -1}.
 
         Returns (quotient, exact).  Linear time in the degree; used for
         the cyclotomic-free divisibility bookkeeping.
         """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if k <= 0:
-            raise ValueError("k must be positive")
+        _check_binomial(k, sign)
         if not self.coeffs:
             return IntPoly(), True
         d = self.degree
@@ -284,6 +296,68 @@ class IntPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _check_binomial(k: int, sign: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if k <= 0:
+        raise ValueError("k must be positive")
+
+
+# Shorter operand length from which IntPoly.__mul__ uses the Kronecker
+# product; below it the schoolbook loop is faster.
+_KRONECKER_MIN = 20
+
+
+def pack_coeffs(coeffs: Iterable[int], width: int) -> int:
+    """The polynomial with coefficients 0 <= c < 256^width evaluated at
+    X = 256^width: one integer, each coefficient a width-byte digit.
+
+    >>> pack_coeffs([1, 2, 3], 1) == 1 + 2 * 256 + 3 * 256 ** 2
+    True
+    """
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little"))),
+        "little")
+
+
+def unpack_coeffs(value: int, width: int) -> list[int]:
+    """Base-256^width digits of value >= 0, lowest first; inverts
+    pack_coeffs up to trailing zeros.
+
+    >>> unpack_coeffs(pack_coeffs([1, 2, 3], 1), 1)
+    [1, 2, 3]
+    """
+    size = -(-value.bit_length() // (8 * width)) * width
+    raw = value.to_bytes(size, "little")
+    fb = int.from_bytes
+    return [fb(raw[i:i + width], "little") for i in range(0, size, width)]
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Coefficients of the product a*b by Kronecker substitution.
+
+    Both operands are evaluated at X = 256^width, multiplied once, and
+    the product is read back in base X.  A signed coefficient c is
+    stored as the digit c + X/2, so every digit is nonnegative; the
+    offsets are one multiple of the repunit sum_i X^i, subtracted after
+    packing and added back before unpacking.  The width leaves every
+    product coefficient strictly inside (-X/2, X/2).
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    unit = (1).to_bytes(width, "little")
+
+    def offsets(count: int) -> int:
+        return half * int.from_bytes(unit * count, "little")
+
+    x = pack_coeffs(map(add, a, repeat(half)), width) - offsets(len(a))
+    y = x if b is a else pack_coeffs(map(add, b, repeat(half)), width) - offsets(len(b))
+    n = len(a) + len(b) - 1
+    # the top digit c + X/2 is positive, so exactly n digits come back
+    return list(map(sub, unpack_coeffs(x * y + offsets(n), width), repeat(half)))
 
 
 def _coerce(v) -> "IntPoly":
@@ -321,7 +395,7 @@ def q_pochhammer(n: int) -> IntPoly:
     """(q;q)_n = prod_{i=1..n} (1 - q^i)."""
     out = IntPoly.one()
     for i in range(1, n + 1):
-        out = out * one_minus_pow(i)
+        out = out.mul_binomial(i, -1)
     return out
 
 

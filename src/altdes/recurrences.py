@@ -9,17 +9,15 @@ enumeration so that each route checks the other.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, factorial
+from operator import add
+from typing import Callable
 
-from .polynomials import (
-    BiPolyTQ,
-    IntPoly,
-    TruncSeries,
-    one_minus_pow,
-    one_plus_pow,
-)
+from .polynomials import BiPolyTQ, IntPoly, TruncSeries, pack_coeffs, unpack_coeffs
 from .reporting import CheckResult
 
 
@@ -31,10 +29,54 @@ class DenominatorNotCleared(ArithmeticError):
     """A rational function in q failed to reduce to a polynomial."""
 
 
+_publish = threading.Lock()
+
+
+class _Rows:
+    """Rows 0, 1, 2, ... of a recurrence, kept for the process.
+
+    step(rows) returns the row after the last one in rows.  A caller
+    extends a private copy of the published rows and publishes it under
+    one lock, so concurrent callers never see a partial or duplicated
+    table, and every published row is immutable.
+    """
+
+    __slots__ = ("_rows", "_step")
+
+    def __init__(self, first: tuple, step: Callable[[list], object]):
+        self._rows = first
+        self._step = step
+
+    def upto(self, n: int) -> tuple:
+        """The rows 0..n, and possibly more."""
+        rows = self._rows
+        if len(rows) <= n:
+            new = list(rows)
+            while len(new) <= n:
+                new.append(self._step(new))
+            with _publish:
+                if len(self._rows) < len(new):
+                    self._rows = tuple(new)
+            rows = self._rows
+        return rows
+
+
 # ---------------------------------------------------------------------------
 # five-term coefficient recurrence
 
-_alt_rows: list[tuple[int, ...]] = [(1,), (1,)]  # rows for n = 0, 1
+def _five_term_step(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    m = len(rows) - 1  # extending row m to m+1
+    p = (0, 0) + rows[m] + (0, 0)  # p[k + 2] = A_{m,k}
+    nxt = []
+    for k, (a, b, c, d) in enumerate(zip(p, p[1:], p[2:], p[3:])):
+        val = (k + 1) * (d + b) + (m - k + 1) * (c + a)
+        if val & 1:
+            raise ParityViolation(f"odd total at n={m + 1}, k={k}")
+        nxt.append(val >> 1)
+    return tuple(nxt)
+
+
+_alt_rows = _Rows(((1,), (1,)), _five_term_step)  # rows for n = 0, 1
 
 
 def five_term(n: int) -> IntPoly:
@@ -50,23 +92,7 @@ def five_term(n: int) -> IntPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_alt_rows) <= n:
-        m = len(_alt_rows) - 1  # extending row m to m+1
-        row = _alt_rows[m]
-
-        def at(row, i):
-            return row[i] if 0 <= i < len(row) else 0
-
-        nxt = []
-        for k in range(m + 1):
-            val = (k + 1) * (at(row, k + 1) + at(row, k - 1)) + (m - k + 1) * (
-                at(row, k) + at(row, k - 2)
-            )
-            if val % 2:
-                raise ParityViolation(f"odd total at n={m + 1}, k={k}")
-            nxt.append(val // 2)
-        _alt_rows.append(tuple(nxt))
-    return IntPoly(_alt_rows[n])
+    return IntPoly(_alt_rows.upto(n)[n])
 
 
 def euler_numbers(upto: int) -> tuple[int, ...]:
@@ -75,11 +101,8 @@ def euler_numbers(upto: int) -> tuple[int, ...]:
     These are the zigzag numbers 1, 1, 1, 2, 5, 16, 61, ... counting
     down-up permutations; all positive.
     """
-    five_term(max(upto, 1))
-    out = [1]
-    for n in range(1, upto + 1):
-        out.append(_alt_rows[n][n - 1])
-    return tuple(out)
+    rows = _alt_rows.upto(max(upto, 1))
+    return (1,) + tuple(rows[n][n - 1] for n in range(1, upto + 1))
 
 
 def chebikin_check(n: int) -> CheckResult:
@@ -90,8 +113,7 @@ def chebikin_check(n: int) -> CheckResult:
 
     for 0 <= k <= n-1, with A_0 = 1 and absent coefficients zero.
     """
-    five_term(n)
-    rows = _alt_rows
+    rows = _alt_rows.upto(n)
 
     def at(i, j):
         r = rows[i]
@@ -111,14 +133,70 @@ def chebikin_check(n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # bivariate quadratic recursion
 
-_tq_rows: list[dict[int, int]] = [{0: 1}, {0: 1}]  # encoded dicts, n = 0, 1
-_TQ_SHIFT = 24
+# A row is one (q_lo, coeffs) slice per t-degree k = 0, 1, ...: the
+# coefficient of t^k is sum_i coeffs[i] q^(q_lo + i).
+
+def _tq_step(rows: list[tuple]) -> tuple:
+    """Row m+1 of the quadratic recursion, on packed integers.
+
+    Every coefficient is nonnegative and the doubled row sums to
+    2 (m+1)!, so with digits of `width` bytes above that bound each
+    t-slice is one integer, q^s is a shift by s digits, a slice product
+    is one integer product, and sums never carry between digits.
+    """
+    m = len(rows) - 1
+    width = (2 * factorial(m + 1)).bit_length() // 8 + 1
+    bits = 8 * width
+    packed = [[(lo, pack_coeffs(cs, width)) for lo, cs in row] for row in rows]
+    lows: list = [None] * (m + 1)
+    vals = [0] * (m + 1)
+
+    def put(los: list, vs: list, k: int, lo: int, x: int) -> None:
+        cur = los[k]
+        if cur is None:
+            los[k], vs[k] = lo, x
+        elif lo >= cur:
+            vs[k] += x << (bits * (lo - cur))
+        else:
+            los[k], vs[k] = lo, x + (vs[k] << (bits * (cur - lo)))
+
+    for k, (lo, x) in enumerate(packed[m]):
+        put(lows, vals, k, lo + k, x)  # A_m(tq, q)
+        put(lows, vals, k + 1, lo + k + 1, x)  # times tq
+        put(lows, vals, k, lo, x)  # A_m(t, q)
+        put(lows, vals, k + 1, lo + m, x)  # times tq^m
+    # sum_i C(m,i) (1 + t^2 q^(2i+1)) A_i(t,q) A_{m-i}(tq^(i+1),q): the
+    # terms i and m-i share their slice products and differ in shifts
+    for i in range(1, m // 2 + 1):
+        j = m - i
+        sums = {i: ([None] * (m - 1), [0] * (m - 1)),
+                j: ([None] * (m - 1), [0] * (m - 1))}
+        for k1, (lo1, x1) in enumerate(packed[i]):
+            for k2, (lo2, x2) in enumerate(packed[j], k1):
+                x = x1 * x2
+                put(*sums[i], k2, lo1 + lo2 + (i + 1) * (k2 - k1), x)
+                if j != i:
+                    put(*sums[j], k2, lo1 + lo2 + (j + 1) * k1, x)
+        cmi = comb(m, i)
+        for r, (plows, pvals) in sums.items():
+            for k, lo in enumerate(plows):
+                if lo is not None:
+                    x = cmi * pvals[k]
+                    put(lows, vals, k, lo, x)
+                    put(lows, vals, k + 2, lo + 2 * r + 1, x)
+    # the lowest bit of each digit a slice can have (q-degree <= m(m+1)/2);
+    # when no such bit is set, x >> 1 halves every digit at once
+    parity = pack_coeffs(repeat(1, m * (m + 1) // 2 + 1), width)
+    row = []
+    for k, (lo, x) in enumerate(zip(lows, vals)):
+        if x & parity:
+            odd = next(i for i, c in enumerate(unpack_coeffs(x, width)) if c & 1)
+            raise ParityViolation(f"odd total at n={m + 1}, t^{k} q^{lo + odd}")
+        row.append((lo, tuple(unpack_coeffs(x >> 1, width))))
+    return tuple(row)
 
 
-def _tq_shift(d: dict[int, int], j: int) -> dict[int, int]:
-    if j == 0:
-        return d
-    return {k + ((k >> _TQ_SHIFT) * j): c for k, c in d.items()}
+_tq_rows = _Rows((((0, (1,)),), ((0, (1,)),)), _tq_step)  # rows for n = 0, 1
 
 
 def quadratic_tq(n: int) -> BiPolyTQ:
@@ -134,49 +212,23 @@ def quadratic_tq(n: int) -> BiPolyTQ:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_tq_rows) <= n:
-        m = len(_tq_rows) - 1
-        total: dict[int, int] = {}
-
-        def acc(d: dict[int, int], extra_key: int = 0) -> None:
-            for k, c in d.items():
-                k2 = k + extra_key
-                total[k2] = total.get(k2, 0) + c
-
-        shifted = _tq_shift(_tq_rows[m], 1)
-        acc(shifted)
-        acc(shifted, (1 << _TQ_SHIFT) + 1)  # times tq
-        acc(_tq_rows[m])
-        acc(_tq_rows[m], (1 << _TQ_SHIFT) + m)  # times tq^n
-        for i in range(1, m):
-            left = _tq_rows[i]
-            right = _tq_shift(_tq_rows[m - i], i + 1)
-            prod: dict[int, int] = {}
-            get = prod.get
-            for k1, c1 in left.items():
-                for k2, c2 in right.items():
-                    k = k1 + k2
-                    prod[k] = get(k, 0) + c1 * c2
-            cni = comb(m, i)
-            tt = (2 << _TQ_SHIFT) + 2 * i + 1  # times t^2 q^(2i+1)
-            for k, c in prod.items():
-                c *= cni
-                total[k] = total.get(k, 0) + c
-                total[k + tt] = total.get(k + tt, 0) + c
-        nxt: dict[int, int] = {}
-        for k, c in total.items():
-            if c % 2:
-                te, qe = k >> _TQ_SHIFT, k & ((1 << _TQ_SHIFT) - 1)
-                raise ParityViolation(f"odd total at n={m + 1}, t^{te} q^{qe}")
-            if c:
-                nxt[k] = c // 2
-        _tq_rows.append(nxt)
-    return BiPolyTQ._wrap(dict(_tq_rows[n]))
+    row = _tq_rows.upto(n)[n]
+    return BiPolyTQ(((k, lo + i), c) for k, (lo, cs) in enumerate(row)
+                    for i, c in enumerate(cs))
 
 
 def alt_at_t_qpow(n: int, j: int) -> IntPoly:
     """A_n(q^j, q) as a univariate polynomial in q."""
-    return quadratic_tq(n).at_t_qpow(j)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if j < 0:
+        raise ValueError("power must be nonnegative")
+    row = _tq_rows.upto(n)[n]
+    out = [0] * max(j * k + lo + len(cs) for k, (lo, cs) in enumerate(row))
+    for k, (lo, cs) in enumerate(row):
+        at = j * k + lo
+        out[at:at + len(cs)] = map(add, out[at:at + len(cs)], cs)
+    return IntPoly(out)
 
 
 def specialized_recursion_check(n: int, j: int) -> CheckResult:
@@ -189,12 +241,12 @@ def specialized_recursion_check(n: int, j: int) -> CheckResult:
     Exercises the univariate specialization path end to end.
     """
     lhs = 2 * alt_at_t_qpow(n + 1, j)
-    rhs = one_plus_pow(j + 1) * alt_at_t_qpow(n, j + 1)
-    rhs = rhs + one_plus_pow(n + j) * alt_at_t_qpow(n, j)
+    rhs = alt_at_t_qpow(n, j + 1).mul_binomial(j + 1, 1)
+    rhs = rhs + alt_at_t_qpow(n, j).mul_binomial(n + j, 1)
     for i in range(1, n):
-        rhs = rhs + comb(n, i) * one_plus_pow(2 * i + 2 * j + 1) * (
+        rhs = rhs + comb(n, i) * (
             alt_at_t_qpow(i, j) * alt_at_t_qpow(n - i, i + j + 1)
-        )
+        ).mul_binomial(2 * i + 2 * j + 1, 1)
     if lhs != rhs:
         return CheckResult.failed(f"n={n}, j={j}")
     return CheckResult.passed()
@@ -303,12 +355,13 @@ class RationalFnQ:
         return Counter(dict(self.denominator_exponents))
 
 
-def _den_product(den: Counter) -> IntPoly:
-    out = IntPoly.one()
+def _times_den(num: IntPoly, den: Counter) -> IntPoly:
+    """num * prod (1-q^k)^mult over the multiset den, one binomial at a
+    time."""
     for k, mult in den.items():
         for _ in range(mult):
-            out = out * one_minus_pow(k)
-    return out
+            num = num.mul_binomial(k, -1)
+    return num
 
 
 def _reduce(num: IntPoly, den: Counter) -> tuple[IntPoly, Counter]:
@@ -323,6 +376,33 @@ def _reduce(num: IntPoly, den: Counter) -> tuple[IntPoly, Counter]:
     return num, Counter({k: m for k, m in den.items() if m})
 
 
+def _faa_di_bruno_step(rows: list[RationalFnQ]) -> RationalFnQ:
+    """f_{m+1} = sum_k C(m,k) f_k h_{m-k}, with h_r = E_r / (1 - q^(r+1))
+    for even r and 0 for odd r."""
+    m = len(rows) - 1
+    E = euler_numbers(max(m, 1))
+    pieces: list[tuple[IntPoly, Counter]] = []
+    for k in range(m + 1):
+        r = m - k
+        if r % 2:
+            continue  # odd derivatives of sec vanish at 0
+        td = rows[k].counter()
+        td[r + 1] += 1
+        pieces.append((rows[k].numerator * (comb(m, k) * E[r]), td))
+    den: Counter = Counter()
+    for _, td in pieces:
+        for key, mult in td.items():
+            if mult > den[key]:
+                den[key] = mult
+    num = IntPoly()
+    for tn, td in pieces:
+        num = num + _times_den(tn, Counter({k: den[k] - td.get(k, 0) for k in den}))
+    return RationalFnQ.from_counter(*_reduce(num, den))
+
+
+_fdb_rows = _Rows((RationalFnQ(IntPoly.one(), ()),), _faa_di_bruno_step)
+
+
 def faa_di_bruno_derivatives(n: int) -> RationalFnQ:
     """F^{(n)}(0) for F(z) = prod_{j>=0} (sec(z q^j) + tan(z q^j)),
     as an exact rational function of q.
@@ -331,29 +411,9 @@ def faa_di_bruno_derivatives(n: int) -> RationalFnQ:
     h_r = sec^{(r)}(0) / (1 - q^{r+1}), so the derivatives follow the
     Leibniz convolution f_{m+1} = sum_k C(m,k) f_k h_{m-k}.
     """
-    E = euler_numbers(max(n, 1))
-    fs: list[tuple[IntPoly, Counter]] = [(IntPoly.one(), Counter())]
-    for m in range(n):
-        pieces: list[tuple[IntPoly, Counter]] = []
-        for k in range(m + 1):
-            r = m - k
-            if r % 2:
-                continue  # odd derivatives of sec vanish at 0
-            fn, fd = fs[k]
-            td = fd.copy()
-            td[r + 1] += 1
-            pieces.append((fn * (comb(m, k) * E[r]), td))
-        den: Counter = Counter()
-        for _, td in pieces:
-            for key, mult in td.items():
-                if mult > den[key]:
-                    den[key] = mult
-        num = IntPoly()
-        for tn, td in pieces:
-            missing = Counter({k: den[k] - td.get(k, 0) for k in den})
-            num = num + tn * _den_product(missing)
-        fs.append(_reduce(num, den))
-    return RationalFnQ.from_counter(*fs[n])
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _fdb_rows.upto(n)[n]
 
 
 def faa_di_bruno_altmaj(n: int) -> IntPoly:
@@ -371,7 +431,7 @@ def faa_di_bruno_altmaj(n: int) -> IntPoly:
         if den[i] > 0:
             den[i] -= 1
         else:
-            num = num * one_minus_pow(i)
+            num = num.mul_binomial(i, -1)
     for k, mult in den.items():
         for _ in range(mult):
             num, exact = num.div_binomial(k, -1)

@@ -202,6 +202,16 @@ def test_brute_max_flag_and_env(capsys, monkeypatch):
                "--brute-max", "7")[0] == 0
 
 
+def test_thm21_stops_at_brute_max(capsys):
+    code, out, err = run(capsys, "verify", "thm2.1", "--brute-max", "5",
+                         "--format", "csv")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["name"] for r in rows] == [
+        f"five-term matches oracle n={n}" for n in range(1, 6)]
+    assert all(r["status"] == "pass" for r in rows)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "eq2", "--max-n", "6",

@@ -4,7 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from altdes import polynomials
 from altdes.polynomials import (
     BiPolyTQ,
     GammaVector,
@@ -246,3 +249,91 @@ def test_trunc_series():
     assert z * z == TruncSeries.from_terms(4, [(2, IntPoly.one(), 1)])
     with pytest.raises(ValueError):
         TruncSeries(2, [(IntPoly.one(), 1)])
+
+
+# ---------------------------------------------------------------------------
+# properties of the product kernel
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
+# coefficient sizes from a few bits to well over 1000 bits, runs of zeros
+# included, lengths on both sides of the Kronecker crossover
+_coeff = st.one_of(
+    st.integers(-9, 9),
+    st.just(0),
+    st.integers(-(1 << 64), 1 << 64),
+    st.integers(-(1 << 1100), 1 << 1100),
+)
+
+
+def _polys(max_len):
+    """Nonzero polynomials with a length drawn uniformly from 1..max_len."""
+    return st.integers(1, max_len).flatmap(
+        lambda n: st.lists(_coeff, min_size=n, max_size=n)).map(IntPoly).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys(48), _polys(48))
+def test_kronecker_matches_schoolbook(f, g):
+    expected = schoolbook(f.coeffs, g.coeffs)
+    assert IntPoly(polynomials._kronecker(f.coeffs, g.coeffs)) == expected
+    assert f * g == expected
+    assert f * f == schoolbook(f.coeffs, f.coeffs)
+
+
+# a long operand: a short pattern repeated to 150..400 coefficients
+_long_polys = st.builds(
+    lambda pattern, n: IntPoly((pattern * n)[:n]),
+    st.lists(_coeff, min_size=1, max_size=7), st.integers(150, 400)).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(30), _long_polys)
+def test_kronecker_unequal_lengths(f, g):
+    expected = schoolbook(f.coeffs, g.coeffs)
+    assert IntPoly(polynomials._kronecker(f.coeffs, g.coeffs)) == expected
+    assert IntPoly(polynomials._kronecker(g.coeffs, f.coeffs)) == expected
+    assert g * f == expected
+
+
+def test_kronecker_signed_extremes():
+    # every coefficient at the same magnitude with alternating and equal
+    # signs drives the product coefficients to the width bound
+    big = (1 << 1024) - 1
+    for n in (polynomials._KRONECKER_MIN, 3 * polynomials._KRONECKER_MIN):
+        for f in (IntPoly([big] * n), IntPoly([(-1) ** i * big for i in range(n)]),
+                  IntPoly([-big] * n), IntPoly([-1] * n)):
+            for g in (f, -f, IntPoly([big, -big] * n)):
+                assert f * g == schoolbook(f.coeffs, g.coeffs)
+
+
+_binomial = st.tuples(st.integers(1, 40), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_coeff, max_size=80).map(IntPoly), _binomial)
+def test_mul_binomial_is_product(f, ks):
+    k, sign = ks
+    assert f.mul_binomial(k, sign) == f * (IntPoly.one() + sign * IntPoly.monomial(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_coeff, max_size=80).map(IntPoly), _binomial)
+def test_div_binomial_inverts_mul_binomial(f, ks):
+    k, sign = ks
+    quot, exact = f.mul_binomial(k, sign).div_binomial(k, sign)
+    assert exact and quot == f
+
+
+def test_mul_binomial_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        IntPoly((1, 1)).mul_binomial(0, 1)
+    with pytest.raises(ValueError):
+        IntPoly((1, 1)).mul_binomial(2, 2)

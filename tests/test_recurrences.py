@@ -1,11 +1,16 @@
 """Recurrences, series identities, and the derivative route."""
 
 import math
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from altdes import recurrences
 from altdes.oracle import brute_alt_eulerian, brute_qalt, brute_simsun
-from altdes.polynomials import IntPoly, q_pochhammer
+from altdes.polynomials import BiPolyTQ, IntPoly, q_pochhammer
 from altdes.recurrences import (
     RationalFnQ,
     alt_at_t_qpow,
@@ -140,3 +145,101 @@ def test_faa_di_bruno_matches_recursion():
         assert faa_di_bruno_altmaj(n) == quadratic_tq(n).at_t1()
     with pytest.raises(ValueError):
         faa_di_bruno_altmaj(0)
+
+
+def dict_loop_tq(n):
+    """A_n(t, q) by the quadratic recursion on {(t_exp, q_exp): coeff}
+    dicts, one term at a time."""
+    rows = [{(0, 0): 1}, {(0, 0): 1}]
+    for m in range(1, n):
+        total = {}
+
+        def acc(terms, dt=0, dq=0, scale=1):
+            for (k, j), c in terms.items():
+                key = (k + dt, j + dq)
+                total[key] = total.get(key, 0) + scale * c
+
+        def subst(terms, s):  # t -> t q^s
+            return {(k, j + s * k): c for (k, j), c in terms.items()}
+
+        acc(subst(rows[m], 1))
+        acc(subst(rows[m], 1), 1, 1)
+        acc(rows[m])
+        acc(rows[m], 1, m)
+        for i in range(1, m):
+            prod = {}
+            for (k1, j1), c1 in rows[i].items():
+                for (k2, j2), c2 in subst(rows[m - i], i + 1).items():
+                    key = (k1 + k2, j1 + j2)
+                    prod[key] = prod.get(key, 0) + c1 * c2
+            acc(prod, scale=math.comb(m, i))
+            acc(prod, 2, 2 * i + 1, math.comb(m, i))
+        assert all(c % 2 == 0 for c in total.values())
+        rows.append({key: c // 2 for key, c in total.items() if c})
+    return BiPolyTQ(rows[n])
+
+
+def test_quadratic_tq_matches_dict_loop():
+    for n in range(0, 15):
+        assert quadratic_tq(n) == dict_loop_tq(n), n
+    for n in range(0, 15):
+        p = quadratic_tq(n)
+        for j in range(4):
+            assert alt_at_t_qpow(n, j) == p.at_t_qpow(j)
+
+
+def _cold(monkeypatch, *tables):
+    """Forget every row past n = 1 for the rest of the test."""
+    for table in tables:
+        monkeypatch.setattr(table, "_rows", table._rows[:2])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(1, 22), min_size=1, max_size=6))
+def test_faa_di_bruno_rows_ignore_call_order(order):
+    expected = {n: faa_di_bruno_altmaj(n) for n in order}
+    with pytest.MonkeyPatch.context() as mp:
+        _cold(mp, recurrences._fdb_rows)
+        assert {n: faa_di_bruno_altmaj(n) for n in order} == expected
+    for seq in (sorted(order), sorted(order, reverse=True)):
+        with pytest.MonkeyPatch.context() as mp:
+            _cold(mp, recurrences._fdb_rows)
+            assert [faa_di_bruno_altmaj(n) for n in seq] == [expected[n] for n in seq]
+    for n in order:
+        assert faa_di_bruno_altmaj(n) == quadratic_tq(n).at_t1()
+
+
+def test_recurrence_tables_are_thread_safe(monkeypatch):
+    """Four threads extend the three row tables from cold at once, each
+    to its own length; every caller gets the single-threaded answer, no
+    row is duplicated and no shorter table replaces a longer one."""
+    sizes = [(60 + 20 * i, 10 + 2 * i, 12 + 4 * i) for i in range(4)]
+
+    def rows(a, b, c):
+        return five_term(a), quadratic_tq(b), faa_di_bruno_altmaj(c)
+
+    expected = {size: rows(*size) for size in sizes}
+    tables = (recurrences._alt_rows, recurrences._tq_rows, recurrences._fdb_rows)
+    _cold(monkeypatch, *tables)
+    results, errors = [], []
+
+    def work(size):
+        try:
+            results.append((size, rows(*size)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(size,)) for size in sizes]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(results) == sorted(expected.items())
+    assert [len(t._rows) for t in tables] == [121, 17, 25]
