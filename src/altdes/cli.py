@@ -3,12 +3,14 @@
 Every invocation produces a Report (command, parameters, result rows,
 elapsed milliseconds) rendered as text, JSON, or CSV.  Exit status is 0
 when every row passes, 1 when any row fails or a conjecture check comes
-back negative, and 2 on usage errors.
+back negative, and 2 on usage errors (UsageError, LimitExceeded) and
+unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -22,10 +24,17 @@ from . import divisibility, gamma, oracle, permutations, recurrences
 from .gamma import ExpansionFailed
 from .oracle import DEFAULT_BRUTE_MAX, LimitExceeded
 from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand, shape_predicates
-from .reporting import CheckResult
+from .reporting import AltdesError, CheckResult
 
 ORACLE_STATS = ("altmaj", "altdes", "maj", "des3")
 COMPUTE_TABLES = ("alt", "simsun", "gamma", "two-sided")
+
+
+class UsageError(AltdesError, ValueError):
+    """A bad argument or setting; the CLI exits 2 on it."""
+
+
+_USAGE_ERRORS = (UsageError, LimitExceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +143,9 @@ class _Check:
     cases(maxn, ctx) lists the cases as keyword dicts, name is formatted
     with each case's fields, and run(ctx, **case) returns a witness, or
     None when the property holds.  A failure is a finding when the
-    property is a conjecture; an ArithmeticError raised by run is always
-    a failure, with the error message as its witness.
+    property is a conjecture; an ArithmeticError or ValueError raised by
+    run is always a failure, with the error message as its witness, except
+    a usage error, which ends the command.
     """
 
     name: str
@@ -157,7 +167,9 @@ class _Suite:
                 name = check.name.format_map(case)
                 try:
                     witness = check.run(ctx, **case)
-                except ArithmeticError as exc:
+                except _USAGE_ERRORS:
+                    raise
+                except (ArithmeticError, ValueError) as exc:
                     rows.append(_row(name, False, witness=str(exc)))
                     continue
                 rows.append(_row(name, witness is None, witness=witness,
@@ -385,10 +397,12 @@ VERIFY_TOKENS = tuple(VERIFY_HANDLERS)
 def _cmd_compute(args: argparse.Namespace, ctx: _Ctx) -> Report:
     n = args.n
     if args.q and args.table not in ("alt", "gamma"):
-        raise ValueError("--q applies only to alt and gamma tables")
+        raise UsageError("--q applies only to alt and gamma tables")
     needs_positive = args.table == "simsun" or (args.table == "gamma" and args.q)
     if n < (1 if needs_positive else 0):
-        raise ValueError("--n out of range")
+        raise UsageError("--n out of range")
+    if args.table == "gamma" and n < 1:
+        raise UsageError("n must be positive")  # in gamma_rec's words, as before
     params: dict = {"table": args.table, "n": n}
     rows: list[ResultRow]
     if args.table == "alt":
@@ -417,7 +431,7 @@ def _cmd_compute(args: argparse.Namespace, ctx: _Ctx) -> Report:
 def _cmd_factor(args: argparse.Namespace, ctx: _Ctx) -> Report:
     n = args.n
     if n < 2:
-        raise ValueError("--n must be at least 2")
+        raise UsageError("--n must be at least 2")
     try:
         f = divisibility.extract_Ehat(n)
     except ArithmeticError as exc:
@@ -438,7 +452,7 @@ def _cmd_verify(args: argparse.Namespace, ctx: _Ctx) -> Report:
     default_max, handler = VERIFY_HANDLERS[args.token]
     maxn = args.max_n if args.max_n is not None else default_max
     if maxn < 1:
-        raise ValueError("--max-n must be at least 1")
+        raise UsageError("--max-n must be at least 1")
     rows = handler(maxn, ctx)
     params = {"token": args.token, "max_n": maxn,
               "brute_max": ctx.brute_max, "jobs": ctx.jobs}
@@ -447,7 +461,7 @@ def _cmd_verify(args: argparse.Namespace, ctx: _Ctx) -> Report:
 
 def _cmd_oracle(args: argparse.Namespace, ctx: _Ctx) -> Report:
     if args.n < 0:
-        raise ValueError("--n must be nonnegative")
+        raise UsageError("--n must be nonnegative")
     ms = oracle.stat_multiset(args.n, args.stat, brute_max=ctx.brute_max,
                               jobs=ctx.jobs)
     var = "q" if args.stat in ("altmaj", "maj") else "t"
@@ -529,11 +543,22 @@ _RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text to stdout, or to a temporary file beside out that then
+    replaces out, so a failed write leaves out as it was; an error names
+    out, not the temporary file."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return
+    tmp = f"{out}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
+        os.replace(tmp, out)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)  # already gone after a successful replace
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +571,7 @@ def _env_brute_max() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"ALTDES_BRUTE_MAX must be an integer, got {raw!r}")
+        raise UsageError(f"ALTDES_BRUTE_MAX must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,12 +626,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         brute_max = args.brute_max if args.brute_max is not None else _env_brute_max()
         if brute_max < 1:
-            raise ValueError("--brute-max must be at least 1")
+            raise UsageError("--brute-max must be at least 1")
         if args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
+            raise UsageError("--jobs must be at least 1")
         t0 = time.perf_counter()
         report = _COMMANDS[args.command](args, _Ctx(brute_max=brute_max, jobs=args.jobs))
-    except (LimitExceeded, ValueError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -19,8 +19,6 @@ from functools import lru_cache
 from math import comb
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
 from . import oracle
 from .oracle import StatMultiset
 from .polynomials import (
@@ -38,7 +36,10 @@ from .recurrences import (
 from .reporting import CheckResult
 
 
-@lru_cache(maxsize=None)
+_CYCLOTOMIC_CACHE = 256  # entries: every Phi_k up to k = 256, each of degree < k
+
+
+@lru_cache(maxsize=_CYCLOTOMIC_CACHE)
 def cyclotomic(k: int) -> IntPoly:
     """The k-th cyclotomic polynomial, by exact division of x^k - 1
     through the lower ones.
@@ -242,6 +243,8 @@ def thm411_bijection_check(
     """Reversing the first 2m letters is an involution on S_n that
     shifts altmaj by m mod 2m; consequently the altmaj residue classes
     l and l+m (mod 2m) are equinumerous."""
+    import numpy as np
+
     if m < 1 or 2 * m > n:
         raise ValueError("need 1 <= 2m <= n")
     oracle._guard(n, brute_max)

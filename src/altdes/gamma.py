@@ -21,10 +21,10 @@ from math import comb
 from .divisibility import order_of_factor
 from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand
 from .recurrences import five_term, gamma_rec, simsun_rec
-from .reporting import CheckResult
+from .reporting import AltdesError, CheckResult
 
 
-class ExpansionFailed(ArithmeticError):
+class ExpansionFailed(AltdesError, ArithmeticError):
     """The triangular peel left a nonzero residual or hit a term that
     is not divisible by the required q power."""
 

@@ -28,17 +28,30 @@ from itertools import permutations as _perms
 from math import factorial
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from .permutations import cd_word
 from .polynomials import BiPolyTQ, IntPoly, NCPoly
+from .reporting import AltdesError
+
+
+class _Numpy:
+    """Stands in for numpy until the first enumeration: the first attribute
+    read imports it and rebinds the module's np, so commands that never
+    enumerate do not pay for the import."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 DEFAULT_BRUTE_MAX = 11
 
 STATS = ("altdes", "altmaj", "des", "maj", "des3")
 
 
-class LimitExceeded(ValueError):
+class LimitExceeded(AltdesError, ValueError):
     """Raised when an enumeration would exceed the configured bound."""
 
 

@@ -16,10 +16,10 @@ from itertools import permutations as _perms
 from math import comb
 from typing import Iterable, NamedTuple
 
-from .reporting import CheckResult
+from .reporting import AltdesError, CheckResult
 
 
-class PrefixTooLong(ValueError):
+class PrefixTooLong(AltdesError, ValueError):
     """Raised when a prefix reversal does not fit inside the word."""
 
 

@@ -11,28 +11,31 @@ Four carriers, all with arbitrary-precision integer coefficients:
                    univariate polynomials with an exact integer
                    denominator.
 
-No floating point is used anywhere.
+Floating point appears once, as a certified filter in front of the
+exact log-concavity test of ``shape_predicates``; every verdict is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import gcd, log, nan
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .reporting import AltdesError
 
-class NotDivisible(ArithmeticError):
+
+class NotDivisible(AltdesError, ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-class NotPalindromic(ArithmeticError):
+class NotPalindromic(AltdesError, ArithmeticError):
     """Raised when a gamma expansion is requested for a polynomial that
     is not palindromic about the required center."""
 
 
-class NonIntegralGamma(ArithmeticError):
+class NonIntegralGamma(AltdesError, ArithmeticError):
     """Raised when a gamma expansion would need non-integer entries."""
 
 
@@ -434,10 +437,22 @@ def shape_predicates(f: IntPoly) -> Shape:
         elif cs[i] > cs[i - 1] and falling:
             unimodal = False
             break
-    lo = f.valuation()
-    hi = f.degree
+    # Float filter in front of the exact test.  For an int c > 0,
+    # math.log(c) is log(float(c)), or log(x) + e*log(2) with c ~ x*2^e,
+    # 0.5 <= x < 1, once c overflows a double; x is c rounded to 53 bits
+    # and each of the few float operations errs by an ulp or so, so
+    # |L_i - ln c_i| <= 2^-50 (1 + ln c_i).  With B the bit length of the
+    # largest |c|, every 0 <= L_i < B, so the float second difference below
+    # errs by less than 2^-47 (1 + B) < 1e-14 (1 + B), and clearing the
+    # margin 1e-9 (1 + B) proves c_i^2 > c_{i-1} c_{i+1}.  Every other index
+    # (near-equality, or a coefficient <= 0, whose log is NaN and so never
+    # clears) is decided by the exact product test.
+    logs = [log(c) if c > 0 else nan for c in cs]
+    margin = 1e-9 * (1 + max(map(abs, cs)).bit_length())
     log_concave = all(
-        cs[i] * cs[i] >= cs[i - 1] * cs[i + 1] for i in range(lo + 1, hi)
+        2 * logs[i] - logs[i - 1] - logs[i + 1] > margin
+        or cs[i] * cs[i] >= cs[i - 1] * cs[i + 1]
+        for i in range(f.valuation() + 1, f.degree)
     )
     return Shape(center, unimodal, log_concave)
 

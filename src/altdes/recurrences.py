@@ -18,14 +18,14 @@ from operator import add
 from typing import Callable
 
 from .polynomials import BiPolyTQ, IntPoly, TruncSeries, pack_coeffs, unpack_coeffs
-from .reporting import CheckResult
+from .reporting import AltdesError, CheckResult
 
 
-class ParityViolation(ArithmeticError):
+class ParityViolation(AltdesError, ArithmeticError):
     """A doubled recurrence produced an odd coefficient."""
 
 
-class DenominatorNotCleared(ArithmeticError):
+class DenominatorNotCleared(AltdesError, ArithmeticError):
     """A rational function in q failed to reduce to a polynomial."""
 
 

@@ -1,8 +1,12 @@
-"""Tiny result carrier shared by the verification routines."""
+"""Result carrier and error base shared by the verification routines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+class AltdesError(Exception):
+    """Base of the exception classes this package defines."""
 
 
 @dataclass(frozen=True)

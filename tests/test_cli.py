@@ -1,13 +1,21 @@
 """Command-line behavior: formats, exit codes, report schema."""
 
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import altdes
 from altdes import cli, gamma, recurrences
-from altdes.cli import ResultRow, main, parse_poly_value
+from altdes.cli import ResultRow, main, parse_poly_value, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
 from altdes.recurrences import five_term, quadratic_tq
@@ -230,6 +238,48 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_failed_write_keeps_the_old_report(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.txt"
+    target.write_text("old report\n")
+
+    class DiskFull(io.TextIOWrapper):
+        def write(self, text):
+            super().write(text[: len(text) // 2])
+            self.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def opener(path, mode, encoding):
+        return DiskFull(open(path, mode + "b"), encoding=encoding)
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+    code, out, err = run(capsys, "verify", "eq1", "--max-n", "3",
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'\n"
+    assert target.read_text() == "old report\n"
+    assert os.listdir(tmp_path) == ["report.txt"]
+    monkeypatch.undo()
+    assert run(capsys, "verify", "eq1", "--max-n", "3", "--out", str(target))[0] == 0
+    assert target.read_text().endswith("3/3 passed\n")
+    assert os.listdir(tmp_path) == ["report.txt"]
+
+
+def test_value_error_in_a_check_is_a_fail_row(capsys, monkeypatch):
+    def broken(n):
+        raise ValueError(f"forced at n={n}")
+
+    monkeypatch.setattr(recurrences, "chebikin_check", broken)
+    code, out, err = run(capsys, "verify", "eq1", "--max-n", "2", "--format", "csv")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == [
+        f"convolution identity n={n},fail,forced at n={n}" for n in (1, 2)]
+    for exc in (cli.UsageError, cli.LimitExceeded):
+        assert issubclass(exc, altdes.AltdesError) and issubclass(exc, ValueError)
+    # a bad argument the library rejects is still a usage error
+    assert run(capsys, "compute", "gamma", "--n", "0") == (
+        2, "", "error: n must be positive\n")
+
+
 def test_reports_are_deterministic(capsys):
     _, a, _ = run(capsys, "verify", "thm4.5", "--max-n", "8", "--format", "csv")
     _, b, _ = run(capsys, "verify", "thm4.5", "--max-n", "8", "--format", "csv")
@@ -257,3 +307,42 @@ def test_every_token_has_a_handler(capsys):
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 0 and rows, token
         assert all(r["status"] == "pass" for r in rows), token
+
+
+_small = st.integers(-(1 << 70), 1 << 70)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_small, max_size=30), st.dictionaries(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)), _small, max_size=30))
+def test_parse_poly_value_inverts_json(coeffs, terms):
+    f = IntPoly(coeffs)
+    assert parse_poly_value(json.loads(json.dumps(ser_poly(f)))) == f
+    p = BiPolyTQ(terms)
+    # the zero bivariate polynomial serializes to [], which reads back as
+    # the zero IntPoly: an empty list carries no variable count
+    expected = p if p else IntPoly.zero()
+    assert parse_poly_value(json.loads(json.dumps(ser_bipoly(p)))) == expected
+
+
+def test_numpy_is_imported_only_to_enumerate():
+    script = textwrap.dedent("""
+        import sys
+        import altdes
+        layers = ("polynomials", "permutations", "oracle", "recurrences",
+                  "gamma", "divisibility")
+        assert all(f"altdes.{m}" in sys.modules for m in layers)
+        import altdes.cli
+        assert "altdes.cli" in sys.modules and "numpy" not in sys.modules
+        assert altdes.cli.main(["factor", "--n", "12"]) == 0
+        assert altdes.cli.main(["verify", "conj5.1", "--max-n", "30"]) == 0
+        assert "numpy" not in sys.modules
+        from altdes import oracle
+        assert oracle.stat_multiset(5, "des").values == {0: 1, 1: 26, 2: 66, 3: 26, 4: 1}
+        assert "numpy" in sys.modules and oracle.np is sys.modules["numpy"]
+    """)
+    src = os.path.dirname(os.path.dirname(altdes.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -337,3 +337,95 @@ def test_mul_binomial_rejects_bad_arguments():
         IntPoly((1, 1)).mul_binomial(0, 1)
     with pytest.raises(ValueError):
         IntPoly((1, 1)).mul_binomial(2, 2)
+
+
+# ---------------------------------------------------------------------------
+# ring axioms, the bivariate term key, and the log-concavity filter
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(30), _polys(30), _polys(30))
+def test_intpoly_ring_axioms(f, g, h):
+    zero, one = IntPoly.zero(), IntPoly.one()
+    assert f + g == g + f and f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f and f * one == f and f * zero == zero
+    assert f - f == zero and f + (-f) == zero and f - g == f + (-g)
+    assert 3 * f == f + f + f == f * 3
+
+
+_bi_key = st.tuples(st.integers(0, 200),
+                    st.one_of(st.integers(0, 50), st.just(polynomials._MASK)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_bi_key, _coeff, max_size=30))
+def test_bipoly_term_key_round_trip(d):
+    nonzero = {key: c for key, c in d.items() if c}
+    p = BiPolyTQ(d)
+    assert p.coeffs == nonzero
+    assert p.terms() == sorted((k, j, c) for (k, j), c in nonzero.items())
+    assert BiPolyTQ(p.coeffs) == p
+    assert BiPolyTQ([((k, j), c) for k, j, c in p.terms()]) == p
+
+
+def test_bipoly_rejects_keys_outside_the_encoding():
+    for key in ((0, polynomials._MASK + 1), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            BiPolyTQ({key: 1})
+
+
+def _exact_log_concave(cs):
+    """The definition: c_i^2 >= c_{i-1} c_{i+1} on the interior of the
+    support, by exact products only."""
+    support = [i for i, c in enumerate(cs) if c]
+    if not support:
+        return True
+    return all(cs[i] * cs[i] >= cs[i - 1] * cs[i + 1]
+               for i in range(support[0] + 1, support[-1]))
+
+
+def _geometric(a, r, s, n):
+    """a r^i s^(n-1-i): every interior index has c_i^2 = c_{i-1} c_{i+1}."""
+    return [a * r ** i * s ** (n - 1 - i) for i in range(n)]
+
+
+# geometric runs with coefficients up to several thousand bits, then
+# nudged by +-1, given a zero or a sign flip, or padded with zeros
+_big = st.one_of(st.integers(1, 9), st.integers(1, 1 << 64),
+                 st.integers(1 << 500, 1 << 700))
+
+
+@st.composite
+def _near_equality(draw):
+    n = draw(st.integers(1, 12))
+    cs = _geometric(draw(_big), draw(_big), draw(_big), n)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        cs[i] = draw(st.sampled_from((cs[i] + 1, cs[i] - 1, 0, -cs[i], -1)))
+    pad = [0] * draw(st.integers(0, 3))
+    return pad + cs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_near_equality(), st.lists(_coeff, max_size=40)))
+def test_log_concave_filter_matches_exact_definition(cs):
+    assert shape_predicates(IntPoly(cs)).log_concave == _exact_log_concave(cs)
+
+
+def test_log_concave_filter_on_fixed_edge_cases():
+    from altdes.recurrences import five_term
+
+    cases = [
+        [], [5], [0, 0, 7], [2, 3], [1, 0, 1], [1, -1, 1], [-1, -1, -1],
+        [1, 2, 4], [1, 2, 5], [4, 2, 1, 0, 0], [3, 0, 0, 3],
+        [(1 << 4000) + 1, 1 << 4000, (1 << 4000) - 1],   # 2^8000 - 1 < 2^8000
+        [(1 << 4000) - 1, 1 << 4000, (1 << 4000) + 1],
+        [1 << 4000, (1 << 4000) + 1, 1 << 4000],
+        [1 << 4000, (1 << 4000) - 1, 1 << 4000],
+        _geometric(3, 1 << 3000, 7, 6),
+        list(five_term(300).coeffs),
+    ]
+    for cs in cases:
+        assert shape_predicates(IntPoly(cs)).log_concave == _exact_log_concave(cs), cs
