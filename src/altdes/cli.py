@@ -95,11 +95,14 @@ def ser_bipoly(p: BiPolyTQ) -> list[dict]:
     return [{"t_exp": t, "q_exp": q, "coeff": c} for t, q, c in p.terms()]
 
 
-def parse_poly_value(value: list) -> IntPoly | BiPolyTQ:
-    """Invert ser_poly / ser_bipoly, so JSON values round-trip."""
-    if value and isinstance(value[0], dict):
-        return BiPolyTQ({(d["t_exp"], d["q_exp"]): d["coeff"] for d in value})
-    return IntPoly(value or (0,))
+def parse_poly(value: list) -> IntPoly:
+    """Invert ser_poly, so JSON values round-trip."""
+    return IntPoly(value)
+
+
+def parse_bipoly(value: list) -> BiPolyTQ:
+    """Invert ser_bipoly, so JSON values round-trip."""
+    return BiPolyTQ({(d["t_exp"], d["q_exp"]): d["coeff"] for d in value})
 
 
 def _row(name: str, ok: bool, *, witness: str | None = None,

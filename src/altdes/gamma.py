@@ -87,18 +87,15 @@ class QGammaVector:
         )
 
     def reconstruct(self) -> BiPolyTQ:
-        out = BiPolyTQ.zero()
-        for k, g in enumerate(self.gammas):
-            out = out + _q_basis_element(self.n, k, g)
-        return out
+        return sum((_q_basis_element(self.n, k, g) for k, g in enumerate(self.gammas)),
+                   BiPolyTQ.zero())
 
 
 def _q_basis_element(n: int, k: int, g: IntPoly) -> BiPolyTQ:
     """g(q) q^C(k+1,2) (-t)^k prod_{i=k+1}^{n-1-k} (1 + t q^i)."""
-    sign = -1 if k % 2 else 1
-    base = BiPolyTQ({(k, comb(k + 1, 2) + e): sign * c for e, c in enumerate(g.coeffs) if c})
+    base = BiPolyTQ.from_rows([(0, IntPoly())] * k + [(comb(k + 1, 2), g * (-1) ** k)])
     for i in range(k + 1, n - k):
-        base = base * BiPolyTQ({(0, 0): 1, (1, i): 1})
+        base = base.mul_binomial(i)
     return base
 
 
@@ -112,24 +109,17 @@ def q_gamma_extract(p: BiPolyTQ, n: int) -> QGammaVector:
     residual = p
     gammas: list[IntPoly] = []
     for k in range((n - 1) // 2 + 1):
-        if not residual:
+        low = residual.min_t_degree()
+        if not residual or low > k:
             gammas.append(IntPoly())
             continue
-        if residual.min_t_degree() < k:
-            raise ExpansionFailed(
-                f"residual has t-degree {residual.min_t_degree()} below {k}"
-            )
-        slice_k = residual.slice_t(k)
-        if not slice_k:
-            gammas.append(IntPoly())
-            continue
+        if low < k:
+            raise ExpansionFailed(f"residual has t-degree {low} below {k}")
+        lo, slice_k = residual.rows[k]
         shift = comb(k + 1, 2)
-        if slice_k.valuation() < shift:
-            raise ExpansionFailed(
-                f"t^{k} slice has q-valuation {slice_k.valuation()} < {shift}"
-            )
-        sign = -1 if k % 2 else 1
-        g = IntPoly(tuple(sign * c for c in slice_k.coeffs[shift:]))
+        if lo < shift:
+            raise ExpansionFailed(f"t^{k} slice has q-valuation {lo} < {shift}")
+        g = (slice_k * (-1) ** k).shift(lo - shift)
         gammas.append(g)
         residual = residual - _q_basis_element(n, k, g)
     if residual:
@@ -154,68 +144,44 @@ class TwoSidedGamma:
         return all(c >= 0 for c in self.entries.values())
 
     def reconstruct(self) -> BiPolyTQ:
-        st = BiPolyTQ({(1, 1): 1})
-        one_st = BiPolyTQ({(0, 0): 1, (1, 1): 1})
-        s_plus_t = BiPolyTQ({(1, 0): 1, (0, 1): 1})
-        out = BiPolyTQ.zero()
-        for (i, j), c in self.entries.items():
-            sign = -1 if i % 2 else 1
-            out = out + (sign * c) * (st**i * one_st**j * s_plus_t ** (self.n - 1 - j - 2 * i))
-        return out
+        return sum((c * _two_sided_basis(self.n, i, j) for (i, j), c in self.entries.items()),
+                   BiPolyTQ.zero())
+
+
+def _two_sided_basis(n: int, i: int, j: int) -> BiPolyTQ:
+    """(-st)^i (1+st)^j (s+t)^(n-1-j-2i), with s in the t slot and t in
+    the q slot, so 1 + st is the binomial 1 + tq."""
+    s_plus_t = BiPolyTQ({(1, 0): 1, (0, 1): 1})
+    base = BiPolyTQ.term(i, i, (-1) ** i) * s_plus_t ** (n - 1 - j - 2 * i)
+    for _ in range(j):
+        base = base.mul_binomial(1)
+    return base
 
 
 def two_sided_extract(a: BiPolyTQ) -> TwoSidedGamma:
     """Expand a symmetric polynomial in s, t (slots of the carrier) in
-    the two-sided basis, peeling ascending powers of e = st inside each
-    power of p = s + t.
+    the two-sided basis, peeling ascending powers of s.
 
-    The rewrite in (p, e) uses s^a t^b + s^b t^a = e^a (s^(b-a)+t^(b-a))
-    and the power-sum recursion P_k = p P_{k-1} - e P_{k-2}.
+    The basis element of (i, j) has no term of s-degree below i and one
+    of s-degree i, (-1)^i s^i t^(n-1-i-j), so the s^i slice of the
+    residual gives every entry e[(i, j)] at once.
     """
     coeffs = a.coeffs
     n = 1 + max((max(k, j) for (k, j) in coeffs), default=0)
     for (k, j), c in coeffs.items():
         if coeffs.get((j, k)) != c:
             raise ExpansionFailed(f"not symmetric at exponents ({k}, {j})")
-    # P_k(s, t) = s^k + t^k, tracked as dict p_exp -> IntPoly in e
-    power_sums: list[dict[int, IntPoly]] = [{0: IntPoly((2,))}, {1: IntPoly.one()}]
-    while len(power_sums) < n:
-        k = len(power_sums)
-        prev, prev2 = power_sums[k - 1], power_sums[k - 2]
-        out: dict[int, IntPoly] = {}
-        for pe, poly in prev.items():
-            out[pe + 1] = out.get(pe + 1, IntPoly()) + poly
-        for pe, poly in prev2.items():
-            out[pe] = out.get(pe, IntPoly()) - IntPoly((0, 1)) * poly
-        power_sums.append({pe: poly for pe, poly in out.items() if poly})
-    by_p: dict[int, IntPoly] = {}
-
-    def add_pe(pe: int, poly: IntPoly) -> None:
-        if poly:
-            by_p[pe] = by_p.get(pe, IntPoly()) + poly
-
-    for (k, j), c in coeffs.items():
-        if k > j:
-            continue
-        if k == j:
-            add_pe(0, IntPoly.monomial(k, c))
-        else:
-            for pe, poly in power_sums[j - k].items():
-                add_pe(pe, c * poly.shift(k))
-    by_p = {pe: poly for pe, poly in by_p.items() if poly}
     entries: dict[tuple[int, int], int] = {}
-    for pe, poly in sorted(by_p.items()):
-        cap = n - 1 - pe  # j + 2i must equal this
-        if cap < 0:
-            raise ExpansionFailed(f"p-degree {pe} exceeds n-1 = {n - 1}")
-        residual = poly
-        for i in range(cap // 2 + 1):
-            c = residual[i]
+    residual = a
+    for i in range((n - 1) // 2 + 1):
+        for b, c in enumerate(residual.slice_t(i)):
             if c == 0:
                 continue
-            sign = -1 if i % 2 else 1
-            entries[(i, cap - 2 * i)] = sign * c
-            residual = residual - c * IntPoly.monomial(i) * IntPoly((1, 1)) ** (cap - 2 * i)
-        if residual:
-            raise ExpansionFailed(f"residual at p-degree {pe} after the peel")
+            j = n - 1 - i - b
+            if b < i or j < 0:
+                raise ExpansionFailed(f"term s^{i} t^{b} lies outside the basis")
+            e = entries[(i, j)] = c * (-1) ** i
+            residual = residual - e * _two_sided_basis(n, i, j)
+    if residual:
+        raise ExpansionFailed("nonzero residual after the final peel step")
     return TwoSidedGamma(n, entries)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _perms
 from math import factorial
@@ -45,6 +44,14 @@ class _Numpy:
 
 
 np = _Numpy()
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use, so
+    commands that never fork do not load multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
 
 DEFAULT_BRUTE_MAX = 11
 

@@ -3,8 +3,9 @@
 Four carriers, all with arbitrary-precision integer coefficients:
 
 * ``IntPoly``      dense univariate polynomials,
-* ``BiPolyTQ``     sparse bivariate polynomials (slots named t and q,
-                   reused as (s, t) for two-sided statistics),
+* ``BiPolyTQ``     bivariate polynomials, one run of q-coefficients per
+                   power of t (slots named t and q, reused as (s, t) for
+                   two-sided statistics),
 * ``NCPoly``       noncommutative polynomials on words over a two
                    letter alphabet (descent words, cd-words),
 * ``TruncSeries``  truncated power series whose coefficients are
@@ -18,7 +19,7 @@ exact log-concavity test of ``shape_predicates``; every verdict is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, zip_longest
 from math import gcd, log, nan
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -494,16 +495,18 @@ def gamma_expand(f: IntPoly, n: int) -> GammaVector:
     if padded != tuple(reversed(padded)):
         raise NotPalindromic(f"not palindromic about {d}/2")
     residual = f
-    one_plus_t = IntPoly((1, 1))
+    power = IntPoly((1, 1)) ** d  # (1+t)^(d-2k), lowered twice per step
     out: list[int] = []
     for k in range(d // 2 + 1):
+        if k:
+            power = power.div_binomial(1, 1)[0].div_binomial(1, 1)[0]
         c = residual[k]
         sign = (-2) ** k
         a, r = divmod(c, sign)
         if r:
             raise NonIntegralGamma(f"entry {k}: {c} not divisible by {sign}")
         out.append(a)
-        residual = residual - c * IntPoly.monomial(k) * one_plus_t ** (d - 2 * k)
+        residual = residual - (power * c).shift(k)
     if residual:
         raise NotPalindromic("nonzero residual after the peel")
     return GammaVector(n, tuple(out))
@@ -512,45 +515,86 @@ def gamma_expand(f: IntPoly, n: int) -> GammaVector:
 # ---------------------------------------------------------------------------
 # bivariate polynomials
 
-_SHIFT = 24
-_MASK = (1 << _SHIFT) - 1
+_EMPTY = (0, IntPoly())
+
+
+def _slice(lo: int, p: IntPoly) -> tuple[int, IntPoly]:
+    """The slice q^lo p(q), with p's zero low coefficients moved into lo."""
+    if not p:
+        return _EMPTY
+    v = p.valuation()
+    return (lo + v, IntPoly(p.coeffs[v:])) if v else (lo, p)
+
+
+def _combine(a: tuple[int, IntPoly], b: tuple[int, IntPoly], op=add) -> tuple[int, IntPoly]:
+    """op (add or sub) of two slices, aligned at the lower offset."""
+    (la, pa), (lb, pb) = a, b
+    if not pb:
+        return a
+    if not pa:
+        return b if op is add else (lb, -pb)
+    lo = min(la, lb)
+    x, y = (0,) * (la - lo) + pa.coeffs, (0,) * (lb - lo) + pb.coeffs
+    n = max(len(x), len(y))
+    return _slice(lo, IntPoly(map(op, x + (0,) * (n - len(x)), y + (0,) * (n - len(y)))))
 
 
 class BiPolyTQ:
-    """Sparse bivariate polynomial, exponent pairs mapped to ints.
+    """Immutable bivariate polynomial, one q-slice per power of t.
 
     The two slots are called t and q.  For two-sided descent
     polynomials the same carrier is used with slots read as (s, t).
-    Internally a term t^k q^j is keyed by the single integer
-    (k << 24) | j, which keeps the convolution loops fast.
+    rows[k] = (lo, p) says the coefficient of t^k is q^lo p(q), where p
+    is an IntPoly whose constant term is nonzero; a zero slice is
+    (0, IntPoly()), and trailing zero slices are stripped, so equal
+    polynomials have equal rows.
     """
 
-    __slots__ = ("_d",)
+    __slots__ = ("rows",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] = ()):
-        d: dict[int, int] = {}
+        by_t: dict[int, dict[int, int]] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for (k, j), c in items:
             if c == 0:
                 continue
-            if k < 0 or j < 0 or j > _MASK:
+            if k < 0 or j < 0:
                 raise ValueError(f"bad exponent pair ({k}, {j})")
-            d[(k << _SHIFT) | j] = c
-        self._d = d
+            by_t.setdefault(k, {})[j] = c
+        rows = [_EMPTY] * (max(by_t, default=-1) + 1)
+        for k, js in by_t.items():
+            lo = min(js)
+            rows[k] = (lo, IntPoly.from_terms((j - lo, c) for j, c in js.items()))
+        object.__setattr__(self, "rows", tuple(rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BiPolyTQ is immutable")
 
     @classmethod
-    def _wrap(cls, d: dict[int, int]) -> "BiPolyTQ":
+    def from_rows(cls, rows: Iterable[tuple[int, IntPoly]]) -> "BiPolyTQ":
+        """The polynomial sum_k t^k q^lo p(q) over rows of (lo, p).
+
+        >>> BiPolyTQ.from_rows([(2, IntPoly((0, 5))), (0, IntPoly())]).terms()
+        [(0, 3, 5)]
+        """
+        out = []
+        for lo, p in rows:
+            out.append(_slice(lo, p))
+            if out[-1][0] < 0:
+                raise ValueError("exponent must be nonnegative")
+        while out and not out[-1][1]:
+            out.pop()
         obj = cls.__new__(cls)
-        obj._d = d
+        object.__setattr__(obj, "rows", tuple(out))
         return obj
 
     @classmethod
     def zero(cls) -> "BiPolyTQ":
-        return cls._wrap({})
+        return cls.from_rows(())
 
     @classmethod
     def one(cls) -> "BiPolyTQ":
-        return cls._wrap({0: 1})
+        return cls.from_rows([(0, IntPoly.one())])
 
     @classmethod
     def term(cls, k: int, j: int, c: int = 1) -> "BiPolyTQ":
@@ -558,19 +602,20 @@ class BiPolyTQ:
 
     @property
     def coeffs(self) -> dict[tuple[int, int], int]:
-        return {(k >> _SHIFT, k & _MASK): c for k, c in self._d.items()}
+        return {(k, j): c for k, j, c in self.terms()}
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted (t_exp, q_exp, coeff) triples."""
-        return sorted((k >> _SHIFT, k & _MASK, c) for k, c in self._d.items())
+        return [(k, lo + i, c) for k, (lo, p) in enumerate(self.rows)
+                for i, c in enumerate(p.coeffs) if c]
 
     def __bool__(self) -> bool:
-        return bool(self._d)
+        return bool(self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPolyTQ):
             return NotImplemented
-        return self._d == other._d
+        return self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"BiPolyTQ({self.coeffs!r})"
@@ -578,48 +623,32 @@ class BiPolyTQ:
     def __add__(self, other: "BiPolyTQ") -> "BiPolyTQ":
         if not isinstance(other, BiPolyTQ):
             return NotImplemented
-        out = dict(self._d)
-        for k, c in other._d.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return BiPolyTQ._wrap(out)
+        return BiPolyTQ.from_rows(
+            _combine(a, b) for a, b in zip_longest(self.rows, other.rows, fillvalue=_EMPTY))
 
     def __sub__(self, other: "BiPolyTQ") -> "BiPolyTQ":
         if not isinstance(other, BiPolyTQ):
             return NotImplemented
-        out = dict(self._d)
-        for k, c in other._d.items():
-            nc = out.get(k, 0) - c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return BiPolyTQ._wrap(out)
+        return BiPolyTQ.from_rows(
+            _combine(a, b, sub) for a, b in zip_longest(self.rows, other.rows, fillvalue=_EMPTY))
 
     def __neg__(self) -> "BiPolyTQ":
-        return BiPolyTQ._wrap({k: -c for k, c in self._d.items()})
+        return BiPolyTQ.from_rows((lo, -p) for lo, p in self.rows)
 
     def __mul__(self, other) -> "BiPolyTQ":
         if isinstance(other, int):
-            if other == 0:
-                return BiPolyTQ.zero()
-            return BiPolyTQ._wrap({k: c * other for k, c in self._d.items()})
+            return BiPolyTQ.from_rows((lo, p * other) for lo, p in self.rows)
         if not isinstance(other, BiPolyTQ):
             return NotImplemented
-        if not self._d or not other._d:
+        if not self.rows or not other.rows:
             return BiPolyTQ.zero()
-        if (self.max_q_degree() + other.max_q_degree()) > _MASK:
-            raise OverflowError("q exponent overflow in product")
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in self._d.items():
-            for k2, c2 in other._d.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return BiPolyTQ._wrap({k: c for k, c in out.items() if c})
+        out = [_EMPTY] * (len(self.rows) + len(other.rows) - 1)
+        for k1, (lo1, p1) in enumerate(self.rows):
+            if p1:
+                for k2, (lo2, p2) in enumerate(other.rows, k1):
+                    if p2:
+                        out[k2] = _combine(out[k2], (lo1 + lo2, p1 * p2))
+        return BiPolyTQ.from_rows(out)
 
     __rmul__ = __mul__
 
@@ -635,30 +664,36 @@ class BiPolyTQ:
             n >>= 1
         return result
 
+    def mul_binomial(self, i: int) -> "BiPolyTQ":
+        """Product with 1 + t q^i in one pass: slice k gains q^i times
+        slice k-1.
+
+        >>> BiPolyTQ.one().mul_binomial(2).terms()
+        [(0, 0, 1), (1, 2, 1)]
+        """
+        if i < 0:
+            raise ValueError("power must be nonnegative")
+        lifted = [_EMPTY] + [(lo + i, p) for lo, p in self.rows]
+        return BiPolyTQ.from_rows(map(_combine, self.rows + (_EMPTY,), lifted))
+
     def max_t_degree(self) -> int:
-        return max((k >> _SHIFT for k in self._d), default=-1)
+        return len(self.rows) - 1
 
     def max_q_degree(self) -> int:
-        return max((k & _MASK for k in self._d), default=-1)
+        return max((lo + p.degree for lo, p in self.rows if p), default=-1)
+
+    def min_t_degree(self) -> int:
+        return next((k for k, (_, p) in enumerate(self.rows) if p), -1)
 
     def substitute_tq(self, j: int) -> "BiPolyTQ":
         """The substitution t -> t q^j (a t-graded q-shift)."""
         if j < 0:
             raise ValueError("shift must be nonnegative")
-        if j == 0:
-            return self
-        out: dict[int, int] = {}
-        for k, c in self._d.items():
-            te = k >> _SHIFT
-            qe = (k & _MASK) + te * j
-            if qe > _MASK:
-                raise OverflowError("q exponent overflow in substitution")
-            out[(te << _SHIFT) | qe] = c
-        return BiPolyTQ._wrap(out)
+        return BiPolyTQ.from_rows((lo + k * j, p) for k, (lo, p) in enumerate(self.rows))
 
     def at_q1(self) -> IntPoly:
         """Set q = 1, leaving a polynomial in t."""
-        return IntPoly.from_terms((k >> _SHIFT, c) for k, c in self._d.items())
+        return IntPoly(sum(p.coeffs) for _, p in self.rows)
 
     def at_t1(self) -> IntPoly:
         """Set t = 1, leaving a polynomial in q."""
@@ -668,29 +703,27 @@ class BiPolyTQ:
         """Set t = q^j, leaving a polynomial in q."""
         if j < 0:
             raise ValueError("power must be nonnegative")
-        return IntPoly.from_terms(
-            ((k >> _SHIFT) * j + (k & _MASK), c) for k, c in self._d.items())
+        out = [0] * max((j * k + lo + len(p) for k, (lo, p) in enumerate(self.rows)), default=0)
+        for k, (lo, p) in enumerate(self.rows):
+            at = j * k + lo
+            out[at:at + len(p)] = map(add, out[at:at + len(p)], p.coeffs)
+        return IntPoly(out)
 
     def slice_t(self, k: int) -> IntPoly:
         """Coefficient of t^k as a polynomial in q."""
-        return IntPoly.from_terms(
-            (kk & _MASK, c) for kk, c in self._d.items() if kk >> _SHIFT == k)
-
-    def min_t_degree(self) -> int:
-        return min((k >> _SHIFT for k in self._d), default=-1)
+        lo, p = self.rows[k] if 0 <= k < len(self.rows) else _EMPTY
+        return p.shift(lo)
 
     def swap(self) -> "BiPolyTQ":
         """Exchange the two slots."""
-        return BiPolyTQ._wrap(
-            {((k & _MASK) << _SHIFT) | (k >> _SHIFT): c for k, c in self._d.items()}
-        )
+        return BiPolyTQ(((j, k), c) for k, j, c in self.terms())
 
     def total(self) -> int:
         """Sum of all coefficients (evaluation at t = q = 1)."""
-        return sum(self._d.values())
+        return sum(sum(p.coeffs) for _, p in self.rows)
 
     def pretty(self, tvar: str = "t", qvar: str = "q") -> str:
-        if not self._d:
+        if not self.rows:
             return "0"
         parts: list[str] = []
         for te, qe, c in self.terms():

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, factorial
-from operator import add
 from typing import Callable
 
 from .polynomials import BiPolyTQ, IntPoly, TruncSeries, pack_coeffs, unpack_coeffs
@@ -133,10 +132,7 @@ def chebikin_check(n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # bivariate quadratic recursion
 
-# A row is one (q_lo, coeffs) slice per t-degree k = 0, 1, ...: the
-# coefficient of t^k is sum_i coeffs[i] q^(q_lo + i).
-
-def _tq_step(rows: list[tuple]) -> tuple:
+def _tq_step(rows: list[BiPolyTQ]) -> BiPolyTQ:
     """Row m+1 of the quadratic recursion, on packed integers.
 
     Every coefficient is nonnegative and the doubled row sums to
@@ -147,7 +143,7 @@ def _tq_step(rows: list[tuple]) -> tuple:
     m = len(rows) - 1
     width = (2 * factorial(m + 1)).bit_length() // 8 + 1
     bits = 8 * width
-    packed = [[(lo, pack_coeffs(cs, width)) for lo, cs in row] for row in rows]
+    packed = [[(lo, pack_coeffs(p, width)) for lo, p in row.rows] for row in rows]
     lows: list = [None] * (m + 1)
     vals = [0] * (m + 1)
 
@@ -192,11 +188,11 @@ def _tq_step(rows: list[tuple]) -> tuple:
         if x & parity:
             odd = next(i for i, c in enumerate(unpack_coeffs(x, width)) if c & 1)
             raise ParityViolation(f"odd total at n={m + 1}, t^{k} q^{lo + odd}")
-        row.append((lo, tuple(unpack_coeffs(x >> 1, width))))
-    return tuple(row)
+        row.append((lo, IntPoly(unpack_coeffs(x >> 1, width))))
+    return BiPolyTQ.from_rows(row)
 
 
-_tq_rows = _Rows((((0, (1,)),), ((0, (1,)),)), _tq_step)  # rows for n = 0, 1
+_tq_rows = _Rows((BiPolyTQ.one(), BiPolyTQ.one()), _tq_step)  # rows for n = 0, 1
 
 
 def quadratic_tq(n: int) -> BiPolyTQ:
@@ -212,23 +208,12 @@ def quadratic_tq(n: int) -> BiPolyTQ:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = _tq_rows.upto(n)[n]
-    return BiPolyTQ(((k, lo + i), c) for k, (lo, cs) in enumerate(row)
-                    for i, c in enumerate(cs))
+    return _tq_rows.upto(n)[n]
 
 
 def alt_at_t_qpow(n: int, j: int) -> IntPoly:
     """A_n(q^j, q) as a univariate polynomial in q."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if j < 0:
-        raise ValueError("power must be nonnegative")
-    row = _tq_rows.upto(n)[n]
-    out = [0] * max(j * k + lo + len(cs) for k, (lo, cs) in enumerate(row))
-    for k, (lo, cs) in enumerate(row):
-        at = j * k + lo
-        out[at:at + len(cs)] = map(add, out[at:at + len(cs)], cs)
-    return IntPoly(out)
+    return quadratic_tq(n).at_t_qpow(j)
 
 
 def specialized_recursion_check(n: int, j: int) -> CheckResult:

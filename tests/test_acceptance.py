@@ -116,7 +116,7 @@ def test_criterion_02_factorization_table():
                 report = json.load(fh)
             values = {r["name"]: r.get("value") for r in report["results"]}
             assert values["e_hat"] == list(expected), f"n={n}"
-            got = cli.parse_poly_value(values["g_n"]) * expected
+            got = cli.parse_poly(values["g_n"]) * expected
             assert got == faa_di_bruno_altmaj(n), f"n={n} product"
         E = euler_numbers(20)
         for n in range(2, 21):

@@ -2,9 +2,11 @@
 
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import altdes
 from altdes import cli, gamma, recurrences
-from altdes.cli import ResultRow, main, parse_poly_value, ser_bipoly, ser_poly
+from altdes.cli import ResultRow, main, parse_bipoly, parse_poly, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
 from altdes.recurrences import five_term, quadratic_tq
@@ -57,17 +59,18 @@ def test_compute_alt_q_json_roundtrip(capsys):
     assert report["parameters"] == {"table": "alt", "n": 6, "q": True}
     (row,) = report["results"]
     assert row["status"] == "pass"
-    assert parse_poly_value(row["value"]) == quadratic_tq(6)
+    assert parse_bipoly(row["value"]) == quadratic_tq(6)
 
 
 def test_json_univariate_roundtrip(capsys):
     code, out, _ = run(capsys, "compute", "alt", "--n", "7", "--format", "json")
     report = json.loads(out)
     assert report["results"][0]["value"] == list(five_term(7))
-    assert parse_poly_value(report["results"][0]["value"]) == five_term(7)
-    assert parse_poly_value([]) == IntPoly.zero()
+    assert parse_poly(report["results"][0]["value"]) == five_term(7)
+    assert parse_poly([]) == IntPoly.zero()
+    assert parse_bipoly([]) == BiPolyTQ.zero()
     bi = [{"t_exp": 1, "q_exp": 2, "coeff": -3}]
-    assert parse_poly_value(bi) == BiPolyTQ({(1, 2): -3})
+    assert parse_bipoly(bi) == BiPolyTQ({(1, 2): -3})
 
 
 def test_factor_outputs(capsys):
@@ -317,12 +320,9 @@ _small = st.integers(-(1 << 70), 1 << 70)
     st.tuples(st.integers(0, 40), st.integers(0, 40)), _small, max_size=30))
 def test_parse_poly_value_inverts_json(coeffs, terms):
     f = IntPoly(coeffs)
-    assert parse_poly_value(json.loads(json.dumps(ser_poly(f)))) == f
+    assert parse_poly(json.loads(json.dumps(ser_poly(f)))) == f
     p = BiPolyTQ(terms)
-    # the zero bivariate polynomial serializes to [], which reads back as
-    # the zero IntPoly: an empty list carries no variable count
-    expected = p if p else IntPoly.zero()
-    assert parse_poly_value(json.loads(json.dumps(ser_bipoly(p)))) == expected
+    assert parse_bipoly(json.loads(json.dumps(ser_bipoly(p)))) == p
 
 
 def test_numpy_is_imported_only_to_enumerate():
@@ -334,9 +334,11 @@ def test_numpy_is_imported_only_to_enumerate():
         assert all(f"altdes.{m}" in sys.modules for m in layers)
         import altdes.cli
         assert "altdes.cli" in sys.modules and "numpy" not in sys.modules
+        assert "concurrent.futures.process" not in sys.modules
         assert altdes.cli.main(["factor", "--n", "12"]) == 0
         assert altdes.cli.main(["verify", "conj5.1", "--max-n", "30"]) == 0
         assert "numpy" not in sys.modules
+        assert "concurrent.futures.process" not in sys.modules
         from altdes import oracle
         assert oracle.stat_multiset(5, "des").values == {0: 1, 1: 26, 2: 66, 3: 26, 4: 1}
         assert "numpy" in sys.modules and oracle.np is sys.modules["numpy"]
@@ -346,3 +348,30 @@ def test_numpy_is_imported_only_to_enumerate():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# sha256 of the CSV and JSON reports (JSON without its elapsed_ms line),
+# recorded before the bivariate carrier moved to per-t-degree q-slices
+_BIVARIATE_DIGESTS = {
+    ("compute alt --q --n 7", "csv"):
+        "0fd5e01dc1855cb84019ce06dd2a8a1312c63ffe16dcd5f97c6504eeac76d256",
+    ("compute alt --q --n 7", "json"):
+        "2b43dbc0337b63e22b5d46fec54053f0d07f905e235b2f57f661a96d6c6fe219",
+    ("compute gamma --q --n 9", "csv"):
+        "6ec43f520c048a41f2b50a1ffc60c4f3c84fe9e1bc0514ccb51b84daccd552e4",
+    ("compute gamma --q --n 9", "json"):
+        "3fcfba222e8404c108643da26416e9eb7e37ac4bcd438dbe554e0487d41ef663",
+    ("compute two-sided --n 5", "csv"):
+        "6aa0b2f95c27fdb031ffe060d22b3b1713469c15ae7e45d22222debe75fa9377",
+    ("compute two-sided --n 5", "json"):
+        "8b088de25962b9123e4bdfc0062d9cd320fafad3bed0aac172ad708ac89b4037",
+}
+
+
+def test_bivariate_reports_are_byte_pinned(capsys):
+    for (command, fmt), digest in _BIVARIATE_DIGESTS.items():
+        code, out, err = run(capsys, *command.split(), "--format", fmt)
+        assert code == 0 and err == ""
+        out = re.sub(r'\n  "elapsed_ms": \d+,', "", out)
+        assert '"elapsed_ms"' not in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, fmt)

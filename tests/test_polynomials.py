@@ -356,7 +356,7 @@ def test_intpoly_ring_axioms(f, g, h):
 
 
 _bi_key = st.tuples(st.integers(0, 200),
-                    st.one_of(st.integers(0, 50), st.just(polynomials._MASK)))
+                    st.one_of(st.integers(0, 50), st.just(5000)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -371,9 +371,73 @@ def test_bipoly_term_key_round_trip(d):
 
 
 def test_bipoly_rejects_keys_outside_the_encoding():
-    for key in ((0, polynomials._MASK + 1), (-1, 0), (0, -1)):
+    for key in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             BiPolyTQ({key: 1})
+
+
+def _nonzero(d):
+    return {key: c for key, c in d.items() if c}
+
+
+def _dict_mul(a, b):
+    """The product as a convolution of {(t_exp, q_exp): coeff} dicts."""
+    out = {}
+    for (k1, j1), c1 in a.items():
+        for (k2, j2), c2 in b.items():
+            key = (k1 + k2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _nonzero(out)
+
+
+# 70-bit coefficients keep the 5000-long Kronecker products cheap; the
+# univariate tests above cover the coefficient sizes
+_bi_coeff = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
+
+
+@st.composite
+def _bi_dicts(draw):
+    """Runs of q-coefficients at offsets near 0 or near 5000, so one
+    t-degree may hold two runs with a long gap, some none at all."""
+    d = {}
+    for k in draw(st.lists(st.integers(0, 6), max_size=6)):
+        lo = draw(st.one_of(st.integers(0, 40), st.integers(4900, 5000)))
+        for i, c in enumerate(draw(st.lists(_bi_coeff, max_size=30))):
+            d[(k, lo + i)] = c
+    return d
+
+
+def _matches(p, ref):
+    """p has the terms of the dict ref, and its rows are normalized."""
+    assert p.coeffs == ref
+    assert p == BiPolyTQ(ref)
+    assert not p.rows or p.rows[-1][1]
+    assert all(s[0] != 0 if s else lo == 0 for lo, s in p.rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bi_dicts(), _bi_dicts(), st.integers(0, 5000), st.integers(0, 2),
+       st.integers(-1, 13))
+def test_bipoly_matches_dict_reference(da, db, i, e, k):
+    a, b = BiPolyTQ(da), BiPolyTQ(db)
+    da, db = _nonzero(da), _nonzero(db)
+    _matches(a, da)
+    keys = da.keys() | db.keys()
+    _matches(a + b, _nonzero({key: da.get(key, 0) + db.get(key, 0) for key in keys}))
+    _matches(a - b, _nonzero({key: da.get(key, 0) - db.get(key, 0) for key in keys}))
+    _matches(a - a, {})
+    _matches(a * -3, {key: -3 * c for key, c in da.items()})
+    _matches(a * b, _dict_mul(da, db))
+    power = {(0, 0): 1}
+    for _ in range(e):
+        power = _dict_mul(power, da)
+    _matches(a ** e, power)
+    _matches(a.mul_binomial(i), _dict_mul(da, {(0, 0): 1, (1, i): 1}))
+    assert a.at_t_qpow(i) == IntPoly.from_terms(
+        (kk * i + j, c) for (kk, j), c in da.items())
+    assert a.slice_t(k) == IntPoly.from_terms(
+        (j, c) for (kk, j), c in da.items() if kk == k)
+    _matches(a.swap(), {(j, kk): c for (kk, j), c in da.items()})
 
 
 def _exact_log_concave(cs):
