@@ -9,9 +9,13 @@ parallelism seam: they run on at most min(jobs, partitions, cpu count)
 processes, forked after S_{n-1} is built so that workers inherit it.
 
 Each word becomes the code sum_i [w_i > w_{i+1}] << i of its descent
-set.  des, maj, altdes and altmaj are read off one histogram of codes
-(the alternating descent set is the descent set XOR the even-position
-mask); the two-sided tally uses the codes of w and of w^-1, and des3,
+set.  des, maj, altdes, altmaj and the ab-indexes psi and psi_hat are
+read off one histogram of codes (the alternating descent set is the
+descent set XOR the even-position mask).  That histogram is tallied once
+per n and kept, read-only, in a cache published under a lock: one entry
+per n of 2^(n-1) int64 bins, so with n <= 20 (_guard stops where int64
+tallies would overflow) the cache never exceeds 8 MB, and under 20 KB for
+n <= 11.  The two-sided tally uses the codes of w and of w^-1, and des3,
 not a function of the descent set, has its own kernel.  Simsun words are
 generated by inserting each new largest letter where it makes no double
 descent.  Counts are int64 and leave as Python ints; the test-suite's
@@ -23,11 +27,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from itertools import permutations as _perms
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .permutations import cd_word
+from .permutations import ab_to_cd
 from .polynomials import BiPolyTQ, IntPoly, NCPoly
 from .reporting import AltdesError
 
@@ -240,6 +243,23 @@ def _merge(kernel, n: int, jobs: int) -> np.ndarray:
         return sum(pool.map(_run, tasks))
 
 
+_HIST_CACHE: dict[int, np.ndarray] = {}  # n -> descent-set histogram of S_n
+_HIST_LOCK = threading.Lock()
+
+
+def _descent_histogram(n: int, jobs: int) -> np.ndarray:
+    """The read-only descent-set histogram of S_n (n >= 1), tallied once
+    per n over the materialized words and shared by every statistic read
+    off it.  Callers run _guard first, which bounds the cache."""
+    hist = _HIST_CACHE.get(n)
+    if hist is None:
+        hist = _merge(_descent_hist, n, jobs)
+        hist.flags.writeable = False
+        with _HIST_LOCK:
+            hist = _HIST_CACHE.setdefault(n, hist)
+    return hist
+
+
 def _read_off(keys, counts: np.ndarray) -> dict:
     """Total the counts of equal keys, in ascending key order."""
     out: dict = {}
@@ -280,7 +300,7 @@ def stat_multiset(
     if stat == "des3":
         keys, hist = range(n), _merge(_des3_hist, n, jobs)
     else:
-        keys, hist = _set_stats(n)[stat].tolist(), _merge(_descent_hist, n, jobs)
+        keys, hist = _set_stats(n)[stat].tolist(), _descent_histogram(n, jobs)
     return StatMultiset(n, stat, _read_off(keys, hist))
 
 
@@ -300,7 +320,7 @@ def brute_qalt(n: int, *, brute_max: int | None = None, jobs: int = 1) -> BiPoly
     _guard(n, brute_max)
     if n == 0:
         return BiPolyTQ.one()
-    hist = _merge(_descent_hist, n, jobs)
+    hist = _descent_histogram(n, jobs)
     s = _set_stats(n)
     return BiPolyTQ(_read_off(zip(s["altdes"].tolist(), s["altmaj"].tolist()), hist))
 
@@ -343,24 +363,27 @@ class CdIndex(NamedTuple):
     psi_hat: NCPoly
 
 
+def _ab_words(n: int, hist: np.ndarray, flip: int = 0) -> dict[str, int]:
+    """The descent-set histogram of words of length n as ab-words:
+    letter i of the word of code c is 'b' iff bit i of c ^ flip is set."""
+    return {"".join("ab"[(code ^ flip) >> i & 1] for i in range(n - 1)): c
+            for code, c in enumerate(hist.tolist()) if c}
+
+
 def brute_cd_index(n: int, *, brute_max: int | None = None) -> CdIndex:
-    """Enumerate S_n and tally the three word-valued generating
-    functions.  Pure Python; meant for small n."""
+    """Tally the three word-valued generating functions: psi and psi_hat
+    off the descent-set histogram of S_n, read directly and with the
+    odd (0-based) positions flipped; phi off the descent sets of the
+    generated Simsun words that end in their largest letter."""
     _guard(n, brute_max)
-    phi: dict[str, int] = {}
-    psi: dict[str, int] = {}
-    psi_hat: dict[str, int] = {}
-    for w in _perms(range(1, n + 1)):
-        u = "".join("b" if w[i] > w[i + 1] else "a" for i in range(n - 1))
-        psi[u] = psi.get(u, 0) + 1
-        uh = "".join(
-            "b" if (w[i] > w[i + 1]) == (i % 2 == 0) else "a" for i in range(n - 1)
-        )
-        psi_hat[uh] = psi_hat.get(uh, 0) + 1
-        cd = cd_word(w)
-        if cd is not None:
-            phi[cd] = phi.get(cd, 0) + 1
-    return CdIndex(NCPoly(phi), NCPoly(psi), NCPoly(psi_hat))
+    if n == 0:
+        return CdIndex(NCPoly.one(), NCPoly.one(), NCPoly.one())
+    hist = _descent_histogram(n, 1)
+    odd = sum(1 << i for i in range(1, n - 1, 2))
+    S = _simsun_columns(n)
+    phi = _ab_words(n, _descent_hist(S[:, S[-1] == n - 1]))
+    return CdIndex(NCPoly({ab_to_cd(u): c for u, c in phi.items()}),
+                   NCPoly(_ab_words(n, hist)), NCPoly(_ab_words(n, hist, odd)))
 
 
 def brute_des3_first1(n: int, *, brute_max: int | None = None) -> StatMultiset:

@@ -204,7 +204,16 @@ def cd_word(w: Iterable[int]) -> str | None:
         return ""
     if w[-1] != max(w) or not is_simsun(w):
         return None
-    u = "".join("b" if w[i] > w[i + 1] else "a" for i in range(len(w) - 1))
+    return ab_to_cd("".join("b" if a > b else "a" for a, b in zip(w, w[1:])))
+
+
+def ab_to_cd(u: str) -> str:
+    """The cd-word of the descent word u over {a, b} of a Simsun
+    permutation ending in its largest letter.
+
+    >>> ab_to_cd("baaba")
+    'dcd'
+    """
     out = []
     i = 0
     while i < len(u):
@@ -274,20 +283,4 @@ def double_count_check(n: int) -> CheckResult:
             return CheckResult.failed(
                 f"{format_word(v)} constructed {hits.get(v, 0)} times"
             )
-    return CheckResult.passed()
-
-
-def equidist_check(n: int) -> CheckResult:
-    """altdes on S_n is equidistributed with the 3-descent number on
-    permutations of S_{n+1} whose first letter is 1."""
-    lhs: dict[int, int] = {}
-    for w in _perms(range(1, n + 1)):
-        k = alt_stats(w).altdes
-        lhs[k] = lhs.get(k, 0) + 1
-    rhs: dict[int, int] = {}
-    for tail in _perms(range(2, n + 2)):
-        k = classic_stats((1,) + tail).des3
-        rhs[k] = rhs.get(k, 0) + 1
-    if lhs != rhs:
-        return CheckResult.failed(f"distributions differ: {lhs} vs {rhs}")
     return CheckResult.passed()

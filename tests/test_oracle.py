@@ -33,6 +33,12 @@ def scalar_hist(n, key):
     return hist
 
 
+def uncached(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every descent-set histogram tallied afresh."""
+    oracle._HIST_CACHE.clear()
+    return fn(*args, **kwargs)
+
+
 def test_iter_perm_arrays_covers_sn():
     for n in range(1, 8):
         seen = set()
@@ -111,14 +117,22 @@ def test_simsun_matches_scalar():
 
 
 def test_cd_index_matches_scalar():
-    for n in range(1, 7):
-        phi = {}
+    for n in range(0, 7):
+        phi, psi, psi_hat = {}, {}, {}
         for w in itertools.permutations(range(1, n + 1)):
             word = cd_word(w)
             if word is not None:
                 phi[word] = phi.get(word, 0) + 1
+            u = "".join("b" if w[i] > w[i + 1] else "a" for i in range(n - 1))
+            psi[u] = psi.get(u, 0) + 1
+            uh = "".join(
+                "b" if (w[i] > w[i + 1]) == (i % 2 == 0) else "a" for i in range(n - 1)
+            )
+            psi_hat[uh] = psi_hat.get(uh, 0) + 1
         cd = brute_cd_index(n)
         assert cd.phi == NCPoly(phi)
+        assert cd.psi == NCPoly(psi)
+        assert cd.psi_hat == NCPoly(psi_hat)
         # both variation indexes add up over the whole group
         assert cd.psi.eval_commutative({"a": 1, "b": 1})[0] == math.factorial(n)
         assert cd.psi_hat.eval_commutative({"a": 1, "b": 1})[0] == math.factorial(n)
@@ -147,9 +161,10 @@ def test_down_up_simsun_count_scalar():
 
 def test_jobs_do_not_change_results():
     for n in (5, 8, 11):
-        assert brute_alt_eulerian(n, jobs=2) == brute_alt_eulerian(n)
-        assert brute_qalt(n, jobs=2) == brute_qalt(n)
-        assert stat_multiset(n, "maj", jobs=2).values == stat_multiset(n, "maj").values
+        assert uncached(brute_alt_eulerian, n, jobs=2) == uncached(brute_alt_eulerian, n)
+        assert uncached(brute_qalt, n, jobs=2) == uncached(brute_qalt, n)
+        assert (uncached(stat_multiset, n, "maj", jobs=2).values
+                == uncached(stat_multiset, n, "maj").values)
         assert stat_multiset(n, "des3", jobs=2).values == stat_multiset(n, "des3").values
         two_sided = brute_two_sided(n, jobs=2)
         assert two_sided == brute_two_sided(n)
@@ -176,11 +191,11 @@ def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
     expected = brute_alt_eulerian(11)
     cpus = os.cpu_count() or 1
     requested.clear()
-    assert brute_alt_eulerian(11, jobs=10**6) == expected
+    assert uncached(brute_alt_eulerian, 11, jobs=10**6) == expected
     assert requested == ([min(11, cpus)] if cpus > 1 else [])
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
     requested.clear()
-    assert brute_alt_eulerian(11, jobs=10**6) == expected
+    assert uncached(brute_alt_eulerian, 11, jobs=10**6) == expected
     assert requested == [11]  # one worker per first letter, no more
 
 
@@ -229,6 +244,7 @@ def test_block_cache_is_thread_safe():
     threads = [threading.Thread(target=work) for _ in range(4)]
     old = sys.getswitchinterval()
     oracle._BLOCK_CACHE.clear()
+    oracle._HIST_CACHE.clear()  # else brute_qalt(9) reads S_9 off its histogram
     sys.setswitchinterval(1e-6)
     try:
         for t in threads:
@@ -243,6 +259,70 @@ def test_block_cache_is_thread_safe():
     assert all(
         W.shape == (k, math.factorial(k)) for k, W in oracle._BLOCK_CACHE.items()
     )
+
+
+def test_descent_histogram_is_tallied_once_per_n(monkeypatch):
+    tallied = []
+    kernel = oracle._descent_hist
+
+    def counting(W):
+        tallied.append(W.shape)
+        return kernel(W)
+
+    monkeypatch.setattr(oracle, "_descent_hist", counting)
+    oracle._HIST_CACHE.clear()
+    brute_alt_eulerian(11)
+    brute_qalt(11)
+    stat_multiset(11, "maj")
+    assert tallied == [(11, math.factorial(10))] * 11  # one pass, not three
+
+
+def test_descent_histogram_cache_keeps_guard_and_is_read_only():
+    brute_qalt(7)
+    hist = oracle._HIST_CACHE[7]
+    with pytest.raises(LimitExceeded):
+        brute_qalt(7, brute_max=6)
+    with pytest.raises(LimitExceeded):
+        stat_multiset(7, "altdes", brute_max=6)
+    with pytest.raises(LimitExceeded):
+        brute_cd_index(7, brute_max=6)
+    assert not hist.flags.writeable
+    with pytest.raises(ValueError):
+        hist[0] = 0
+    assert hist.sum() == math.factorial(7)
+
+
+def test_descent_histogram_cache_is_thread_safe(monkeypatch):
+    expected = (uncached(brute_qalt, 9), uncached(stat_multiset, 9, "altdes"))
+    results = []
+    read = []
+    lookup = oracle._descent_histogram
+
+    def recording(n, jobs):
+        hist = lookup(n, jobs)
+        read.append(hist)
+        return hist
+
+    def work():
+        results.append((brute_qalt(9), stat_multiset(9, "altdes")))
+
+    monkeypatch.setattr(oracle, "_descent_histogram", recording)
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    old = sys.getswitchinterval()
+    oracle._HIST_CACHE.clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+    assert list(oracle._HIST_CACHE) == [9]
+    # a thread that lost the race reads the winner's histogram, not its own
+    assert len(read) == 8 and all(h is oracle._HIST_CACHE[9] for h in read)
 
 
 def test_brute_max_guard():
