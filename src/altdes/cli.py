@@ -204,8 +204,16 @@ def _convolution(ctx: _Ctx, n: int) -> str | None:
     return _witness(recurrences.chebikin_check(n))
 
 
-def _gamma_nonneg(ctx: _Ctx, n: int) -> str | None:
-    f = recurrences.five_term(n)
+def _walked(maxn: int, ctx: _Ctx) -> list[dict]:
+    """Cases n = 1..maxn sharing one five-term walk, for a check that
+    reads row n once and in ascending order: the walk keeps one row,
+    where the shared table would keep rows 0..maxn for the process."""
+    walk = recurrences.FiveTermWalk()
+    return [{"n": n, "walk": walk} for n in range(1, maxn + 1)]
+
+
+def _gamma_nonneg(ctx: _Ctx, n: int, walk: recurrences.FiveTermWalk) -> str | None:
+    f = walk.row(n)
     sh = shape_predicates(f)
     problems = []
     if sh.palindromic_center is None:
@@ -317,8 +325,8 @@ def _binomial_criterion(ctx: _Ctx, n: int) -> str | None:
                                                 jobs=ctx.jobs))
 
 
-def _log_concave(ctx: _Ctx, n: int) -> str | None:
-    ok = shape_predicates(recurrences.five_term(n)).log_concave
+def _log_concave(ctx: _Ctx, n: int, walk: recurrences.FiveTermWalk) -> str | None:
+    ok = shape_predicates(walk.row(n)).log_concave
     return None if ok else f"coefficients not log-concave at n={n}"
 
 
@@ -343,7 +351,7 @@ def _two_sided(ctx: _Ctx, n: int) -> str | None:
 
 def _equidist(ctx: _Ctx, n: int) -> str | None:
     left = oracle.stat_multiset(n, "altdes", brute_max=ctx.brute_max, jobs=ctx.jobs)
-    right = oracle.brute_des3_first1(n, brute_max=ctx.brute_max)
+    right = oracle.brute_des3_first1(n, brute_max=ctx.brute_max, jobs=ctx.jobs)
     return None if left.values == right.values else f"distributions differ at n={n}"
 
 
@@ -360,7 +368,7 @@ VERIFY_HANDLERS: dict[str, tuple[int, Callable[[int, _Ctx], list[ResultRow]]]] =
                                  _five_term_vs_oracle, _BRUTE))),
     "eq1": (10, _Suite(_Check("convolution identity n={n}", _convolution))),
     "thm3.1": (12, _Suite(_Check("palindromic unimodal gamma-nonnegative n={n}",
-                                 _gamma_nonneg))),
+                                 _gamma_nonneg, _walked))),
     "thm3.2": (12, _Suite(_Check("gamma vector vs simsun polynomial n={n}",
                                  _simsun_relation))),
     "cor3.3": (13, _Suite(
@@ -381,7 +389,8 @@ VERIFY_HANDLERS: dict[str, tuple[int, Callable[[int, _Ctx], list[ResultRow]]]] =
                                  _derivative_route))),
     "conj4.10": (11, _Suite(_Check("binomial criterion n={n}", _binomial_criterion,
                                    _BRUTE, finding=True))),
-    "conj5.1": (200, _Suite(_Check("log-concave n={n}", _log_concave, finding=True))),
+    "conj5.1": (200, _Suite(_Check("log-concave n={n}", _log_concave, _walked,
+                                   finding=True))),
     "conj5.2": (10, _Suite(_Check("q-gamma expansion n={n}", _q_gamma, finding=True))),
     "conj5.3": (10, _Suite(_Check("two-sided expansion n={n}", _two_sided, _BRUTE,
                                   finding=True))),

@@ -23,6 +23,7 @@ from . import oracle
 from .oracle import StatMultiset
 from .polynomials import (
     IntPoly,
+    NotDivisible,
     exact_div,
     one_plus_pow,
     q_pochhammer,
@@ -56,6 +57,14 @@ def cyclotomic(k: int) -> IntPoly:
     return out
 
 
+def _gn_powers(n: int):
+    """The power i of each factor (1 + q^i) of G_n, repeats included."""
+    k = 1
+    while n >> k:
+        yield from range(1, (n >> k) + 1)
+        k += 1
+
+
 def build_Gn(n: int, method: str = "product") -> IntPoly:
     """G_n as the double product over (1+q^i), or equivalently as
     prod_m Phi_2m(q)^floor(n/2m).
@@ -67,11 +76,8 @@ def build_Gn(n: int, method: str = "product") -> IntPoly:
         raise ValueError("n must be positive")
     if method == "product":
         out = IntPoly.one()
-        k = 1
-        while n >> k:
-            for i in range(1, (n >> k) + 1):
-                out = out.mul_binomial(i, 1)
-            k += 1
+        for i in _gn_powers(n):
+            out = out.mul_binomial(i, 1)
         return out
     if method == "cyclotomic":
         out = IntPoly.one()
@@ -148,16 +154,20 @@ def extract_Ehat(n: int, source: str = "faa") -> Factorization:
     if n < 2:
         raise ValueError("need n >= 2")
     if source == "faa":
-        alt1q = faa_di_bruno_altmaj(n)
+        e_hat = faa_di_bruno_altmaj(n)
     elif source == "quadratic":
-        alt1q = alt_at_t_qpow(n, 0)
+        e_hat = alt_at_t_qpow(n, 0)
     else:
         raise ValueError(f"unknown source {source!r}")
-    g = build_Gn(n)
-    e_hat = exact_div(alt1q, g)
+    for i in _gn_powers(n):  # one linear division per factor of G_n
+        e_hat, exact = e_hat.div_binomial(i, 1)
+        if not exact:
+            raise NotDivisible(f"(1+q^{i}) does not divide the altmaj polynomial "
+                               f"at n={n}")
     palindromic = shape_predicates(e_hat).palindromic_center is not None
     constant_ok = e_hat[0] == euler_numbers(n)[n]
-    return Factorization(n, g, e_hat, FactorVerdicts(palindromic, constant_ok))
+    return Factorization(n, build_Gn(n), e_hat,
+                         FactorVerdicts(palindromic, constant_ok))
 
 
 def check_thm42(n: int) -> CheckResult:

@@ -386,13 +386,14 @@ def brute_cd_index(n: int, *, brute_max: int | None = None) -> CdIndex:
                    NCPoly(_ab_words(n, hist)), NCPoly(_ab_words(n, hist, odd)))
 
 
-def brute_des3_first1(n: int, *, brute_max: int | None = None) -> StatMultiset:
+def brute_des3_first1(n: int, *, brute_max: int | None = None,
+                      jobs: int = 1) -> StatMultiset:
     """Distribution of 3-descents over permutations of S_{n+1} whose
     first letter is 1 (the comparison class for altdes on S_n)."""
     _guard(n, brute_max)
     if n == 0:
         return StatMultiset(0, "des3", {0: 1})
-    hist = _merge(_des3_first1_hist, n, 1)
+    hist = _merge(_des3_first1_hist, n, jobs)
     return StatMultiset(n + 1, "des3", _read_off(range(n + 1), hist))
 
 

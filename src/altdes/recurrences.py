@@ -5,6 +5,14 @@ The polynomial family A_n(t) = sum over S_n of t^altdes and its
 refinement A_n(t, q) = sum t^altdes q^altmaj are computed here by
 recursion only; the oracle module recomputes the same objects by
 enumeration so that each route checks the other.
+
+Rows of a recurrence that callers read by index (five_term,
+euler_numbers, chebikin_check, egf_check, quadratic_tq, the Faa di
+Bruno rows) are kept for the process in a _Rows table.  A check that
+reads A_n(t) once for n = 1, 2, ... in ascending order (log-concavity,
+gamma-nonnegativity) walks the five-term recurrence with FiveTermWalk
+instead, which keeps one row: the table of rows 0..n holds about
+n^3 log n bits, about 1 GB at n = 1400.
 """
 
 from __future__ import annotations
@@ -63,9 +71,9 @@ class _Rows:
 # ---------------------------------------------------------------------------
 # five-term coefficient recurrence
 
-def _five_term_step(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    m = len(rows) - 1  # extending row m to m+1
-    p = (0, 0) + rows[m] + (0, 0)  # p[k + 2] = A_{m,k}
+def _five_term_next(m: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    """Row m+1 of the five-term recurrence from row m."""
+    p = (0, 0) + row + (0, 0)  # p[k + 2] = A_{m,k}
     nxt = []
     for k, (a, b, c, d) in enumerate(zip(p, p[1:], p[2:], p[3:])):
         val = (k + 1) * (d + b) + (m - k + 1) * (c + a)
@@ -75,7 +83,39 @@ def _five_term_step(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(nxt)
 
 
-_alt_rows = _Rows(((1,), (1,)), _five_term_step)  # rows for n = 0, 1
+# rows for n = 0, 1
+_alt_rows = _Rows(((1,), (1,)), lambda rows: _five_term_next(len(rows) - 1, rows[-1]))
+
+
+class FiveTermWalk:
+    """A_n(t) for a caller that asks for n in ascending order, keeping
+    only the newest row instead of publishing every row to the table.
+
+    row(n) steps forward from the current row.  A step that raises
+    leaves the last good row in place, and an n below the current one
+    starts again from A_1, so every answer is the one five_term gives.
+
+    >>> w = FiveTermWalk()
+    >>> w.row(5).coeffs, w.row(4).coeffs
+    ((16, 26, 36, 26, 16), (5, 7, 7, 5))
+    """
+
+    __slots__ = ("_m", "_row")
+
+    def __init__(self):
+        self._m, self._row = 1, (1,)
+
+    def row(self, n: int) -> IntPoly:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n == 0:
+            return IntPoly.one()
+        if n < self._m:
+            self._m, self._row = 1, (1,)
+        while self._m < n:
+            self._row = _five_term_next(self._m, self._row)
+            self._m += 1
+        return IntPoly(self._row)
 
 
 def five_term(n: int) -> IntPoly:
@@ -112,20 +152,16 @@ def chebikin_check(n: int) -> CheckResult:
 
     for 0 <= k <= n-1, with A_0 = 1 and absent coefficients zero.
     """
-    rows = _alt_rows.upto(n)
-
-    def at(i, j):
-        r = rows[i]
-        return r[j] if 0 <= j < len(r) else 0
-
+    rows = [IntPoly(r) for r in _alt_rows.upto(n)[: n + 1]]
+    lhs = IntPoly()
+    for i in range(n // 2 + 1):  # the terms i and n-i are equal
+        weight = comb(n, i) if 2 * i == n else 2 * comb(n, i)
+        lhs = lhs + rows[i] * rows[n - i] * weight
+    a = rows[n]
     for k in range(n):
-        lhs = 0
-        for i in range(n + 1):
-            for j in range(k + 1):
-                lhs += comb(n, i) * at(i, j) * at(n - i, k - j)
-        rhs = (n + 1 - k) * at(n, k) + (k + 1) * at(n, k + 1)
-        if lhs != rhs:
-            return CheckResult.failed(f"n={n}, k={k}: {lhs} != {rhs}")
+        rhs = (n + 1 - k) * a[k] + (k + 1) * a[k + 1]
+        if lhs[k] != rhs:
+            return CheckResult.failed(f"n={n}, k={k}: {lhs[k]} != {rhs}")
     return CheckResult.passed()
 
 

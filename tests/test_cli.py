@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altdes
-from altdes import cli, gamma, recurrences
+from altdes import cli, divisibility, gamma, recurrences
 from altdes.cli import ResultRow, main, parse_bipoly, parse_poly, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
@@ -163,15 +163,46 @@ def test_finding_exits_one(capsys, monkeypatch):
 
 def test_failing_theorem_is_a_fail_row(capsys, monkeypatch):
     # a non-palindromic A_3 must read as a broken theorem, not a usage error
-    five_term = recurrences.five_term
-    monkeypatch.setattr(recurrences, "five_term",
-                        lambda n: IntPoly((1, 2)) if n == 3 else five_term(n))
+    step = recurrences._five_term_next
+    monkeypatch.setattr(recurrences, "_five_term_next",
+                        lambda m, row: (1, 2) if m == 2 else step(m, row))
     code, out, err = run(capsys, "verify", "thm3.1", "--max-n", "3",
                          "--format", "json")
     assert code == 1 and err == ""
     rows = {r["name"]: r for r in json.loads(out)["results"]}
     bad = rows["palindromic unimodal gamma-nonnegative n=3"]
     assert bad["status"] == "fail" and "not palindromic" in bad["witness"]
+
+
+def test_parity_violation_in_a_walk_is_fail_rows(capsys, monkeypatch):
+    # row 6 corrupted so that the real parity check fires stepping to row 7
+    step = recurrences._five_term_next
+    monkeypatch.setattr(recurrences, "_five_term_next", lambda m, row: step(
+        m, (row[0] + 1,) + row[1:] if m == 6 else row))
+    for token, name in (("conj5.1", "log-concave n={}"),
+                        ("thm3.1", "palindromic unimodal gamma-nonnegative n={}")):
+        code, out, err = run(capsys, "verify", token, "--max-n", "10",
+                             "--format", "csv")
+        assert code == 1 and err == ""
+        assert out.splitlines()[1:] == (
+            [f"{name.format(n)},pass," for n in range(1, 7)]
+            + [f'{name.format(n)},fail,"odd total at n=7, k=0"' for n in range(7, 11)])
+
+
+def test_false_factorization_is_a_fail_row(capsys, monkeypatch):
+    # A_n(1, q) + 1 is not divisible by 1 + q, so no G_n divides it
+    altmaj = divisibility.faa_di_bruno_altmaj
+    monkeypatch.setattr(divisibility, "faa_di_bruno_altmaj", lambda n: altmaj(n) + 1)
+    code, out, err = run(capsys, "factor", "--n", "6", "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["results"] == [{
+        "name": "e_hat", "status": "fail",
+        "witness": "(1+q^1) does not divide the altmaj polynomial at n=6"}]
+    code, out, err = run(capsys, "verify", "thm4.2", "--max-n", "5", "--format", "csv")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == [
+        f"factorization n={n},fail,(1+q^1) does not divide the altmaj polynomial "
+        f"at n={n}" for n in range(2, 6)]
 
 
 def test_expansion_errors_are_failures_not_findings(capsys, monkeypatch):

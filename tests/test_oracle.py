@@ -166,6 +166,7 @@ def test_jobs_do_not_change_results():
         assert (uncached(stat_multiset, n, "maj", jobs=2).values
                 == uncached(stat_multiset, n, "maj").values)
         assert stat_multiset(n, "des3", jobs=2).values == stat_multiset(n, "des3").values
+        assert brute_des3_first1(n, jobs=2).values == brute_des3_first1(n).values
         two_sided = brute_two_sided(n, jobs=2)
         assert two_sided == brute_two_sided(n)
         assert two_sided.at_q1() == brute_alt_eulerian(n)
@@ -197,6 +198,10 @@ def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
     requested.clear()
     assert uncached(brute_alt_eulerian, 11, jobs=10**6) == expected
     assert requested == [11]  # one worker per first letter, no more
+    des3 = brute_des3_first1(11)
+    requested.clear()
+    assert brute_des3_first1(11, jobs=10**6).values == des3.values
+    assert requested == [11]
 
 
 def nth_permutation(n, rank):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altdes import recurrences
+from altdes import cli, recurrences
 from altdes.oracle import brute_alt_eulerian, brute_qalt, brute_simsun
 from altdes.polynomials import BiPolyTQ, IntPoly, q_pochhammer
 from altdes.recurrences import (
+    FiveTermWalk,
+    ParityViolation,
     RationalFnQ,
     alt_at_t_qpow,
     chebikin_check,
@@ -66,6 +68,74 @@ def test_chebikin_convolution():
     for n in range(1, 11):
         ok = chebikin_check(n)
         assert ok.ok, ok.witness
+
+
+def triple_loop_chebikin(n):
+    """The convolution identity coefficient by coefficient, summing
+    C(n,i) A_{i,j} A_{n-i,k-j} over i and j for each k."""
+    rows = recurrences._alt_rows.upto(n)
+
+    def at(i, j):
+        r = rows[i]
+        return r[j] if 0 <= j < len(r) else 0
+
+    for k in range(n):
+        lhs = 0
+        for i in range(n + 1):
+            for j in range(k + 1):
+                lhs += math.comb(n, i) * at(i, j) * at(n - i, k - j)
+        rhs = (n + 1 - k) * at(n, k) + (k + 1) * at(n, k + 1)
+        if lhs != rhs:
+            return False, f"n={n}, k={k}: {lhs} != {rhs}"
+    return True, None
+
+
+def test_chebikin_matches_triple_loop(monkeypatch):
+    for n in range(0, 41):
+        cr = chebikin_check(n)
+        assert (cr.ok, cr.witness) == triple_loop_chebikin(n), n
+    # a corrupted row: both report the same first failing k
+    rows = list(recurrences._alt_rows.upto(12)[:13])
+    for bad in (5, 12):
+        table = list(rows)
+        table[bad] = table[bad][:2] + (table[bad][2] + 1,) + table[bad][3:]
+        monkeypatch.setattr(recurrences._alt_rows, "_rows", tuple(table))
+        for n in range(1, 13):
+            cr = chebikin_check(n)
+            assert (cr.ok, cr.witness) == triple_loop_chebikin(n), (bad, n)
+        assert not chebikin_check(bad).ok
+
+
+def test_five_term_walk_matches_table():
+    walk = FiveTermWalk()
+    up = list(range(0, 121))
+    for seq in (up, up[::-1], up, [7, 7, 3, 3, 120, 120]):
+        for n in seq:
+            assert walk.row(n) == five_term(n), n
+    with pytest.raises(ValueError):
+        walk.row(-1)
+
+
+def _odd_at(m_bad):
+    """_five_term_next with its input row at m = m_bad corrupted so that
+    the real parity check fires at n = m_bad + 1, k = 0."""
+    step = recurrences._five_term_next
+    return lambda m, row: step(m, (row[0] + 1,) + row[1:] if m == m_bad else row)
+
+
+def test_five_term_walk_keeps_last_good_row(monkeypatch):
+    walk = FiveTermWalk()
+    monkeypatch.setattr(recurrences, "_five_term_next", _odd_at(6))
+    assert walk.row(6) == five_term(6)
+    for n in (7, 9):
+        with pytest.raises(ParityViolation, match=r"^odd total at n=7, k=0$"):
+            walk.row(n)
+    # the shared table fails the same way from cold
+    _cold(monkeypatch, recurrences._alt_rows)
+    with pytest.raises(ParityViolation, match=r"^odd total at n=7, k=0$"):
+        five_term(9)
+    monkeypatch.undo()
+    assert walk.row(7) == five_term(7) and walk.row(9) == five_term(9)
 
 
 def test_quadratic_tq_matches_oracle():
@@ -192,6 +262,15 @@ def _cold(monkeypatch, *tables):
     """Forget every row past n = 1 for the rest of the test."""
     for table in tables:
         monkeypatch.setattr(table, "_rows", table._rows[:2])
+
+
+def test_walked_checks_publish_no_five_term_row(monkeypatch, capsys):
+    _cold(monkeypatch, recurrences._alt_rows)
+    assert cli.main(["verify", "conj5.1", "--max-n", "300"]) == 0
+    assert cli.main(["verify", "thm3.1", "--max-n", "40"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "40/40 passed" and "300/300 passed" in out
+    assert len(recurrences._alt_rows._rows) == 2
 
 
 @settings(max_examples=15, deadline=None)
