@@ -252,7 +252,9 @@ def thm411_bijection_check(
 ) -> CheckResult:
     """Reversing the first 2m letters is an involution on S_n that
     shifts altmaj by m mod 2m; consequently the altmaj residue classes
-    l and l+m (mod 2m) are equinumerous."""
+    l and l+m (mod 2m) are equinumerous.  The witness of a failed shift
+    is the first failing word in the block order of
+    oracle.iter_perm_arrays, which is lexicographic only for n <= 9."""
     import numpy as np
 
     if m < 1 or 2 * m > n:

@@ -2,24 +2,29 @@
 
 Every histogram here is a tally over materialized words, never read from
 a recurrence.  S_k is an int8 array of shape (k, k!), one word per
-column in lexicographic order; blocks up to S_10 are cached (about
-40 MB, published under a lock).  The partition of S_n with first letter
-v is v over S_{n-1} relabelled by x -> x + [x >= v].  Partitions are the
-parallelism seam: they run on at most min(jobs, partitions, cpu count)
-processes, forked after S_{n-1} is built so that workers inherit it.
+column in lexicographic order; blocks up to S_9 are cached (about
+3.7 MB, published under a lock).  Every enumeration streams S_n in
+blocks of at most 9! words, so none holds more than one block: above
+n = 9, block b of S_{n-1} is built once and each first letter v in turn
+is placed in front of it, relabelled by x -> x + [x >= v], in one reused
+buffer.  The (n-1)!/9! blocks of S_{n-1} are the parallelism seam: they
+run on at most min(jobs, blocks, cpu count) processes, forked after S_9
+is built so that workers inherit it.
 
 Each word becomes the code sum_i [w_i > w_{i+1}] << i of its descent
 set.  des, maj, altdes, altmaj and the ab-indexes psi and psi_hat are
 read off one histogram of codes (the alternating descent set is the
 descent set XOR the even-position mask).  That histogram is tallied once
 per n and kept, read-only, in a cache published under a lock: one entry
-per n of 2^(n-1) int64 bins, so with n <= 20 (_guard stops where int64
-tallies would overflow) the cache never exceeds 8 MB, and under 20 KB for
-n <= 11.  The two-sided tally uses the codes of w and of w^-1, and des3,
-not a function of the descent set, has its own kernel.  Simsun words are
-generated by inserting each new largest letter where it makes no double
-descent.  Counts are int64 and leave as Python ints; the test-suite's
-pure-Python definitional loops must agree with all of it.
+per n of 2^(n-1) int64 bins.  _guard stops n at 16, where the uint16
+codes of w^-1 would lose a letter, so an entry has at most 2^15 bins and
+the cache never exceeds 512 KB, under 20 KB for n <= 11.  The two-sided
+tally uses the codes of w and of w^-1, and des3, not a function of the
+descent set, has its own kernel.  Simsun words are generated by
+inserting each new largest letter where it makes no double descent, and
+the last insertion is tallied one position at a time.  Counts are int64
+and leave as Python ints; the test-suite's pure-Python definitional
+loops must agree with all of it.
 """
 
 from __future__ import annotations
@@ -71,13 +76,13 @@ def _guard(n: int, brute_max: int | None) -> int:
         raise ValueError("n must be nonnegative")
     if n > limit:
         raise LimitExceeded(f"n = {n} exceeds brute-force bound {limit}")
-    if factorial(n) >= 1 << 62:
-        raise LimitExceeded(f"n = {n} would overflow int64 tallies")
+    if n > 16:
+        raise LimitExceeded(f"n = {n} exceeds 16, the most letters a 16-bit code holds")
     return limit
 
 
 _BLOCK_CACHE: dict[int, np.ndarray] = {}
-_BLOCK_CACHE_MAX = 10  # S_10 is 36 MB, the whole cache about 40 MB; never hold S_11
+_BLOCK_CACHE_MAX = 9  # the largest cached block and the block size of every enumeration
 _BLOCK_LOCK = threading.Lock()
 
 
@@ -89,8 +94,9 @@ def _place(sub: np.ndarray, v: int, out: np.ndarray) -> None:
 
 
 def _columns(k: int) -> np.ndarray:
-    """All permutations of 0..k-1 as a read-only (k, k!) int8 array,
-    one word per column, in lexicographic order."""
+    """All permutations of 0..k-1, k <= _BLOCK_CACHE_MAX, as a cached
+    read-only (k, k!) int8 array, one word per column, in lexicographic
+    order."""
     W = _BLOCK_CACHE.get(k)
     if W is not None:
         return W
@@ -103,56 +109,83 @@ def _columns(k: int) -> np.ndarray:
         for v in range(k):
             _place(sub, v, W[:, v * f : (v + 1) * f])
     W.flags.writeable = False
-    if k <= _BLOCK_CACHE_MAX:
-        with _BLOCK_LOCK:
-            W = _BLOCK_CACHE.setdefault(k, W)
-    return W
+    with _BLOCK_LOCK:
+        return _BLOCK_CACHE.setdefault(k, W)
 
 
 def _n_partitions(n: int) -> int:
-    return 1 if n <= _BLOCK_CACHE_MAX else n
-
-
-def _partition(n: int, idx: int) -> np.ndarray:
-    """Partition idx of S_n, column-major: all of S_n while it is
-    cached, else the words with first letter idx."""
+    """Tasks of S_n: one per K!-word block of S_{n-1} (K = _BLOCK_CACHE_MAX),
+    or a single task while S_n itself is cached."""
     if n <= _BLOCK_CACHE_MAX:
-        return _columns(n)
-    sub = _columns(n - 1)
-    W = np.empty((n, sub.shape[1]), dtype=np.int8)
-    _place(sub, idx, W)
+        return 1
+    return factorial(n - 1) // factorial(_BLOCK_CACHE_MAX)
+
+
+def _rest(m: int, idx: int) -> np.ndarray:
+    """Block idx of S_m (m >= K): the K! words of lexicographic ranks
+    idx K! to (idx + 1) K! - 1, as an (m, K!) array."""
+    if m == _BLOCK_CACHE_MAX:
+        return _columns(m)
+    v, idx = divmod(idx, _n_partitions(m))
+    W = np.empty((m, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
+    _place(_rest(m - 1, idx), v, W)
     return W
+
+
+def _blocks(n: int, idx: int) -> Iterator[np.ndarray]:
+    """Task idx of S_n, block by block.  While S_n is cached it is one
+    block.  Else block idx of S_{n-1} is built once, and each first letter
+    v in turn is placed in front of it in one reused (n, K!) buffer, so a
+    block is overwritten when the next is made.  Column j of the block
+    with first letter v is the word of lexicographic rank
+    v (n-1)! + idx K! + j."""
+    if n <= _BLOCK_CACHE_MAX:
+        yield _columns(n)
+        return
+    rest = _rest(n - 1, idx)
+    W = np.empty((n, rest.shape[1]), dtype=np.int8)
+    for v in range(n):
+        _place(rest, v, W)
+        yield W
 
 
 def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
-    """Yield S_n as 0-based int8 arrays with one word per row, one
-    partition per first letter (a single block for small n).
-    Concatenated top to bottom the rows are exactly S_n in
-    lexicographic order."""
+    """Yield S_n as read-only 0-based int8 arrays with one word per row,
+    in the order of the block stream: all of S_n at once for n <= 9;
+    else, for each task b < (n-1)!/9! and then each first letter v < n,
+    a block of 9! rows whose row j is the word of lexicographic rank
+    v (n-1)! + b 9! + j.  A block is overwritten when the next one is
+    made, so copy what must outlive it."""
     for idx in range(_n_partitions(n)):
-        yield _partition(n, idx).T
+        for W in _blocks(n, idx):
+            rows = W.T
+            rows.flags.writeable = False
+            yield rows
+
+
+def _simsun_blocks(n: int) -> Iterator[np.ndarray]:
+    """The Simsun words of length n, column-major, one block per position
+    of the largest letter.  w is Simsun iff w without its largest letter
+    k is Simsun and w has no double descent, and the only one inserting k
+    at position p can make is k > w_p > w_{p+1}: so k goes in front of an
+    ascent or in one of the last two positions.  Only the shorter words
+    are held; each block of length n is made as it is asked for."""
+    if n <= 1:
+        yield _columns(n)
+        return
+    W = _simsun_columns(n - 1)
+    for p in range(n):
+        src = W[:, W[p] < W[p + 1]] if p < n - 2 else W
+        block = np.empty((n, src.shape[1]), dtype=np.int8)
+        block[:p] = src[:p]
+        block[p] = n - 1
+        block[p + 1 :] = src[p:]
+        yield block
 
 
 def _simsun_columns(n: int) -> np.ndarray:
-    """The Simsun words of length n, column-major.  w is Simsun iff w
-    without its largest letter k is Simsun and w has no double descent,
-    and the only one inserting k at position p can make is k > w_p > w_{p+1}:
-    so k goes in front of an ascent or in one of the last two positions."""
-    W = _columns(min(n, 1))
-    for k in range(1, n):
-        keeps = [W[p] < W[p + 1] for p in range(k - 1)]
-        sizes = [int(np.count_nonzero(m)) for m in keeps] + [W.shape[1]] * 2
-        out = np.empty((k + 1, sum(sizes)), dtype=np.int8)
-        start = 0
-        for p, size in enumerate(sizes):
-            src = W[:, keeps[p]] if p < k - 1 else W
-            block = out[:, start : start + size]
-            block[:p] = src[:p]
-            block[p] = k
-            block[p + 1 :] = src[p:]
-            start += size
-        W = out
-    return W
+    """All Simsun words of length n as one (n, count) array."""
+    return np.concatenate(list(_simsun_blocks(n)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +193,7 @@ def _simsun_columns(n: int) -> np.ndarray:
 
 def _descent_codes(W: np.ndarray) -> np.ndarray:
     """Descent set of every column of W as sum_i [w_i > w_{i+1}] << i.
-    16 bits suffice: no S_n with n > 16 fits in memory."""
+    16 bits suffice: _guard stops n at 16."""
     code = np.zeros(W.shape[1], dtype=np.uint16)
     for i in range(W.shape[0] - 1):
         code += (W[i] > W[i + 1]) * np.uint16(1 << i)
@@ -226,19 +259,18 @@ def _des3_first1_hist(W: np.ndarray) -> np.ndarray:
 
 def _run(task) -> np.ndarray:
     kernel, n, idx = task
-    return kernel(_partition(n, idx))
+    return sum(map(kernel, _blocks(n, idx)))
 
 
 def _merge(kernel, n: int, jobs: int) -> np.ndarray:
-    """Sum kernel over the partitions of S_n, on at most
+    """Sum kernel over the blocks of S_n, on at most
     min(jobs, partitions, cpu count) worker processes."""
     parts = _n_partitions(n)
     workers = min(jobs, parts, os.cpu_count() or 1)
     tasks = [(kernel, n, idx) for idx in range(parts)]
     if workers <= 1:
         return sum(map(_run, tasks))
-    if n - 1 <= _BLOCK_CACHE_MAX:
-        _columns(n - 1)  # build it once here; forked workers inherit it
+    _columns(_BLOCK_CACHE_MAX)  # build it once here; forked workers inherit it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_run, tasks))
 
@@ -348,7 +380,7 @@ def brute_simsun(n: int, *, brute_max: int | None = None, jobs: int = 1) -> IntP
     _guard(n, brute_max)
     if n == 0:
         return IntPoly.one()
-    hist = _descent_hist(_simsun_columns(n))
+    hist = sum(map(_descent_hist, _simsun_blocks(n)))
     des = _read_off(_set_stats(n)["des"].tolist(), hist)
     return IntPoly([des.get(d, 0) for d in range(n)])
 
@@ -380,8 +412,7 @@ def brute_cd_index(n: int, *, brute_max: int | None = None) -> CdIndex:
         return CdIndex(NCPoly.one(), NCPoly.one(), NCPoly.one())
     hist = _descent_histogram(n, 1)
     odd = sum(1 << i for i in range(1, n - 1, 2))
-    S = _simsun_columns(n)
-    phi = _ab_words(n, _descent_hist(S[:, S[-1] == n - 1]))
+    phi = _ab_words(n, sum(_descent_hist(S[:, S[-1] == n - 1]) for S in _simsun_blocks(n)))
     return CdIndex(NCPoly({ab_to_cd(u): c for u, c in phi.items()}),
                    NCPoly(_ab_words(n, hist)), NCPoly(_ab_words(n, hist, odd)))
 
@@ -404,4 +435,5 @@ def down_up_simsun_count(n: int, *, brute_max: int | None = None) -> int:
     if n <= 1:
         return 1
     down_up = sum(1 << i for i in range(0, n - 1, 2))
-    return int(np.count_nonzero(_descent_codes(_simsun_columns(n)) == down_up))
+    return sum(int(np.count_nonzero(_descent_codes(S) == down_up))
+               for S in _simsun_blocks(n))

@@ -23,6 +23,7 @@ from altdes.oracle import (
 )
 from altdes.permutations import alt_stats, cd_word, classic_stats, inverse, is_down_up, is_simsun
 from altdes.polynomials import BiPolyTQ, NCPoly
+from altdes.recurrences import five_term
 
 
 def scalar_hist(n, key):
@@ -193,15 +194,15 @@ def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
     cpus = os.cpu_count() or 1
     requested.clear()
     assert uncached(brute_alt_eulerian, 11, jobs=10**6) == expected
-    assert requested == ([min(11, cpus)] if cpus > 1 else [])
+    assert requested == ([min(10, cpus)] if cpus > 1 else [])
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
     requested.clear()
     assert uncached(brute_alt_eulerian, 11, jobs=10**6) == expected
-    assert requested == [11]  # one worker per first letter, no more
+    assert requested == [10]  # one worker per 9!-word block of S_10, no more
     des3 = brute_des3_first1(11)
     requested.clear()
     assert brute_des3_first1(11, jobs=10**6).values == des3.values
-    assert requested == [11]
+    assert requested == [10]
 
 
 def nth_permutation(n, rank):
@@ -222,12 +223,28 @@ def test_column_builder_is_lexicographic():
         assert [tuple(int(x) for x in col) for col in W.T] == list(
             itertools.permutations(range(n))
         )
-    f = math.factorial(10)
-    for v in range(11):
-        W = oracle._partition(11, v)
+    f = math.factorial(9)
+    for idx in range(math.factorial(11) // f):
+        W = oracle._rest(11, idx)
         assert W.shape == (11, f)
         for j in (0, f // 2, f - 1):
-            assert tuple(int(x) for x in W[:, j]) == nth_permutation(11, v * f + j)
+            assert tuple(int(x) for x in W[:, j]) == nth_permutation(11, idx * f + j)
+
+
+def test_stream_blocks_follow_their_documented_rank():
+    f = math.factorial(9)
+    for n in (10, 11):
+        blocks = 0
+        for i, rows in enumerate(iter_perm_arrays(n)):
+            b, v = divmod(i, n)  # task outer, first letter inner
+            assert rows.shape == (f, n) and rows.dtype == "int8"
+            assert not rows.flags.writeable
+            for j in (0, 1, f // 3, f - 1):
+                rank = v * math.factorial(n - 1) + b * f + j
+                assert tuple(int(x) for x in rows[j]) == nth_permutation(n, rank)
+            blocks += 1
+        assert blocks * f == math.factorial(n)
+        assert blocks == oracle._n_partitions(n) * n
 
 
 def test_simsun_insertion_matches_filter():
@@ -279,7 +296,7 @@ def test_descent_histogram_is_tallied_once_per_n(monkeypatch):
     brute_alt_eulerian(11)
     brute_qalt(11)
     stat_multiset(11, "maj")
-    assert tallied == [(11, math.factorial(10))] * 11  # one pass, not three
+    assert tallied == [(11, math.factorial(9))] * 110  # one pass, not three
 
 
 def test_descent_histogram_cache_keeps_guard_and_is_read_only():
@@ -328,6 +345,38 @@ def test_descent_histogram_cache_is_thread_safe(monkeypatch):
     assert list(oracle._HIST_CACHE) == [9]
     # a thread that lost the race reads the winner's histogram, not its own
     assert len(read) == 8 and all(h is oracle._HIST_CACHE[9] for h in read)
+
+
+def test_cold_enumeration_memory_is_one_block():
+    import tracemalloc
+
+    for call in (lambda: stat_multiset(11, "altmaj"), lambda: brute_simsun(11)):
+        oracle._BLOCK_CACHE.clear()
+        oracle._HIST_CACHE.clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+
+def test_n12_oracle_matches_recurrence():
+    assert brute_alt_eulerian(12, brute_max=12, jobs=2) == five_term(12)
+
+
+def test_guard_stops_at_the_code_width(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr(oracle, "_merge", enumerate_nothing)
+    monkeypatch.setattr(oracle, "_blocks", enumerate_nothing)
+    assert oracle._guard(16, 20) == 20
+    with pytest.raises(LimitExceeded):
+        oracle._guard(17, 20)
+    with pytest.raises(LimitExceeded):
+        stat_multiset(17, "des", brute_max=20)
 
 
 def test_brute_max_guard():
