@@ -144,7 +144,7 @@ class Factorization:
     verdicts: FactorVerdicts
 
 
-def extract_Ehat(n: int, source: str = "faa") -> Factorization:
+def extract_Ehat(n: int) -> Factorization:
     """Divide the altmaj polynomial by G_n and report whether the
     cofactor is palindromic with constant term E_n.
 
@@ -153,12 +153,7 @@ def extract_Ehat(n: int, source: str = "faa") -> Factorization:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if source == "faa":
-        e_hat = faa_di_bruno_altmaj(n)
-    elif source == "quadratic":
-        e_hat = alt_at_t_qpow(n, 0)
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    e_hat = faa_di_bruno_altmaj(n)
     for i in _gn_powers(n):  # one linear division per factor of G_n
         e_hat, exact = e_hat.div_binomial(i, 1)
         if not exact:
@@ -261,14 +256,13 @@ def thm411_bijection_check(
         raise ValueError("need 1 <= 2m <= n")
     oracle._guard(n, brute_max)
     mod = 2 * m
+    perm = np.r_[mod - 1 : -1 : -1, mod:n]  # the image's letter i is the word's perm[i]
+    if not np.array_equal(perm[perm], np.arange(n)):
+        return CheckResult.failed(f"n={n}, m={m}: prefix reversal not an involution")
     class_sizes = np.zeros(mod, dtype=np.int64)
     for P in oracle.iter_perm_arrays(n):
-        Q = np.concatenate([P[:, mod - 1 :: -1], P[:, mod:]], axis=1)
-        again = np.concatenate([Q[:, mod - 1 :: -1], Q[:, mod:]], axis=1)
-        if not np.array_equal(again, P):
-            return CheckResult.failed(f"n={n}, m={m}: prefix reversal not an involution")
         am = oracle._stat_vector(P.T, "altmaj")
-        am2 = oracle._stat_vector(Q.T, "altmaj")
+        am2 = oracle._stat_vector(P.T[perm], "altmaj")
         off = (am2 - am - m) % mod
         if off.any():
             row = int(np.flatnonzero(off)[0])

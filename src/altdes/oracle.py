@@ -37,7 +37,7 @@ from typing import Iterator, NamedTuple
 
 from .permutations import ab_to_cd
 from .polynomials import BiPolyTQ, IntPoly, NCPoly
-from .reporting import AltdesError
+from .reporting import UsageError
 
 
 class _Numpy:
@@ -66,7 +66,7 @@ DEFAULT_BRUTE_MAX = 11
 STATS = ("altdes", "altmaj", "des", "maj", "des3")
 
 
-class LimitExceeded(AltdesError, ValueError):
+class LimitExceeded(UsageError):
     """Raised when an enumeration would exceed the configured bound."""
 
 

@@ -9,51 +9,25 @@ are exact.
 import json
 import time
 
-from altdes import cli
-from altdes.divisibility import (
-    build_Ev,
-    build_Gn,
-    check_pochhammer_orders,
-    check_qj_parity,
-    check_thm42,
-    extract_Ehat,
-    thm411_bijection_check,
-    verify_conj410,
-)
-from altdes.gamma import (
-    cd_transform,
-    q_gamma_extract,
-    simsun_relation_check,
-    two_sided_extract,
-)
+from altdes import checks, cli
+from altdes.divisibility import build_Ev, build_Gn, check_pochhammer_orders, extract_Ehat
+from altdes.gamma import q_gamma_extract, two_sided_extract
 from altdes.oracle import (
     brute_alt_eulerian,
-    brute_cd_index,
-    brute_des3_first1,
     brute_qalt,
     brute_simsun,
     brute_two_sided,
     down_up_simsun_count,
-    stat_multiset,
 )
-from altdes.permutations import double_count_check, theta_check
-from altdes.polynomials import (
-    IntPoly,
-    NCPoly,
-    gamma_expand,
-    one_plus_pow,
-    shape_predicates,
-)
+from altdes.permutations import theta_check
+from altdes.polynomials import IntPoly, one_plus_pow
 from altdes.recurrences import (
-    chebikin_check,
-    egf_check,
     euler_numbers,
     faa_di_bruno_altmaj,
     five_term,
     gamma_rec,
     quadratic_tq,
     simsun_rec,
-    specialized_recursion_check,
 )
 
 RESULTS = []
@@ -80,6 +54,14 @@ def _criterion(num, label, body, budget=None):
     assert ok, line
 
 
+def _passes(*tokens):
+    """Every row of each token's verify suite passes at its default range."""
+    for token in tokens:
+        for row in checks.run(token):
+            assert row.status == "pass", \
+                f"{token}: {row.status} {row.name} [{row.witness}]"
+
+
 def test_criterion_01_golden_polynomials():
     def body():
         golden = {
@@ -95,7 +77,9 @@ def test_criterion_01_golden_polynomials():
     _criterion(1, "golden polynomials through n=5", body, budget=1.0)
 
 
-def test_criterion_02_factorization_table():
+def test_criterion_02_factorization_table(tmp_path):
+    out = tmp_path / "factor.json"
+
     def body():
         printed = {
             2: P(1),
@@ -110,10 +94,9 @@ def test_criterion_02_factorization_table():
         }
         for n, expected in printed.items():
             code = cli.main(["factor", "--n", str(n), "--format", "json",
-                             "--out", "/tmp/altdes_factor.json"])
+                             "--out", str(out)])
             assert code == 0, f"factor --n {n} exited {code}"
-            with open("/tmp/altdes_factor.json", encoding="utf-8") as fh:
-                report = json.load(fh)
+            report = json.loads(out.read_text(encoding="utf-8"))
             values = {r["name"]: r.get("value") for r in report["results"]}
             assert values["e_hat"] == list(expected), f"n={n}"
             got = cli.parse_poly(values["g_n"]) * expected
@@ -131,11 +114,9 @@ def test_criterion_02_factorization_table():
 
 def test_criterion_03_oracle_equivalence():
     def body():
+        _passes("thm2.1", "cor3.5", "eq-fn0")
         for n in range(1, 11):
-            assert five_term(n) == brute_alt_eulerian(n), f"alt n={n}"
             assert quadratic_tq(n) == brute_qalt(n), f"qalt n={n}"
-            assert simsun_rec(n, "derivative") == simsun_rec(n, "quadratic") \
-                == brute_simsun(n), f"simsun n={n}"
         n = 11
         assert five_term(n) == brute_alt_eulerian(n, jobs=2), "alt n=11"
         assert quadratic_tq(n) == brute_qalt(n, jobs=2), "qalt n=11"
@@ -147,57 +128,33 @@ def test_criterion_03_oracle_equivalence():
 
 
 def test_criterion_04_convolution():
-    def body():
-        for n in range(1, 11):
-            ok = chebikin_check(n)
-            assert ok.ok, ok.witness
-
-    _criterion(4, "convolution identity to n=10", body)
+    _criterion(4, "convolution identity to n=10", lambda: _passes("eq1"))
 
 
 def test_criterion_05_generating_function():
-    def body():
-        ok = egf_check(10)
-        assert ok.ok, ok.witness
-
-    _criterion(5, "exact series match through order 10", body, budget=5.0)
+    _criterion(5, "exact series match through order 10", lambda: _passes("eq2"),
+               budget=5.0)
 
 
 def test_criterion_06_gamma_pipeline():
     def body():
-        x_plus_1 = P(1, 1)
-        for n in range(1, 13):
-            a = gamma_rec(n)
-            assert gamma_expand(five_term(n), n).polynomial() == a, f"n={n}"
-            assert a == simsun_rec(n - 1).compose(x_plus_1), f"n={n}"
+        _passes("thm3.1")
         assert gamma_rec(5) == P(16, 19, 4)
         E = euler_numbers(13)
         for n in range(3, 13):
             assert gamma_rec(n)[1] == n * E[n] - E[n + 1], f"n={n}"
 
-    _criterion(6, "gamma vectors, simsun shift, and column identity", body)
+    _criterion(6, "gamma positivity, gamma vectors, and column identity", body)
 
 
 def test_criterion_07_cd_index():
-    def body():
-        images = {"c": NCPoly({"a": 1, "b": 1}), "d": NCPoly({"ab": 1, "ba": 1})}
-        for n in range(1, 8):
-            cd = brute_cd_index(n)
-            tr = cd_transform(cd.phi)
-            assert cd.psi == cd.phi.substitute(images), f"psi n={n}"
-            assert cd.psi_hat == tr.phi_hat.substitute(images), f"psi-hat n={n}"
-            assert tr.alt_poly == five_term(n), f"eval n={n}"
-            ok = simsun_relation_check(n)
-            assert ok.ok, ok.witness
-
-    _criterion(7, "cd-index relations to n=7", body, budget=30.0)
+    _criterion(7, "cd-index relations to n=7, simsun shift to n=12",
+               lambda: _passes("prop3.4", "thm3.2"), budget=30.0)
 
 
 def test_criterion_08_values_at_minus_one():
     def body():
-        E = euler_numbers(13)
-        for n in range(1, 14, 2):
-            assert five_term(n)(-1) == E[n], f"n={n}"
+        _passes("cor3.3")
         assert [down_up_simsun_count(k) for k in (2, 4, 6)] == [1, 4, 34]
 
     _criterion(8, "odd values at -1 and down-up simsun counts", body)
@@ -205,9 +162,7 @@ def test_criterion_08_values_at_minus_one():
 
 def test_criterion_09_divisibility():
     def body():
-        for n in range(2, 17):
-            ok = check_thm42(n)
-            assert ok.ok, ok.witness
+        _passes("thm4.2", "thm4.5", "thm4.6")
         for n in range(1, 21):
             ok = check_pochhammer_orders(n)
             assert ok.ok, ok.witness
@@ -219,21 +174,13 @@ def test_criterion_09_divisibility():
                 prod = prod * build_Ev(i)
             assert build_Gn(2 * k) == prod == build_Gn(2 * k + 1), f"k={k}"
         assert build_Ev(6) == one_plus_pow(6) * one_plus_pow(3)
-        for n in range(1, 15):
-            for j in range(5):
-                ok = check_qj_parity(n, j)
-                assert ok.ok, ok.witness
-                if j:
-                    ok2 = specialized_recursion_check(n, j)
-                    assert ok2.ok, ok2.witness
 
     _criterion(9, "divisibility suite: orders, products, parity", body)
 
 
 def test_criterion_10_conjecture_suite():
     def body():
-        for n in range(1, 201):
-            assert shape_predicates(five_term(n)).log_concave, f"n={n}"
+        _passes("conj5.1", "conj5.2", "conj5.3", "conj4.10")
         table = {
             2: [P(1)],
             3: [P(2), P(1, 1)],
@@ -252,11 +199,6 @@ def test_criterion_10_conjecture_suite():
         for n, gammas in table.items():
             got = q_gamma_extract(quadratic_tq(n), n)
             assert list(got.gammas) == gammas, f"q-gamma n={n}"
-        for n in range(1, 11):
-            p = quadratic_tq(n)
-            got = q_gamma_extract(p, n)
-            assert got.reconstruct() == p, f"n={n}"
-            assert got.conjecture_holds(), f"n={n}"
         expansions = {
             2: {(0, 1): 1},
             3: {(0, 2): 1, (0, 0): 1, (1, 0): 2},
@@ -267,14 +209,6 @@ def test_criterion_10_conjecture_suite():
         for n, entries in expansions.items():
             assert two_sided_extract(brute_two_sided(n)).entries == entries, \
                 f"two-sided n={n}"
-        for n in range(1, 11):
-            a = brute_two_sided(n)
-            ext = two_sided_extract(a)
-            assert ext.reconstruct() == a, f"n={n}"
-            assert ext.nonnegative(), f"n={n}"
-        for n in range(1, 12):
-            ok = verify_conj410(n)
-            assert ok.ok, ok.witness
 
     _criterion(10, "conjecture suite: log-concavity, refined expansions, "
                    "binomial criterion", body)
@@ -282,20 +216,10 @@ def test_criterion_10_conjecture_suite():
 
 def test_criterion_11_combinatorial_proofs():
     def body():
-        for n in range(1, 8):
-            ok = double_count_check(n)
-            assert ok.ok, ok.witness
+        _passes("double-count", "thm4.11", "equidist")
         for n in range(1, 9):
             ok = theta_check(n)
             assert ok.ok, ok.witness
-        for n in range(2, 10):
-            for m in range(1, n // 2 + 1):
-                ok = thm411_bijection_check(n, m)
-                assert ok.ok, ok.witness
-        for n in range(1, 8):
-            left = stat_multiset(n, "altdes")
-            right = brute_des3_first1(n)
-            assert left.values == right.values, f"n={n}"
 
     _criterion(11, "bijective arguments: double count, involution, "
                    "prefix reversal, equidistribution", body)

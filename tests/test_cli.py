@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altdes
-from altdes import cli, divisibility, gamma, recurrences
-from altdes.cli import ResultRow, main, parse_bipoly, parse_poly, ser_bipoly, ser_poly
+from altdes import checks, cli, divisibility, gamma, recurrences
+from altdes.cli import main, parse_bipoly, parse_poly, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
 from altdes.recurrences import five_term, quadratic_tq
+from altdes.reporting import ResultRow, UsageError
 
 
 def run(capsys, *argv):
@@ -146,7 +147,7 @@ def test_verify_json_schema(capsys):
 
 def test_verify_failure_has_witness_and_exit_one(capsys, monkeypatch):
     rows = [ResultRow("forced", "fail", witness="broken")]
-    monkeypatch.setitem(cli.VERIFY_HANDLERS, "eq1", (3, lambda m, c: rows))
+    monkeypatch.setitem(checks.SUITES, "eq1", (3, lambda m, c: rows))
     code, out, _ = run(capsys, "verify", "eq1", "--format", "json")
     assert code == 1
     report = json.loads(out)
@@ -155,7 +156,7 @@ def test_verify_failure_has_witness_and_exit_one(capsys, monkeypatch):
 
 def test_finding_exits_one(capsys, monkeypatch):
     rows = [ResultRow("open case", "finding", witness="counterexample n=3")]
-    monkeypatch.setitem(cli.VERIFY_HANDLERS, "conj5.1", (3, lambda m, c: rows))
+    monkeypatch.setitem(checks.SUITES, "conj5.1", (3, lambda m, c: rows))
     code, out, _ = run(capsys, "verify", "conj5.1")
     assert code == 1
     assert out.splitlines()[0].startswith("FINDING")
@@ -307,7 +308,7 @@ def test_value_error_in_a_check_is_a_fail_row(capsys, monkeypatch):
     assert code == 1 and err == ""
     assert out.splitlines()[1:] == [
         f"convolution identity n={n},fail,forced at n={n}" for n in (1, 2)]
-    for exc in (cli.UsageError, cli.LimitExceeded):
+    for exc in (UsageError, altdes.LimitExceeded):
         assert issubclass(exc, altdes.AltdesError) and issubclass(exc, ValueError)
     # a bad argument the library rejects is still a usage error
     assert run(capsys, "compute", "gamma", "--n", "0") == (
@@ -332,15 +333,46 @@ def test_jobs_flag_passes_through(capsys):
     assert out == "altdes n=6 = 61 + 117t + 182t^2 + 182t^3 + 117t^4 + 61t^5\n"
 
 
+# sha256 of each `verify <token> --max-n 2 --format csv` report, recorded
+# before the verify registry moved from altdes.cli to altdes.checks
+_VERIFY_DIGESTS = {
+    "conj4.10": "ec3912f34831b0b4bd6184cd4d2764138140238f63a2aaa82443902b5f810f93",
+    "conj5.1": "a5100c9c2a80a83c1ff8600cc33f5024217a940a3d3043b35cd2a2152021e8bb",
+    "conj5.2": "c2c0716c0bea54e2a67c7a8ccf3ade2759ec8de3f06e1818e3ebe52deffe96e9",
+    "conj5.3": "4042ac55574d504b21b9ca95586a448914ba40dc1c8632b798dd9999981df32c",
+    "cor3.3": "2d1c56d8333a7d0815218166e84d892df9109a9ae7b05955651946630a57421b",
+    "cor3.5": "ed6cb859582bc602d99382fbc54106f08b465264d7e6d6a16b7fb26cdc032e8d",
+    "double-count": "396217798a3880166c259adcb1ef3be0334e1213996a22f541071956e883ab0e",
+    "eq-fn0": "4bba902f7c8d9732295f3bac4db83afa1d5b83d6010da30a5cfcd9b01c57a3e6",
+    "eq1": "b82462bc5b14f1fc29db2c6a23162fd93961fad44754826836acf56f56cef874",
+    "eq2": "b8d2916bbe4231e8d5c9929bc0caa7eec26b365c46aa4bcf37428684ca3aa252",
+    "equidist": "9535b6ab10f01510a08c026a7cd6727344c71dc6ba07d7c40741c8e2c974b448",
+    "prop3.4": "e9bb85e556107e3160e66b7d49b6845b4978a2cb1ad62824cd7f1c18a4611fd9",
+    "thm2.1": "8dd22160cf582979e1e62f1ef7e12543501320ebf20fc07fdd2deb8953971caf",
+    "thm3.1": "7157423c7a1a84721ddcf07f535e71abf52a6308587232f06c47a737708fc7dd",
+    "thm3.2": "024ca457cff62c23775a04c20dda54b53da76c3b6d172e8f269b96ff6a1eaf5c",
+    "thm4.11": "22352c6b5f36e5430e510e09b1a44030fe5396c099d5df46cdd6f64ec5f581ae",
+    "thm4.2": "0c4c6eca90a8c74da1c4b8f0369410b5c028d09093db29939a94645efc1a4a4d",
+    "thm4.5": "c776b09958eb0be5e200c6232cd46965cd833fc88375e76ec18d8ee262c6d6fc",
+    "thm4.6": "108afb2dceee4b80ab7d9a870b4f031b5b8d49e56c22b93f31149cffc1f9357a",
+}
+
+
 def test_every_token_has_a_handler(capsys):
-    assert set(cli.VERIFY_TOKENS) == set(cli.VERIFY_HANDLERS)
-    for token, (default_max, handler) in cli.VERIFY_HANDLERS.items():
-        assert default_max >= 1 and callable(handler)
+    assert set(_VERIFY_DIGESTS) == set(checks.SUITES)
+    for token, (default_max, suite) in checks.SUITES.items():
+        assert default_max >= 1 and callable(suite)
         code, out, _ = run(capsys, "verify", token, "--max-n", "2",
                            "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 0 and rows, token
         assert all(r["status"] == "pass" for r in rows), token
+        assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[token], token
+
+
+def test_run_rejects_an_empty_range():
+    with pytest.raises(UsageError, match="--max-n must be at least 1"):
+        checks.run("eq1", 0)
 
 
 _small = st.integers(-(1 << 70), 1 << 70)
@@ -361,7 +393,7 @@ def test_numpy_is_imported_only_to_enumerate():
         import sys
         import altdes
         layers = ("polynomials", "permutations", "oracle", "recurrences",
-                  "gamma", "divisibility")
+                  "gamma", "divisibility", "checks")
         assert all(f"altdes.{m}" in sys.modules for m in layers)
         import altdes.cli
         assert "altdes.cli" in sys.modules and "numpy" not in sys.modules

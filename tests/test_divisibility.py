@@ -88,7 +88,6 @@ def test_extract_ehat_identity_and_verdicts():
         assert f.verdicts.e_hat_palindromic
         assert f.verdicts.constant_term_is_euler
         assert f.e_hat[0] == E[n]
-        assert extract_Ehat(n, source="quadratic").e_hat == f.e_hat
 
 
 def test_extract_ehat_printed_values():
