@@ -300,6 +300,8 @@ def run(token: str, max_n: int | None = None, *, brute_max: int = DEFAULT_BRUTE_
         jobs: int = 1) -> list[ResultRow]:
     """The rows of token's suite for n up to max_n (the token's default
     when None), enumerating at most brute_max letters with jobs workers."""
+    if token not in SUITES:
+        raise UsageError(f"unknown token {token!r}; choose from {', '.join(SUITES)}")
     default_max, suite = SUITES[token]
     maxn = default_max if max_n is None else max_n
     if maxn < 1:

@@ -9,10 +9,17 @@ n = 9, block b of S_{n-1} is built once and each first letter v in turn
 is placed in front of it, relabelled by x -> x + [x >= v], in one reused
 buffer.  The (n-1)!/9! blocks of S_{n-1} are the parallelism seam: they
 run on at most min(jobs, blocks, cpu count) processes, forked after S_9
-is built so that workers inherit it.
+and its descent codes are built so that workers inherit them.
 
 Each word becomes the code sum_i [w_i > w_{i+1}] << i of its descent
-set.  des, maj, altdes, altmaj and the ab-indexes psi and psi_hat are
+set.  Above n = 9 a task codes its block of S_{n-1} once: the last 9
+rows of the block relabel S_9 in column order, so their part of the
+code is read from the codes of S_9, cached read-only (uint16, about
+0.7 MB) and built once under the same lock.  As each first letter is
+placed in front of the block, a uint8 counter per column counts the
+letters that make position 0 a descent, and one bincount of
+code * (n + 1) + counter per task gives every bin of its n blocks.
+des, maj, altdes, altmaj and the ab-indexes psi and psi_hat are
 read off one histogram of codes (the alternating descent set is the
 descent set XOR the even-position mask).  That histogram is tallied once
 per n and kept, read-only, in a cache published under a lock: one entry
@@ -32,6 +39,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -83,6 +91,7 @@ def _guard(n: int, brute_max: int | None) -> int:
 
 _BLOCK_CACHE: dict[int, np.ndarray] = {}
 _BLOCK_CACHE_MAX = 9  # the largest cached block and the block size of every enumeration
+_CODE_CACHE: dict[int, np.ndarray] = {}  # K -> descent-set codes of S_K
 _BLOCK_LOCK = threading.Lock()
 
 
@@ -257,22 +266,73 @@ def _des3_first1_hist(W: np.ndarray) -> np.ndarray:
     return _des3_hist(P)
 
 
-def _run(task) -> np.ndarray:
-    kernel, n, idx = task
+def _run(kernel, n: int, idx: int) -> np.ndarray:
+    """Task idx of S_n tallied block by block: the sum of kernel over
+    its blocks."""
     return sum(map(kernel, _blocks(n, idx)))
 
 
-def _merge(kernel, n: int, jobs: int) -> np.ndarray:
-    """Sum kernel over the blocks of S_n, on at most
-    min(jobs, partitions, cpu count) worker processes."""
+def _base_codes() -> np.ndarray:
+    """The descent-set codes of the columns of S_K (K = _BLOCK_CACHE_MAX),
+    cached read-only (uint16, K! entries, about 0.7 MB) and built once,
+    under _BLOCK_LOCK."""
+    codes = _CODE_CACHE.get(_BLOCK_CACHE_MAX)
+    if codes is None:
+        S = _columns(_BLOCK_CACHE_MAX)  # takes _BLOCK_LOCK itself
+        with _BLOCK_LOCK:
+            codes = _CODE_CACHE.get(_BLOCK_CACHE_MAX)
+            if codes is None:
+                codes = _descent_codes(S)
+                codes.flags.writeable = False
+                _CODE_CACHE[_BLOCK_CACHE_MAX] = codes
+    return codes
+
+
+def _descent_task(n: int, idx: int) -> np.ndarray:
+    """Task idx of S_n (n >= 1) tallied into a descent-set histogram.
+
+    Above n = K the task's block of S_{n-1} is coded once: its last K
+    rows relabel S_K in S_K's column order, so a column's code is the
+    cached code of S_K shifted past the k = n - 1 - K rows above them,
+    plus the descents among those rows.  Each first letter v is still
+    placed in front of the block by _place, and the word v.rest'_j has
+    code (code(rest_j) << 1) | [W_0 > W_1]: a uint8 counter per column
+    counts the letters that make position 0 a descent.  One bincount of
+    code * (n + 1) + count over the n letters then gives every bin."""
+    if n <= _BLOCK_CACHE_MAX:
+        return _run(_descent_hist, n, idx)
+    rest = _rest(n - 1, idx)
+    k = n - 1 - _BLOCK_CACHE_MAX
+    code = (_base_codes() << k) | _descent_codes(rest[: k + 1])
+    ones = np.zeros(rest.shape[1], dtype=np.uint8)
+    W = np.empty((n, rest.shape[1]), dtype=np.int8)
+    for v in range(n):
+        _place(rest, v, W)
+        ones += W[0] > W[1]
+    key = code.astype(np.uint32)
+    key *= n + 1
+    key += ones
+    H = np.bincount(key, minlength=(n + 1) << (n - 2)).reshape(-1, n + 1)
+    o = np.arange(n + 1)
+    hist = np.empty(1 << (n - 1), dtype=np.int64)
+    hist[1::2] = H @ o
+    hist[0::2] = H @ (n - o)
+    return hist
+
+
+def _merge(task, n: int, jobs: int) -> np.ndarray:
+    """Sum task(n, idx) over the tasks idx of S_n, on at most
+    min(jobs, partitions, cpu count) worker processes.  task is a
+    module-level function, or a partial of one, so the pool can pickle
+    it."""
     parts = _n_partitions(n)
     workers = min(jobs, parts, os.cpu_count() or 1)
-    tasks = [(kernel, n, idx) for idx in range(parts)]
+    run = partial(task, n)
     if workers <= 1:
-        return sum(map(_run, tasks))
-    _columns(_BLOCK_CACHE_MAX)  # build it once here; forked workers inherit it
+        return sum(map(run, range(parts)))
+    _base_codes()  # build S_K and its codes once here; forked workers inherit them
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_run, tasks))
+        return sum(pool.map(run, range(parts)))
 
 
 _HIST_CACHE: dict[int, np.ndarray] = {}  # n -> descent-set histogram of S_n
@@ -285,7 +345,7 @@ def _descent_histogram(n: int, jobs: int) -> np.ndarray:
     off it.  Callers run _guard first, which bounds the cache."""
     hist = _HIST_CACHE.get(n)
     if hist is None:
-        hist = _merge(_descent_hist, n, jobs)
+        hist = _merge(_descent_task, n, jobs)
         hist.flags.writeable = False
         with _HIST_LOCK:
             hist = _HIST_CACHE.setdefault(n, hist)
@@ -330,7 +390,7 @@ def stat_multiset(
     if n == 0:
         return StatMultiset(0, stat, {0: 1})
     if stat == "des3":
-        keys, hist = range(n), _merge(_des3_hist, n, jobs)
+        keys, hist = range(n), _merge(partial(_run, _des3_hist), n, jobs)
     else:
         keys, hist = _set_stats(n)[stat].tolist(), _descent_histogram(n, jobs)
     return StatMultiset(n, stat, _read_off(keys, hist))
@@ -364,7 +424,7 @@ def brute_two_sided(
     _guard(n, brute_max)
     if n == 0:
         return BiPolyTQ.one()
-    hist = _merge(_two_sided_hist, n, jobs)
+    hist = _merge(partial(_run, _two_sided_hist), n, jobs)
     return BiPolyTQ(_read_off(((k // n, k % n) for k in range(n * n)), hist))
 
 
@@ -424,7 +484,7 @@ def brute_des3_first1(n: int, *, brute_max: int | None = None,
     _guard(n, brute_max)
     if n == 0:
         return StatMultiset(0, "des3", {0: 1})
-    hist = _merge(_des3_first1_hist, n, jobs)
+    hist = _merge(partial(_run, _des3_first1_hist), n, jobs)
     return StatMultiset(n + 1, "des3", _read_off(range(n + 1), hist))
 
 

@@ -91,8 +91,8 @@ def complement(w: Iterable[int]) -> Word:
     """
     w = tuple(w)
     s = sorted(w)
-    m = {a: b for a, b in zip(s, reversed(s))}
-    return tuple(m[x] for x in w)
+    m = dict(zip(s, reversed(s)))
+    return tuple(map(m.__getitem__, w))
 
 
 def reversal(w: Iterable[int]) -> Word:
@@ -158,11 +158,18 @@ def insertions(w: Iterable[int], j: int, kind: str) -> Word:
     n = len(w)
     if not 0 <= j <= n:
         raise ValueError(f"space {j} out of range 0..{n}")
+    return _insert(w, j, kind)
+
+
+def _insert(w: Word, j: int, kind: str) -> Word:
+    """insertions() for a permutation w of 1..n and a space 0 <= j <= n,
+    unchecked.  The complemented suffix keeps its letters, so the min
+    insertion normalizes by shifting every letter up by one."""
     suffix = complement(w[j:])
     if kind == "min":
-        return normalize(w[:j] + (0,) + suffix)
+        return tuple(x + 1 for x in w[:j]) + (1,) + tuple(x + 1 for x in suffix)
     if kind == "max":
-        return w[:j] + (n + 1,) + suffix
+        return w[:j] + (len(w) + 1,) + suffix
     raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
 
 
@@ -273,7 +280,7 @@ def double_count_check(n: int) -> CheckResult:
     for w in _perms(range(1, n + 1)):
         for j in range(n + 1):
             for kind in ("min", "max"):
-                v = insertions(w, j, kind)
+                v = _insert(w, j, kind)
                 hits[v] = hits.get(v, 0) + 1
     target = [tuple(p) for p in _perms(range(1, n + 2))]
     if len(hits) != len(target):

@@ -375,6 +375,21 @@ def test_run_rejects_an_empty_range():
         checks.run("eq1", 0)
 
 
+def test_run_rejects_an_unknown_token():
+    with pytest.raises(UsageError, match="unknown token 'thm9.9'; choose from thm2.1, "):
+        checks.run("thm9.9")
+
+
+def test_main_caps_the_openblas_pool_unless_set(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # restored after the test
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert run(capsys, "factor", "--n", "4")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert run(capsys, "factor", "--n", "4")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
 _small = st.integers(-(1 << 70), 1 << 70)
 
 
@@ -390,6 +405,7 @@ def test_parse_poly_value_inverts_json(coeffs, terms):
 
 def test_numpy_is_imported_only_to_enumerate():
     script = textwrap.dedent("""
+        import os
         import sys
         import altdes
         layers = ("polynomials", "permutations", "oracle", "recurrences",
@@ -398,6 +414,7 @@ def test_numpy_is_imported_only_to_enumerate():
         import altdes.cli
         assert "altdes.cli" in sys.modules and "numpy" not in sys.modules
         assert "concurrent.futures.process" not in sys.modules
+        assert "OPENBLAS_NUM_THREADS" not in os.environ  # only main sets it
         assert altdes.cli.main(["factor", "--n", "12"]) == 0
         assert altdes.cli.main(["verify", "conj5.1", "--max-n", "30"]) == 0
         assert "numpy" not in sys.modules
@@ -408,6 +425,7 @@ def test_numpy_is_imported_only_to_enumerate():
     """)
     src = os.path.dirname(os.path.dirname(altdes.__file__))
     env = {**os.environ, "PYTHONPATH": src}
+    env.pop("OPENBLAS_NUM_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -285,18 +285,63 @@ def test_block_cache_is_thread_safe():
 
 def test_descent_histogram_is_tallied_once_per_n(monkeypatch):
     tallied = []
-    kernel = oracle._descent_hist
+    task = oracle._descent_task
 
-    def counting(W):
-        tallied.append(W.shape)
-        return kernel(W)
+    def counting(n, idx):
+        tallied.append((n, idx))
+        return task(n, idx)
 
-    monkeypatch.setattr(oracle, "_descent_hist", counting)
+    monkeypatch.setattr(oracle, "_descent_task", counting)
     oracle._HIST_CACHE.clear()
     brute_alt_eulerian(11)
     brute_qalt(11)
     stat_multiset(11, "maj")
-    assert tallied == [(11, math.factorial(9))] * 110  # one pass, not three
+    assert tallied == [(11, idx) for idx in range(10)]  # one pass, not three
+
+
+def test_task_tally_matches_the_block_tally():
+    import numpy as np
+
+    for n in (10, 11):
+        expected = sum(np.bincount(oracle._descent_codes(rows.T), minlength=1 << (n - 1))
+                       for rows in iter_perm_arrays(n))
+        for jobs in (1, 2):
+            hist = oracle._merge(oracle._descent_task, n, jobs)
+            assert hist.dtype == np.int64
+            assert np.array_equal(hist, expected), (n, jobs)
+
+
+def test_code_cache_is_read_only_and_built_once(monkeypatch):
+    built = []
+    codes_of = oracle._descent_codes
+
+    def counting(W):
+        built.append(W.shape)
+        return codes_of(W)
+
+    monkeypatch.setattr(oracle, "_descent_codes", counting)
+    monkeypatch.setattr(oracle, "_CODE_CACHE", {})
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(oracle._base_codes()))
+               for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    f = math.factorial(9)
+    assert built == [(9, f)]
+    codes = oracle._CODE_CACHE[9]
+    assert len(results) == 8 and all(c is codes for c in results)
+    assert codes.shape == (f,) and codes.dtype == "uint16"
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0] = 0
 
 
 def test_descent_histogram_cache_keeps_guard_and_is_read_only():

@@ -25,6 +25,7 @@ from altdes.permutations import (
     theta,
     theta_check,
 )
+from altdes.permutations import _insert
 
 rng = random.Random(41)
 
@@ -143,6 +144,15 @@ def test_insertions_examples_and_range():
         insertions(w, 4, "min")
     with pytest.raises(ValueError):
         insertions(w, 0, "mid")
+
+
+def test_unchecked_insert_matches_the_normalize_definition():
+    for n in range(0, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            for j in range(n + 1):
+                suffix = complement(w[j:])
+                assert _insert(w, j, "min") == normalize(w[:j] + (0,) + suffix)
+                assert _insert(w, j, "max") == w[:j] + (n + 1,) + suffix
 
 
 def test_double_count_small():
