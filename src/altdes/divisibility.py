@@ -194,6 +194,8 @@ def check_qj_parity(n: int, j: int) -> CheckResult:
 def check_pochhammer_orders(n: int) -> CheckResult:
     """order of (1+q^m) in (q;q)_n equals floor(n/2m) exactly, for
     every 1 <= m <= n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     f = q_pochhammer(n)
     for m in range(1, n + 1):
         got = order_of_factor(f, m)

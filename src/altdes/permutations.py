@@ -276,6 +276,8 @@ def theta_check(n: int) -> CheckResult:
 def double_count_check(n: int) -> CheckResult:
     """Min and max insertions over all spaces hit every member of
     S_{n+1} exactly twice."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     hits: dict[Word, int] = {}
     for w in _perms(range(1, n + 1)):
         for j in range(n + 1):

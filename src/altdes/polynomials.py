@@ -1,16 +1,13 @@
 """Exact polynomial arithmetic over the integers.
 
-Four carriers, all with arbitrary-precision integer coefficients:
+Three carriers, all with arbitrary-precision integer coefficients:
 
 * ``IntPoly``      dense univariate polynomials,
 * ``BiPolyTQ``     bivariate polynomials, one run of q-coefficients per
                    power of t (slots named t and q, reused as (s, t) for
                    two-sided statistics),
 * ``NCPoly``       noncommutative polynomials on words over a two
-                   letter alphabet (descent words, cd-words),
-* ``TruncSeries``  truncated power series whose coefficients are
-                   univariate polynomials with an exact integer
-                   denominator.
+                   letter alphabet (descent words, cd-words).
 
 Floating point appears once, as a certified filter in front of the
 exact log-concavity test of ``shape_predicates``; every verdict is exact.
@@ -20,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from math import gcd, log, nan
+from math import log, nan
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -839,97 +836,3 @@ class NCPoly:
                 prod = prod * images[letter]
             out = out + c * prod
         return out
-
-
-# ---------------------------------------------------------------------------
-# truncated series with exact rational polynomial coefficients
-
-class TruncSeries:
-    """Power series in z truncated at a fixed order.
-
-    The coefficient of z^n is stored as a pair (IntPoly numerator,
-    positive int denominator), kept in lowest terms.
-    """
-
-    __slots__ = ("order", "pairs")
-
-    def __init__(self, order: int, pairs: Iterable[tuple[IntPoly, int]]):
-        ps = [_norm_pair(p, d) for p, d in pairs]
-        if len(ps) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        self.order = order
-        self.pairs = tuple(ps)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order, [(IntPoly(), 1)] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls(order, [(IntPoly.one(), 1)] + [(IntPoly(), 1)] * order)
-
-    @classmethod
-    def from_terms(
-        cls, order: int, terms: Iterable[tuple[int, IntPoly, int]]
-    ) -> "TruncSeries":
-        pairs: list[tuple[IntPoly, int]] = [(IntPoly(), 1)] * (order + 1)
-        for n, p, d in terms:
-            if 0 <= n <= order:
-                pairs[n] = (p, d)
-        return cls(order, pairs)
-
-    def coefficient(self, n: int) -> tuple[IntPoly, int]:
-        return self.pairs[n]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.order == other.order and self.pairs == other.pairs
-
-    def __repr__(self) -> str:
-        return f"TruncSeries(order={self.order})"
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        pairs = []
-        for (p1, d1), (p2, d2) in zip(self.pairs, other.pairs):
-            pairs.append((p1 * d2 + p2 * d1, d1 * d2))
-        return TruncSeries(self.order, pairs)
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        nums = [IntPoly() for _ in range(self.order + 1)]
-        dens = [1] * (self.order + 1)
-        for i, (p1, d1) in enumerate(self.pairs):
-            if not p1:
-                continue
-            for j in range(self.order + 1 - i):
-                p2, d2 = other.pairs[j]
-                if not p2:
-                    continue
-                # accumulate p1 p2 / (d1 d2) into slot i+j
-                k = i + j
-                nums[k] = nums[k] * (d1 * d2) + (p1 * p2) * dens[k]
-                dens[k] = dens[k] * d1 * d2
-        return TruncSeries(self.order, zip(nums, dens))
-
-
-def _norm_pair(p: IntPoly, d: int) -> tuple[IntPoly, int]:
-    if d == 0:
-        raise ZeroDivisionError("zero denominator")
-    if not p:
-        return (IntPoly(), 1)
-    if d < 0:
-        p, d = -p, -d
-    g = d
-    for c in p.coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            return (p, d)
-    return (IntPoly(tuple(c // g for c in p.coeffs)), d // g)

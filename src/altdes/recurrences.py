@@ -7,12 +7,12 @@ recursion only; the oracle module recomputes the same objects by
 enumeration so that each route checks the other.
 
 Rows of a recurrence that callers read by index (five_term,
-euler_numbers, chebikin_check, egf_check, quadratic_tq, the Faa di
-Bruno rows) are kept for the process in a _Rows table.  A check that
-reads A_n(t) once for n = 1, 2, ... in ascending order (log-concavity,
-gamma-nonnegativity) walks the five-term recurrence with FiveTermWalk
-instead, which keeps one row: the table of rows 0..n holds about
-n^3 log n bits, about 1 GB at n = 1400.
+euler_numbers, chebikin_check, quadratic_tq, the Faa di Bruno rows) are
+kept for the process in a _Rows table.  A check that reads A_n(t) once
+for n = 1, 2, ... in ascending order (log-concavity,
+gamma-nonnegativity, egf_check) walks the five-term recurrence with
+FiveTermWalk instead and publishes no row: the table of rows 0..n holds
+about n^3 log n bits, about 1 GB at n = 1400.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Callable
 
-from .polynomials import BiPolyTQ, IntPoly, TruncSeries, pack_coeffs, unpack_coeffs
+from .polynomials import BiPolyTQ, IntPoly, pack_coeffs, unpack_coeffs
 from .reporting import AltdesError, CheckResult
 
 
@@ -140,6 +140,8 @@ def euler_numbers(upto: int) -> tuple[int, ...]:
     These are the zigzag numbers 1, 1, 1, 2, 5, 16, 61, ... counting
     down-up permutations; all positive.
     """
+    if upto < 0:
+        raise ValueError("n must be nonnegative")
     rows = _alt_rows.upto(max(upto, 1))
     return (1,) + tuple(rows[n][n - 1] for n in range(1, upto + 1))
 
@@ -152,6 +154,8 @@ def chebikin_check(n: int) -> CheckResult:
 
     for 0 <= k <= n-1, with A_0 = 1 and absent coefficients zero.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     rows = [IntPoly(r) for r in _alt_rows.upto(n)[: n + 1]]
     lhs = IntPoly()
     for i in range(n // 2 + 1):  # the terms i and n-i are equal
@@ -326,34 +330,31 @@ def gamma_rec(n: int) -> IntPoly:
 # exponential generating function identity
 
 def egf_check(order: int) -> CheckResult:
-    """Compare 1 + sum_n t A_n(t) z^n / n! with the closed form
+    """Compare L = 1 + sum_n t A_n(t) z^n / n! with the closed form
 
-        (1-t) / (1 - t(sec((1-t)z) + tan((1-t)z)))
+        (1-t) / (1 - t(sec((1-t)z) + tan((1-t)z))) = 1 / (1 - W)
 
-    through z^order.  The right side is expanded as the geometric series
-    of W = sum_{m>=1} t E_m (1-t)^(m-1) z^m / m!, which keeps every
-    z-coefficient inside Z[t] scaled by an integer.
+    through z^order, where W = sum_{m>=1} t E_m (1-t)^(m-1) z^m / m!.
+    Since 1 - W is a unit, this is L (1 - W) = 1, which at z^n / n! is
+    the integer convolution
+
+        t A_n(t) = sum_{m=1}^n C(n,m) t E_m (1-t)^(m-1) L_{n-m},
+
+    with L_0 = 1 and L_j = t A_j(t).  It is divided by t and summed by
+    Horner in (1-t).  The first n where it fails is also the first
+    z-power where the two series differ.
     """
-    E = euler_numbers(order)
-    one_minus_t = IntPoly((1, -1))
-    w = TruncSeries.from_terms(
-        order,
-        (
-            (m, IntPoly((0, E[m])) * one_minus_t ** (m - 1), factorial(m))
-            for m in range(1, order + 1)
-        ),
-    )
-    rhs = TruncSeries.one(order)
-    for _ in range(order):
-        rhs = TruncSeries.one(order) + w * rhs
-    lhs = TruncSeries.from_terms(
-        order,
-        ((m, IntPoly((0,) + five_term(m).coeffs), factorial(m)) for m in range(1, order + 1)),
-    )
-    lhs = TruncSeries.one(order) + lhs
-    for m in range(order + 1):
-        if lhs.coefficient(m) != rhs.coefficient(m):
-            return CheckResult.failed(f"z^{m} coefficients differ")
+    if order < 0:
+        raise ValueError("n must be nonnegative")
+    walk = FiveTermWalk()
+    rows = [walk.row(m) for m in range(order + 1)]
+    L = [IntPoly.one()] + [a.shift(1) for a in rows[1:]]
+    for n in range(1, order + 1):
+        acc = IntPoly()
+        for m in range(n, 0, -1):  # E_m is the leading coefficient of A_m
+            acc = acc.mul_binomial(1, -1) + comb(n, m) * rows[m][m - 1] * L[n - m]
+        if acc != rows[n]:
+            return CheckResult.failed(f"z^{n} coefficients differ")
     return CheckResult.passed()
 
 

@@ -16,7 +16,6 @@ from altdes.polynomials import (
     NonIntegralGamma,
     NotDivisible,
     NotPalindromic,
-    TruncSeries,
     exact_div,
     gamma_expand,
     one_minus_pow,
@@ -230,25 +229,6 @@ def test_ncpoly_substitution_and_eval():
     val = phi.eval_commutative({"c": IntPoly((1, 1)), "d": x})
     assert val == IntPoly((1, 1)) ** 2 + 2 * x
     assert NCPoly({"": 3}).eval_commutative({}) == IntPoly((3,))
-
-
-def test_trunc_series():
-    one = TruncSeries.one(4)
-    z = TruncSeries.from_terms(4, [(1, IntPoly.one(), 1)])
-    # geometric: (1 - z) * (1 + z + z^2 + z^3 + z^4) = 1 mod z^5
-    geo = TruncSeries(4, [(IntPoly.one(), 1)] * 5)
-    left = one + TruncSeries.from_terms(4, [(1, IntPoly((-1,)), 1)])
-    assert left * geo == one
-    # exp-style denominators stay exact
-    e = TruncSeries(4, [(IntPoly.one(), math.factorial(k)) for k in range(5)])
-    sq = e * e
-    for k in range(5):
-        p, d = sq.coefficient(k)
-        assert (p[0] * math.factorial(k)) % d == 0
-        assert p[0] * math.factorial(k) // d == 2 ** k
-    assert z * z == TruncSeries.from_terms(4, [(2, IntPoly.one(), 1)])
-    with pytest.raises(ValueError):
-        TruncSeries(2, [(IntPoly.one(), 1)])
 
 
 # ---------------------------------------------------------------------------

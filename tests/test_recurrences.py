@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altdes import cli, recurrences
+from altdes.divisibility import check_pochhammer_orders
 from altdes.oracle import brute_alt_eulerian, brute_qalt, brute_simsun
+from altdes.permutations import double_count_check
 from altdes.polynomials import BiPolyTQ, IntPoly, q_pochhammer
 from altdes.recurrences import (
     FiveTermWalk,
@@ -190,10 +192,32 @@ def test_gamma_rec_column_identity():
         assert gamma_rec(n)[1] == n * E[n] - E[n + 1]
 
 
-def test_egf_orders():
-    for order in (4, 8, 10):
+def test_egf_orders(monkeypatch):
+    _cold(monkeypatch, recurrences._alt_rows)
+    for order in (0, 1, 4, 8, 10, 30):
         ok = egf_check(order)
         assert ok.ok, ok.witness
+    # the series check walks its rows and publishes none
+    assert len(recurrences._alt_rows._rows) == 2
+
+
+@pytest.mark.parametrize("bad", range(2, 11))
+def test_egf_witness_is_first_failing_power(monkeypatch, bad):
+    # row `bad` read with its constant term off by 2; E_bad, its leading
+    # coefficient, and the walk's own state stay intact
+    row = FiveTermWalk.row
+    monkeypatch.setattr(FiveTermWalk, "row", lambda self, n: (
+        row(self, n) + 2 if n == bad else row(self, n)))
+    cr = egf_check(10)
+    assert (cr.ok, cr.witness) == (False, f"z^{bad} coefficients differ")
+
+
+@pytest.mark.parametrize("check", [chebikin_check, double_count_check,
+                                   check_pochhammer_orders, euler_numbers,
+                                   egf_check])
+def test_negative_sizes_are_rejected(check):
+    with pytest.raises(ValueError, match=r"^n must be nonnegative$"):
+        check(-1)
 
 
 def test_faa_di_bruno_denominators_clear():
