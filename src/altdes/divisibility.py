@@ -15,7 +15,6 @@ criterion together with its prefix-reversal bijection witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Mapping, NamedTuple
 
@@ -24,7 +23,6 @@ from .oracle import StatMultiset
 from .polynomials import (
     IntPoly,
     NotDivisible,
-    exact_div,
     one_plus_pow,
     q_pochhammer,
     shape_predicates,
@@ -37,24 +35,40 @@ from .recurrences import (
 from .reporting import CheckResult
 
 
-_CYCLOTOMIC_CACHE = 256  # entries: every Phi_k up to k = 256, each of degree < k
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
-@lru_cache(maxsize=_CYCLOTOMIC_CACHE)
 def cyclotomic(k: int) -> IntPoly:
-    """The k-th cyclotomic polynomial, by exact division of x^k - 1
-    through the lower ones.
+    """The k-th cyclotomic polynomial, prod_{d|k} (1 - x^d)^mu(k/d)
+    (negated for k = 1): the binomials with mu = +1 are multiplied in,
+    then those with mu = -1 divided out.
 
     >>> cyclotomic(6).coeffs
     (1, -1, 1)
     """
     if k < 1:
         raise ValueError("k must be positive")
-    out = IntPoly((-1,) + (0,) * (k - 1) + (1,))
-    for d in range(1, k):
-        if k % d == 0:
-            out = exact_div(out, cyclotomic(d))
-    return out
+    factors = [(d, _mobius(k // d)) for d in range(1, k + 1) if k % d == 0]
+    out = IntPoly.one()
+    for d, mu in factors:
+        if mu == 1:
+            out = out.mul_binomial(d, -1)
+    for d, mu in factors:
+        if mu == -1:
+            out, exact = out.div_binomial(d, -1)
+            if not exact:
+                raise NotDivisible(f"(1-x^{d}) does not divide at k={k}")
+    return -out if k == 1 else out
 
 
 def _gn_powers(n: int):

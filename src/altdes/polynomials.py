@@ -172,16 +172,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, IntPoly.one())
 
     def __call__(self, x):
         """Evaluate by Horner; works for int and Fraction arguments."""
@@ -189,35 +180,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __divmod__(self, other: "IntPoly"):
-        """Long division over the integers.
-
-        Raises NotDivisible when a leading-coefficient division is not
-        exact, which cannot happen for the monic-up-to-sign divisors
-        used throughout this package.
-        """
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = other.coeffs[-1]
-        if dd < dv:
-            return IntPoly(), self
-        quot = [0] * (dd - dv + 1)
-        for i in range(dd - dv, -1, -1):
-            c = rem[i + dv]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise NotDivisible(f"coefficient {c} not divisible by {lead}")
-            quot[i] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i + j] -= q * oc
-        return IntPoly(quot), IntPoly(rem)
 
     def reverse(self) -> "IntPoly":
         """Coefficients reversed over 0..degree."""
@@ -241,7 +203,9 @@ class IntPoly:
         return 0
 
     def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
+        """Multiply by x^k, k >= 0."""
+        if k < 0:
+            raise ValueError("exponent must be nonnegative")
         if not self.coeffs:
             return self
         return IntPoly((0,) * k + self.coeffs)
@@ -260,8 +224,8 @@ class IntPoly:
     def div_binomial(self, k: int, sign: int) -> "tuple[IntPoly, bool]":
         """Fast division by (1 + sign*x^k), sign in {+1, -1}.
 
-        Returns (quotient, exact).  Linear time in the degree; used for
-        the cyclotomic-free divisibility bookkeeping.
+        Returns (quotient, exact).  Linear time in the degree; the only
+        polynomial division in altdes.
         """
         _check_binomial(k, sign)
         if not self.coeffs:
@@ -279,24 +243,41 @@ class IntPoly:
 
     def pretty(self, var: str = "t") -> str:
         """Human-readable form, ascending powers: '16 + 26t + 36t^2'."""
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for exp, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if exp == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = var if exp == 1 else f"{var}^{exp}"
-            else:
-                body = f"{mag}{var}" if exp == 1 else f"{mag}{var}^{exp}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _pretty((_mono(var, e), c) for e, c in enumerate(self.coeffs))
+
+
+def _power(base, n: int, one):
+    """base ** n by square and multiply; one is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def _mono(var: str, exp: int) -> str:
+    """var^exp as printed: '' for exp 0, var alone for exp 1."""
+    return "" if exp == 0 else var if exp == 1 else f"{var}^{exp}"
+
+
+def _pretty(pairs: Iterable[tuple[str, int]]) -> str:
+    """Signed sum of (monomial, coefficient) pairs in the given order,
+    zero coefficients skipped: [("", 2), ("q", -1)] prints '2 - q'."""
+    parts: list[str] = []
+    for mono, c in pairs:
+        if not c:
+            continue
+        body = mono if abs(c) == 1 and mono else f"{abs(c)}{mono}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 def _check_binomial(k: int, sign: int) -> None:
@@ -369,31 +350,15 @@ def _coerce(v) -> "IntPoly":
     return NotImplemented
 
 
-def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact quotient f/g; raises NotDivisible when the division is not
-    exact over Z[x].
-
-    >>> exact_div(IntPoly([1, 0, 0, 1]), IntPoly([1, 1]))
-    IntPoly((1, -1, 1))
-    """
-    quot, rem = divmod(f, g)
-    if rem:
-        raise NotDivisible(f"remainder {rem.coeffs} is nonzero")
-    return quot
-
-
-def one_minus_pow(k: int) -> IntPoly:
-    """1 - x^k."""
-    return IntPoly((1,) + (0,) * (k - 1) + (-1,))
-
-
 def one_plus_pow(k: int) -> IntPoly:
-    """1 + x^k."""
-    return IntPoly((1,) + (0,) * (k - 1) + (1,))
+    """1 + x^k, k >= 1."""
+    return IntPoly.one().mul_binomial(k, 1)
 
 
 def q_pochhammer(n: int) -> IntPoly:
-    """(q;q)_n = prod_{i=1..n} (1 - q^i)."""
+    """(q;q)_n = prod_{i=1..n} (1 - q^i), n >= 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out = IntPoly.one()
     for i in range(1, n + 1):
         out = out.mul_binomial(i, -1)
@@ -401,7 +366,9 @@ def q_pochhammer(n: int) -> IntPoly:
 
 
 def q_factorial(n: int) -> IntPoly:
-    """[n]_q! = prod_{i=1..n} (1 + q + ... + q^(i-1))."""
+    """[n]_q! = prod_{i=1..n} (1 + q + ... + q^(i-1)), n >= 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out = IntPoly.one()
     for i in range(1, n + 1):
         out = out * IntPoly((1,) * i)
@@ -650,16 +617,7 @@ class BiPolyTQ:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPolyTQ":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BiPolyTQ.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPolyTQ.one())
 
     def mul_binomial(self, i: int) -> "BiPolyTQ":
         """Product with 1 + t q^i in one pass: slice k gains q^i times
@@ -673,20 +631,8 @@ class BiPolyTQ:
         lifted = [_EMPTY] + [(lo + i, p) for lo, p in self.rows]
         return BiPolyTQ.from_rows(map(_combine, self.rows + (_EMPTY,), lifted))
 
-    def max_t_degree(self) -> int:
-        return len(self.rows) - 1
-
-    def max_q_degree(self) -> int:
-        return max((lo + p.degree for lo, p in self.rows if p), default=-1)
-
     def min_t_degree(self) -> int:
         return next((k for k, (_, p) in enumerate(self.rows) if p), -1)
-
-    def substitute_tq(self, j: int) -> "BiPolyTQ":
-        """The substitution t -> t q^j (a t-graded q-shift)."""
-        if j < 0:
-            raise ValueError("shift must be nonnegative")
-        return BiPolyTQ.from_rows((lo + k * j, p) for k, (lo, p) in enumerate(self.rows))
 
     def at_q1(self) -> IntPoly:
         """Set q = 1, leaving a polynomial in t."""
@@ -711,34 +657,8 @@ class BiPolyTQ:
         lo, p = self.rows[k] if 0 <= k < len(self.rows) else _EMPTY
         return p.shift(lo)
 
-    def swap(self) -> "BiPolyTQ":
-        """Exchange the two slots."""
-        return BiPolyTQ(((j, k), c) for k, j, c in self.terms())
-
-    def total(self) -> int:
-        """Sum of all coefficients (evaluation at t = q = 1)."""
-        return sum(sum(p.coeffs) for _, p in self.rows)
-
     def pretty(self, tvar: str = "t", qvar: str = "q") -> str:
-        if not self.rows:
-            return "0"
-        parts: list[str] = []
-        for te, qe, c in self.terms():
-            mag = abs(c)
-            body = ""
-            if te:
-                body += tvar if te == 1 else f"{tvar}^{te}"
-            if qe:
-                body += qvar if qe == 1 else f"{qvar}^{qe}"
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _pretty((_mono(tvar, k) + _mono(qvar, j), c) for k, j, c in self.terms())
 
 
 # ---------------------------------------------------------------------------

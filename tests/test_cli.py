@@ -315,6 +315,11 @@ def test_value_error_in_a_check_is_a_fail_row(capsys, monkeypatch):
         2, "", "error: n must be positive\n")
 
 
+def test_public_names_resolve():
+    assert len(set(altdes.__all__)) == len(altdes.__all__)
+    assert [name for name in altdes.__all__ if not hasattr(altdes, name)] == []
+
+
 def test_reports_are_deterministic(capsys):
     _, a, _ = run(capsys, "verify", "thm4.5", "--max-n", "8", "--format", "csv")
     _, b, _ = run(capsys, "verify", "thm4.5", "--max-n", "8", "--format", "csv")

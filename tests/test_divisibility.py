@@ -19,7 +19,7 @@ from altdes.divisibility import (
     verify_conj410,
 )
 from altdes.oracle import stat_multiset
-from altdes.polynomials import IntPoly, NotDivisible, one_plus_pow, q_pochhammer
+from altdes.polynomials import IntPoly, one_plus_pow, q_pochhammer
 from altdes.recurrences import (
     euler_numbers,
     faa_di_bruno_altmaj,
@@ -30,8 +30,9 @@ rng = random.Random(99)
 
 
 def test_cyclotomic_products():
-    # x^n - 1 factors into the cyclotomics of the divisors of n
-    for n in range(1, 31):
+    # x^n - 1 factors into the cyclotomics of the divisors of n, which
+    # fixes every Phi_n; n <= 210 reaches mu(n) = -1 with three primes
+    for n in range(1, 211):
         prod = IntPoly.one()
         for d in range(1, n + 1):
             if n % d == 0:
@@ -138,10 +139,3 @@ def test_thm411_bijection():
             assert ok.ok, ok.witness
     with pytest.raises(ValueError):
         thm411_bijection_check(5, 3)
-
-
-def test_not_divisible_surfaces():
-    # dividing out a factor the polynomial does not have must raise
-    with pytest.raises(NotDivisible):
-        from altdes.polynomials import exact_div
-        exact_div(IntPoly((1, 0, 1)), one_plus_pow(1) ** 2)

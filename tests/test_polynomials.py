@@ -14,11 +14,8 @@ from altdes.polynomials import (
     IntPoly,
     NCPoly,
     NonIntegralGamma,
-    NotDivisible,
     NotPalindromic,
-    exact_div,
     gamma_expand,
-    one_minus_pow,
     one_plus_pow,
     q_factorial,
     q_pochhammer,
@@ -71,36 +68,11 @@ def test_immutable():
         f.coeffs = (9,)
 
 
-def test_divmod_roundtrip():
-    for _ in range(200):
-        g = rand_poly(5)
-        if not g:
-            continue
-        q = rand_poly(5)
-        r = IntPoly([rng.randint(-5, 5) for _ in range(max(g.degree, 1))])
-        f = q * g + r
-        try:
-            q2, r2 = divmod(f, g)
-        except NotDivisible:
-            continue  # leading coefficient did not divide en route
-        assert q2 * g + r2 == f
-        assert r2.degree < g.degree or not r2
-
-
-def test_exact_div_and_failure():
-    f = IntPoly((2, 3, 1))
-    assert exact_div(f, IntPoly((1, 1))) == IntPoly((2, 1))
-    with pytest.raises(NotDivisible):
-        exact_div(IntPoly((1, 0, 1)), IntPoly((1, 1)))
-    with pytest.raises(NotDivisible):
-        exact_div(IntPoly((3, 3)), IntPoly((2,)))
-
-
 def test_div_binomial_matches_exact_div():
     for _ in range(200):
         k = rng.randint(1, 5)
         sign = rng.choice((1, -1))
-        b = one_plus_pow(k) if sign > 0 else one_minus_pow(k)
+        b = IntPoly.one().mul_binomial(k, sign)
         f = rand_poly(6)
         quot, exact = (f * b).div_binomial(k, sign)
         assert exact and quot == f
@@ -116,6 +88,9 @@ def test_structure_helpers():
     f = IntPoly((0, 0, 2, 3))
     assert f.valuation() == 2
     assert f.shift(2) == IntPoly((0, 0, 0, 0, 2, 3))
+    for p in (IntPoly((1, 2)), IntPoly.zero()):
+        with pytest.raises(ValueError):
+            p.shift(-1)
     assert IntPoly((1, 2, 3)).reverse() == IntPoly((3, 2, 1))
     assert IntPoly((5, 1, 4)).derivative() == IntPoly((1, 8))
     comp = IntPoly((1, 1)).compose(IntPoly((2, 3)))  # 1 + (2+3x)
@@ -136,6 +111,9 @@ def test_pretty_formats():
 
 
 def test_q_pochhammer_and_factorial():
+    def one_minus_pow(i):
+        return IntPoly.one() - IntPoly.monomial(i)
+
     for n in range(7):
         prod = IntPoly.one()
         for i in range(1, n + 1):
@@ -204,13 +182,9 @@ def test_bipoly_views():
     assert a.at_q1() == IntPoly((1, 3, -4))
     assert a.at_t1() == IntPoly((1, -4, 3))
     assert a.at_t_qpow(2) == IntPoly((1, 0, 0, 0, 3, -4))  # t -> q^2
-    assert a.swap() == BiPolyTQ({(0, 0): 1, (2, 1): 3, (1, 2): -4})
     assert a.slice_t(1) == IntPoly((0, 0, 3))
-    assert a.min_t_degree() == 0 and a.max_t_degree() == 2 and a.max_q_degree() == 2
-    assert a.total() == 0
+    assert a.min_t_degree() == 0
     assert BiPolyTQ({(0, 0): 0}) == BiPolyTQ.zero()
-    # t -> t q^2 shifts each q exponent by twice the t exponent
-    assert a.substitute_tq(2) == BiPolyTQ({(0, 0): 1, (1, 4): 3, (2, 5): -4})
 
 
 def test_bipoly_pretty():
@@ -317,6 +291,9 @@ def test_mul_binomial_rejects_bad_arguments():
         IntPoly((1, 1)).mul_binomial(0, 1)
     with pytest.raises(ValueError):
         IntPoly((1, 1)).mul_binomial(2, 2)
+    for k in (0, -2):
+        with pytest.raises(ValueError):
+            one_plus_pow(k)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +394,6 @@ def test_bipoly_matches_dict_reference(da, db, i, e, k):
         (kk * i + j, c) for (kk, j), c in da.items())
     assert a.slice_t(k) == IntPoly.from_terms(
         (j, c) for (kk, j), c in da.items() if kk == k)
-    _matches(a.swap(), {(j, kk): c for (kk, j), c in da.items()})
 
 
 def _exact_log_concave(cs):

@@ -12,7 +12,7 @@ from altdes import cli, recurrences
 from altdes.divisibility import check_pochhammer_orders
 from altdes.oracle import brute_alt_eulerian, brute_qalt, brute_simsun
 from altdes.permutations import double_count_check
-from altdes.polynomials import BiPolyTQ, IntPoly, q_pochhammer
+from altdes.polynomials import BiPolyTQ, IntPoly, q_factorial, q_pochhammer
 from altdes.recurrences import (
     FiveTermWalk,
     ParityViolation,
@@ -151,7 +151,7 @@ def test_quadratic_tq_marginals():
         assert p.at_q1() == five_term(n)
         assert p.at_t1()(1) == math.factorial(n)
         # top alternating-major index is the full triangular number
-        assert p.max_q_degree() == n * (n - 1) // 2
+        assert max(j for _, j, _ in p.terms()) == n * (n - 1) // 2
 
 
 def test_alt_at_t_qpow_is_substitution():
@@ -214,7 +214,7 @@ def test_egf_witness_is_first_failing_power(monkeypatch, bad):
 
 @pytest.mark.parametrize("check", [chebikin_check, double_count_check,
                                    check_pochhammer_orders, euler_numbers,
-                                   egf_check])
+                                   egf_check, q_pochhammer, q_factorial])
 def test_negative_sizes_are_rejected(check):
     with pytest.raises(ValueError, match=r"^n must be nonnegative$"):
         check(-1)
