@@ -128,10 +128,8 @@ def _cmd_factor(args: argparse.Namespace) -> Report:
     rows = [
         _value_row("g_n", f.g_n, tvar="q"),
         _value_row("e_hat", f.e_hat, tvar="q"),
-        _row("e_hat_palindromic", f.verdicts.e_hat_palindromic,
-             witness="reduced factor not palindromic"),
-        _row("constant_term_is_euler", f.verdicts.constant_term_is_euler,
-             witness="constant term is not the zigzag number"),
+        *(_row(k, ok, witness=divisibility.VERDICT_WITNESSES[k])
+          for k, ok in f.verdicts._asdict().items()),
     ]
     return Report("factor", {"n": n}, rows)
 

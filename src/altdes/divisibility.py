@@ -148,6 +148,11 @@ class FactorVerdicts(NamedTuple):
     constant_term_is_euler: bool
 
 
+# the witness of each FactorVerdicts field when it is False
+VERDICT_WITNESSES = {"e_hat_palindromic": "reduced factor not palindromic",
+                     "constant_term_is_euler": "constant term is not the zigzag number"}
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Exact split of the altmaj generating polynomial as g_n * e_hat."""

@@ -462,15 +462,16 @@ def _ab_words(n: int, hist: np.ndarray, flip: int = 0) -> dict[str, int]:
             for code, c in enumerate(hist.tolist()) if c}
 
 
-def brute_cd_index(n: int, *, brute_max: int | None = None) -> CdIndex:
+def brute_cd_index(n: int, *, brute_max: int | None = None, jobs: int = 1) -> CdIndex:
     """Tally the three word-valued generating functions: psi and psi_hat
-    off the descent-set histogram of S_n, read directly and with the
-    odd (0-based) positions flipped; phi off the descent sets of the
-    generated Simsun words that end in their largest letter."""
+    off the descent-set histogram of S_n (tallied by jobs workers), read
+    directly and with the odd (0-based) positions flipped; phi off the
+    descent sets of the generated Simsun words that end in their largest
+    letter, in one process."""
     _guard(n, brute_max)
     if n == 0:
         return CdIndex(NCPoly.one(), NCPoly.one(), NCPoly.one())
-    hist = _descent_histogram(n, 1)
+    hist = _descent_histogram(n, jobs)
     odd = sum(1 << i for i in range(1, n - 1, 2))
     phi = _ab_words(n, sum(_descent_hist(S[:, S[-1] == n - 1]) for S in _simsun_blocks(n)))
     return CdIndex(NCPoly({ab_to_cd(u): c for u, c in phi.items()}),

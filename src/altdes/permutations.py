@@ -235,22 +235,13 @@ def ab_to_cd(u: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# word serialization for the command line
+# word formatting for witnesses
 
 def format_word(w: Iterable[int]) -> str:
     w = tuple(w)
     if w and max(w) > 9:
         return ",".join(str(x) for x in w)
     return "".join(str(x) for x in w)
-
-
-def parse_word(s: str) -> Word:
-    s = s.strip()
-    if "," in s:
-        return tuple(int(p) for p in s.split(","))
-    if not s.isdigit() or "0" in s:
-        raise ValueError(f"cannot parse permutation {s!r}")
-    return tuple(int(ch) for ch in s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, report schema."""
 
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
@@ -21,7 +22,7 @@ from altdes.cli import main, parse_bipoly, parse_poly, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
 from altdes.recurrences import five_term, quadratic_tq
-from altdes.reporting import ResultRow, UsageError
+from altdes.reporting import CheckResult, UsageError
 
 
 def run(capsys, *argv):
@@ -146,8 +147,8 @@ def test_verify_json_schema(capsys):
 
 
 def test_verify_failure_has_witness_and_exit_one(capsys, monkeypatch):
-    rows = [ResultRow("forced", "fail", witness="broken")]
-    monkeypatch.setitem(checks.SUITES, "eq1", (3, lambda m, c: rows))
+    forced = checks._Check("forced", lambda n: CheckResult.failed("broken"))
+    monkeypatch.setitem(checks.SUITES, "eq1", (3, (forced,)))
     code, out, _ = run(capsys, "verify", "eq1", "--format", "json")
     assert code == 1
     report = json.loads(out)
@@ -155,8 +156,9 @@ def test_verify_failure_has_witness_and_exit_one(capsys, monkeypatch):
 
 
 def test_finding_exits_one(capsys, monkeypatch):
-    rows = [ResultRow("open case", "finding", witness="counterexample n=3")]
-    monkeypatch.setitem(checks.SUITES, "conj5.1", (3, lambda m, c: rows))
+    witness = CheckResult.failed("counterexample n=3")
+    open_case = checks._Check("open case", lambda n: witness, finding=True)
+    monkeypatch.setitem(checks.SUITES, "conj5.1", (3, (open_case,)))
     code, out, _ = run(capsys, "verify", "conj5.1")
     assert code == 1
     assert out.splitlines()[0].startswith("FINDING")
@@ -303,7 +305,10 @@ def test_value_error_in_a_check_is_a_fail_row(capsys, monkeypatch):
     def broken(n):
         raise ValueError(f"forced at n={n}")
 
-    monkeypatch.setattr(recurrences, "chebikin_check", broken)
+    default_max, (check,) = checks.SUITES["eq1"]
+    assert check.run is recurrences.chebikin_check  # registered as itself
+    monkeypatch.setitem(checks.SUITES, "eq1",
+                        (default_max, (dataclasses.replace(check, run=broken),)))
     code, out, err = run(capsys, "verify", "eq1", "--max-n", "2", "--format", "csv")
     assert code == 1 and err == ""
     assert out.splitlines()[1:] == [
@@ -366,7 +371,7 @@ _VERIFY_DIGESTS = {
 def test_every_token_has_a_handler(capsys):
     assert set(_VERIFY_DIGESTS) == set(checks.SUITES)
     for token, (default_max, suite) in checks.SUITES.items():
-        assert default_max >= 1 and callable(suite)
+        assert default_max >= 1 and suite and all(callable(c.run) for c in suite)
         code, out, _ = run(capsys, "verify", token, "--max-n", "2",
                            "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(out)))

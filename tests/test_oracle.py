@@ -203,6 +203,10 @@ def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
     requested.clear()
     assert brute_des3_first1(11, jobs=10**6).values == des3.values
     assert requested == [10]
+    cd = uncached(brute_cd_index, 11)
+    requested.clear()
+    assert uncached(brute_cd_index, 11, jobs=2) == cd
+    assert requested == [2]  # S_10 is one task, so S_11 is the first to pool
 
 
 def nth_permutation(n, rank):

@@ -19,7 +19,6 @@ from altdes.permutations import (
     is_down_up,
     is_simsun,
     normalize,
-    parse_word,
     reversal,
     reverse_prefix,
     theta,
@@ -199,15 +198,6 @@ def test_cd_word_shape():
 def test_word_serialization():
     assert format_word((9, 4, 2)) == "942"
     assert format_word((10, 4, 2)) == "10,4,2"
-    assert parse_word("942") == (9, 4, 2)
-    assert parse_word("10,4,2") == (10, 4, 2)
-    for _ in range(50):
-        w = rand_perm(rng.randint(1, 15))
-        assert parse_word(format_word(w)) == w
-    with pytest.raises(ValueError):
-        parse_word("10")  # a zero digit cannot be a one-line word
-    with pytest.raises(ValueError):
-        parse_word("a1")
 
 
 def test_equidist_small():
