@@ -61,16 +61,6 @@ def ser_bipoly(p: BiPolyTQ) -> list[dict]:
     return [{"t_exp": t, "q_exp": q, "coeff": c} for t, q, c in p.terms()]
 
 
-def parse_poly(value: list) -> IntPoly:
-    """Invert ser_poly, so JSON values round-trip."""
-    return IntPoly(value)
-
-
-def parse_bipoly(value: list) -> BiPolyTQ:
-    """Invert ser_bipoly, so JSON values round-trip."""
-    return BiPolyTQ({(d["t_exp"], d["q_exp"]): d["coeff"] for d in value})
-
-
 def _value_row(name: str, p: IntPoly | BiPolyTQ, *, tvar: str = "t",
                qvar: str = "q") -> ResultRow:
     if isinstance(p, BiPolyTQ):

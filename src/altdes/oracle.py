@@ -28,8 +28,11 @@ codes of w^-1 would lose a letter, so an entry has at most 2^15 bins and
 the cache never exceeds 512 KB, under 20 KB for n <= 11.  The two-sided
 tally uses the codes of w and of w^-1, and des3, not a function of the
 descent set, has its own kernel.  Simsun words are generated by
-inserting each new largest letter where it makes no double descent, and
-the last insertion is tallied one position at a time.  Counts are int64
+inserting each new largest letter where it makes no double descent.  The
+words of length 9 are made whole (E_10 = 50 521 columns, about 0.45 MB);
+above that each length is streamed from the blocks of the one below, one
+block at a time, so a Simsun enumeration holds one block of at most
+50 521 words per length and is tallied block by block.  Counts are int64
 and leave as Python ints; the test-suite's pure-Python definitional
 loops must agree with all of it.
 """
@@ -90,16 +93,20 @@ def _guard(n: int, brute_max: int | None) -> int:
 
 
 _BLOCK_CACHE: dict[int, np.ndarray] = {}
-_BLOCK_CACHE_MAX = 9  # the largest cached block and the block size of every enumeration
+# the largest cached block, the block size of every enumeration and the
+# longest Simsun words made whole
+_BLOCK_CACHE_MAX = 9
 _CODE_CACHE: dict[int, np.ndarray] = {}  # K -> descent-set codes of S_K
 _BLOCK_LOCK = threading.Lock()
 
 
 def _place(sub: np.ndarray, v: int, out: np.ndarray) -> None:
     """Write v followed by each column of sub (S_{k-1}) relabelled onto
-    the letters other than v; the relabelling keeps lexicographic order."""
+    the letters other than v; the relabelling keeps lexicographic order.
+    It goes one row at a time, so its comparison is one row, not a block."""
     out[0] = v
-    np.add(sub, sub >= v, out=out[1:])
+    for row, dst in zip(sub, out[1:]):
+        np.add(row, row >= v, out=dst)
 
 
 def _columns(k: int) -> np.ndarray:
@@ -173,27 +180,34 @@ def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
 
 
 def _simsun_blocks(n: int) -> Iterator[np.ndarray]:
-    """The Simsun words of length n, column-major, one block per position
-    of the largest letter.  w is Simsun iff w without its largest letter
-    k is Simsun and w has no double descent, and the only one inserting k
-    at position p can make is k > w_p > w_{p+1}: so k goes in front of an
-    ascent or in one of the last two positions.  Only the shorter words
-    are held; each block of length n is made as it is asked for."""
+    """The Simsun words of length n, column-major, in blocks.  w is Simsun
+    iff w without its largest letter k is Simsun and w has no double
+    descent, and the only one inserting k at position p can make is
+    k > w_p > w_{p+1}: so k goes in front of an ascent or in one of the
+    last two positions.  Each block of the words of length n - 1 gives one
+    block per position of k.  Up to length K (K = _BLOCK_CACHE_MAX) the
+    shorter words are one block from _simsun_columns; above it they are
+    this stream one level down, taken one block at a time.  So no block
+    has more than E_{K+1} = 50 521 columns, and the stream holds one block
+    per length, each made as it is asked for."""
     if n <= 1:
         yield _columns(n)
         return
-    W = _simsun_columns(n - 1)
-    for p in range(n):
-        src = W[:, W[p] < W[p + 1]] if p < n - 2 else W
-        block = np.empty((n, src.shape[1]), dtype=np.int8)
-        block[:p] = src[:p]
-        block[p] = n - 1
-        block[p + 1 :] = src[p:]
-        yield block
+    shorter = (_simsun_blocks(n - 1) if n - 1 > _BLOCK_CACHE_MAX
+               else [_simsun_columns(n - 1)])
+    for W in shorter:
+        for p in range(n):
+            src = W[:, W[p] < W[p + 1]] if p < n - 2 else W
+            block = np.empty((n, src.shape[1]), dtype=np.int8)
+            block[:p] = src[:p]
+            block[p] = n - 1
+            block[p + 1 :] = src[p:]
+            yield block
 
 
 def _simsun_columns(n: int) -> np.ndarray:
-    """All Simsun words of length n as one (n, count) array."""
+    """All Simsun words of length n <= K as one (n, E_{n+1}) array, at
+    most E_{K+1} = 50 521 words (about 0.45 MB at n = K)."""
     return np.concatenate(list(_simsun_blocks(n)), axis=1)
 
 
@@ -234,8 +248,9 @@ def _set_stats(n: int) -> dict[str, np.ndarray]:
 
 
 def _stat_vector(W: np.ndarray, stat: str) -> np.ndarray:
-    """Per-column value of a descent-set statistic over the words of W."""
-    return _set_stats(W.shape[0])[stat][_descent_codes(W)]
+    """Per-column value of a descent-set statistic over the words of W, as
+    int16: no value exceeds n(n-1)/2 = 120, since _guard stops n at 16."""
+    return _set_stats(W.shape[0])[stat].astype(np.int16)[_descent_codes(W)]
 
 
 def _descent_hist(W: np.ndarray) -> np.ndarray:
@@ -309,7 +324,8 @@ def _descent_task(n: int, idx: int) -> np.ndarray:
     for v in range(n):
         _place(rest, v, W)
         ones += W[0] > W[1]
-    key = code.astype(np.uint32)
+    del W, rest  # free the block before the bincount's key
+    key = code.astype(np.intp)  # bincount would copy any other dtype to intp
     key *= n + 1
     key += ones
     H = np.bincount(key, minlength=(n + 1) << (n - 2)).reshape(-1, n + 1)

@@ -29,6 +29,7 @@ from altdes.recurrences import (
     quadratic_tq,
     simsun_rec,
 )
+from test_cli import parse_poly
 
 RESULTS = []
 
@@ -99,7 +100,7 @@ def test_criterion_02_factorization_table(tmp_path):
             report = json.loads(out.read_text(encoding="utf-8"))
             values = {r["name"]: r.get("value") for r in report["results"]}
             assert values["e_hat"] == list(expected), f"n={n}"
-            got = cli.parse_poly(values["g_n"]) * expected
+            got = parse_poly(values["g_n"]) * expected
             assert got == faa_di_bruno_altmaj(n), f"n={n} product"
         E = euler_numbers(20)
         for n in range(2, 21):

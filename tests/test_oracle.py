@@ -23,7 +23,7 @@ from altdes.oracle import (
 )
 from altdes.permutations import alt_stats, cd_word, classic_stats, inverse, is_down_up, is_simsun
 from altdes.polynomials import BiPolyTQ, NCPoly
-from altdes.recurrences import five_term
+from altdes.recurrences import five_term, simsun_rec
 
 
 def scalar_hist(n, key):
@@ -409,6 +409,29 @@ def test_cold_enumeration_memory_is_one_block():
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+
+def test_cold_simsun_memory_is_one_block_per_length():
+    import tracemalloc
+
+    oracle._BLOCK_CACHE.clear()
+    oracle._HIST_CACHE.clear()
+    tracemalloc.start()
+    try:
+        got = brute_simsun(12, brute_max=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == simsun_rec(12)
+    assert peak < 8 << 20
+
+
+def test_simsun_blocks_above_the_cache_are_bounded():
+    widths = [S.shape[1] for S in oracle._simsun_blocks(11)]
+    assert max(widths) <= 50521  # E_10, the Simsun words of length 9
+    assert sum(widths) == 2702765  # E_12
+    # E_13 / 2^6: the down-up Simsun words of length 12
+    assert down_up_simsun_count(12, brute_max=12) == 349504
 
 
 def test_n12_oracle_matches_recurrence():
