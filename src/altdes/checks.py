@@ -10,6 +10,7 @@ them, and the acceptance tests assert that they pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
 from . import divisibility, gamma, oracle, permutations, recurrences
@@ -63,10 +64,14 @@ def _over_j(check: Callable[[int, int], CheckResult], n: int, js: range) -> Chec
     return _verdict(bad)
 
 
-def _five_term_vs_oracle(n: int, brute_max: int, jobs: int) -> CheckResult:
-    ok = recurrences.five_term(n) == oracle.brute_alt_eulerian(
-        n, brute_max=brute_max, jobs=jobs)
-    return CheckResult(ok, None if ok else f"five-term recurrence disagrees at n={n}")
+def _vs_oracle(recurrence: str, brute: str, label: str) -> Callable[..., CheckResult]:
+    """The check that recurrences.<recurrence>(n) equals the enumerated
+    oracle.<brute>(n), both looked up when the check runs."""
+    def check(n: int, brute_max: int, jobs: int) -> CheckResult:
+        ok = getattr(recurrences, recurrence)(n) == getattr(oracle, brute)(
+            n, brute_max=brute_max, jobs=jobs)
+        return CheckResult(ok, None if ok else f"{label} recurrence disagrees at n={n}")
+    return check
 
 
 def _walked(maxn: int, brute_max: int, jobs: int) -> list[dict]:
@@ -190,6 +195,31 @@ def _two_sided(n: int, brute_max: int, jobs: int) -> CheckResult:
     return CheckResult(ok, None if ok else "negative expansion entry")
 
 
+def _gn_cyclotomic(n: int) -> CheckResult:
+    want = prod((divisibility.cyclotomic(2 * m) ** (n // (2 * m))
+                 for m in range(1, n // 2 + 1)), start=IntPoly.one())
+    ok = divisibility.build_Gn(n) == want
+    return CheckResult(ok, None if ok else f"G_{n} is not prod_m Phi_2m^floor(n/2m)")
+
+
+def _foata(k: int) -> CheckResult:
+    """Ev_k = prod_{d|k} Phi_2d, and G_2k = prod_{i<=k} Ev_i = G_2k+1."""
+    phis = prod((divisibility.cyclotomic(2 * d) for d in range(1, k + 1) if k % d == 0),
+                start=IntPoly.one())
+    evs = prod(map(divisibility.build_Ev, range(1, k + 1)), start=IntPoly.one())
+    bad = [] if divisibility.build_Ev(k) == phis else [f"Ev_{k} is not prod_d|k Phi_2d"]
+    if not divisibility.build_Gn(2 * k) == evs == divisibility.build_Gn(2 * k + 1):
+        bad.append(f"G_{2 * k}, prod Ev_i and G_{2 * k + 1} differ")
+    return _verdict(bad)
+
+
+def _gamma_column(n: int) -> CheckResult:
+    e = recurrences.euler_numbers(n + 1)
+    got, want = recurrences.gamma_rec(n)[1], n * e[n] - e[n + 1]
+    ok = got == want
+    return CheckResult(ok, None if ok else f"a({n}, 1) = {got}, not {want}")
+
+
 def _equidist(n: int, brute_max: int, jobs: int) -> CheckResult:
     left = oracle.stat_multiset(n, "altdes", brute_max=brute_max, jobs=jobs)
     right = oracle.brute_des3_first1(n, brute_max=brute_max, jobs=jobs)
@@ -202,7 +232,8 @@ _BRUTE = _upto(brute=True, enumerates=True)
 
 # token -> (default max n, checks)
 SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
-    "thm2.1": (10, (_Check("five-term matches oracle n={n}", _five_term_vs_oracle,
+    "thm2.1": (10, (_Check("five-term matches oracle n={n}",
+                           _vs_oracle("five_term", "brute_alt_eulerian", "five-term"),
                            _BRUTE),)),
     "eq1": (10, (_Check("convolution identity n={n}", recurrences.chebikin_check),)),
     "thm3.1": (12, (_Check("palindromic unimodal gamma-nonnegative n={n}",
@@ -237,6 +268,16 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
                             _equidist, _BRUTE),)),
     "double-count": (7, (_Check("insertion double count n={n}",
                                 permutations.double_count_check, _upto(brute=True)),)),
+    "qrec": (10, (_Check("quadratic recurrence matches oracle n={n}",
+                         _vs_oracle("quadratic_tq", "brute_qalt", "quadratic"), _BRUTE),)),
+    "qfact": (30, (
+        _Check("Pochhammer factor orders n={n}", divisibility.check_pochhammer_orders),
+        _Check("G_n as a cyclotomic product n={n}", _gn_cyclotomic),
+        _Check("Foata factors k={k}", _foata,
+               lambda maxn, *_: [{"k": k} for k in range(1, (maxn - 1) // 2 + 1)]))),
+    "theta": (8, (_Check("theta involution n={n}", permutations.theta_check,
+                         _upto(brute=True)),)),
+    "gamma-col": (12, (_Check("gamma column identity n={n}", _gamma_column),)),
 }
 
 

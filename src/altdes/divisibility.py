@@ -6,9 +6,9 @@ where
 
     G_n = prod_{k>=1} prod_{i=1}^{floor(n/2^k)} (1 + q^i).
 
-This module builds G_n two ways (direct product and cyclotomic
-product), extracts the cofactor by exact division, measures orders of
-(1+q^m) factors, and hosts the balanced-binomial-sum divisibility
+This module builds G_n, Foata's factors Ev_k and the cyclotomic
+polynomials they factor into, extracts the cofactor by exact division,
+measures orders of (1+q^m) factors, and hosts the balanced-binomial-sum
 criterion together with its prefix-reversal bijection witness.
 """
 
@@ -79,8 +79,8 @@ def _gn_powers(n: int):
         k += 1
 
 
-def build_Gn(n: int, method: str = "product") -> IntPoly:
-    """G_n as the double product over (1+q^i), or equivalently as
+def build_Gn(n: int) -> IntPoly:
+    """G_n as the double product over (1+q^i); it equals
     prod_m Phi_2m(q)^floor(n/2m).
 
     >>> build_Gn(4).coeffs == (one_plus_pow(1)**2 * one_plus_pow(2)).coeffs
@@ -88,40 +88,26 @@ def build_Gn(n: int, method: str = "product") -> IntPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if method == "product":
-        out = IntPoly.one()
-        for i in _gn_powers(n):
-            out = out.mul_binomial(i, 1)
-        return out
-    if method == "cyclotomic":
-        out = IntPoly.one()
-        for m in range(1, n // 2 + 1):
-            out = out * cyclotomic(2 * m) ** (n // (2 * m))
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    out = IntPoly.one()
+    for i in _gn_powers(n):
+        out = out.mul_binomial(i, 1)
+    return out
 
 
 def build_Ev(k: int) -> IntPoly:
     """Foata's factor Ev_k = prod_{j=0}^{l} (1 + q^(2^j m)) for
-    k = 2^l m with m odd; cross-checked against prod_{d|k} Phi_2d.
+    k = 2^l m with m odd; it equals prod_{d|k} Phi_2d.
 
     >>> build_Ev(2).coeffs
     (1, 1, 1, 1)
     """
     if k < 1:
         raise ValueError("k must be positive")
-    t = k
-    direct = one_plus_pow(t)
-    while t % 2 == 0:
-        t //= 2
-        direct = direct.mul_binomial(t, 1)
-    via_cyclotomic = IntPoly.one()
-    for d in range(1, k + 1):
-        if k % d == 0:
-            via_cyclotomic = via_cyclotomic * cyclotomic(2 * d)
-    if direct != via_cyclotomic:
-        raise ArithmeticError(f"the two product forms disagree at k={k}")
-    return direct
+    out = one_plus_pow(k)
+    while k % 2 == 0:
+        k //= 2
+        out = out.mul_binomial(k, 1)
+    return out
 
 
 def order_of_factor(f: IntPoly, m: int) -> int:

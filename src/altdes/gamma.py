@@ -86,10 +86,6 @@ class QGammaVector:
             o >= k for k, o in enumerate(self.one_plus_q_orders)
         )
 
-    def reconstruct(self) -> BiPolyTQ:
-        return sum((_q_basis_element(self.n, k, g) for k, g in enumerate(self.gammas)),
-                   BiPolyTQ.zero())
-
 
 def _q_basis_element(n: int, k: int, g: IntPoly) -> BiPolyTQ:
     """g(q) q^C(k+1,2) (-t)^k prod_{i=k+1}^{n-1-k} (1 + t q^i)."""
@@ -142,10 +138,6 @@ class TwoSidedGamma:
 
     def nonnegative(self) -> bool:
         return all(c >= 0 for c in self.entries.values())
-
-    def reconstruct(self) -> BiPolyTQ:
-        return sum((c * _two_sided_basis(self.n, i, j) for (i, j), c in self.entries.items()),
-                   BiPolyTQ.zero())
 
 
 def _two_sided_basis(n: int, i: int, j: int) -> BiPolyTQ:

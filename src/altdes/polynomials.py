@@ -181,10 +181,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def reverse(self) -> "IntPoly":
-        """Coefficients reversed over 0..degree."""
-        return IntPoly(tuple(reversed(self.coeffs)))
-
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -362,16 +358,6 @@ def q_pochhammer(n: int) -> IntPoly:
     out = IntPoly.one()
     for i in range(1, n + 1):
         out = out.mul_binomial(i, -1)
-    return out
-
-
-def q_factorial(n: int) -> IntPoly:
-    """[n]_q! = prod_{i=1..n} (1 + q + ... + q^(i-1)), n >= 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = IntPoly.one()
-    for i in range(1, n + 1):
-        out = out * IntPoly((1,) * i)
     return out
 
 
@@ -633,10 +619,6 @@ class BiPolyTQ:
 
     def min_t_degree(self) -> int:
         return next((k for k, (_, p) in enumerate(self.rows) if p), -1)
-
-    def at_q1(self) -> IntPoly:
-        """Set q = 1, leaving a polynomial in t."""
-        return IntPoly(sum(p.coeffs) for _, p in self.rows)
 
     def at_t1(self) -> IntPoly:
         """Set t = 1, leaving a polynomial in q."""

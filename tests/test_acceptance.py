@@ -10,25 +10,12 @@ import json
 import time
 
 from altdes import checks, cli
-from altdes.divisibility import build_Ev, build_Gn, check_pochhammer_orders, extract_Ehat
+from altdes.divisibility import build_Ev, extract_Ehat
 from altdes.gamma import q_gamma_extract, two_sided_extract
-from altdes.oracle import (
-    brute_alt_eulerian,
-    brute_qalt,
-    brute_simsun,
-    brute_two_sided,
-    down_up_simsun_count,
-)
-from altdes.permutations import theta_check
+from altdes.oracle import brute_two_sided, down_up_simsun_count
 from altdes.polynomials import IntPoly, one_plus_pow
-from altdes.recurrences import (
-    euler_numbers,
-    faa_di_bruno_altmaj,
-    five_term,
-    gamma_rec,
-    quadratic_tq,
-    simsun_rec,
-)
+from altdes.recurrences import (euler_numbers, faa_di_bruno_altmaj, five_term, gamma_rec,
+                                quadratic_tq)
 from test_cli import parse_poly
 
 RESULTS = []
@@ -55,10 +42,11 @@ def _criterion(num, label, body, budget=None):
     assert ok, line
 
 
-def _passes(*tokens):
-    """Every row of each token's verify suite passes at its default range."""
+def _passes(*tokens, max_n=None, jobs=1):
+    """Every row of each token's verify suite passes up to max_n (the
+    token's default range when None)."""
     for token in tokens:
-        for row in checks.run(token):
+        for row in checks.run(token, max_n, jobs=jobs):
             assert row.status == "pass", \
                 f"{token}: {row.status} {row.name} [{row.witness}]"
 
@@ -115,14 +103,8 @@ def test_criterion_02_factorization_table(tmp_path):
 
 def test_criterion_03_oracle_equivalence():
     def body():
-        _passes("thm2.1", "cor3.5", "eq-fn0")
-        for n in range(1, 11):
-            assert quadratic_tq(n) == brute_qalt(n), f"qalt n={n}"
-        n = 11
-        assert five_term(n) == brute_alt_eulerian(n, jobs=2), "alt n=11"
-        assert quadratic_tq(n) == brute_qalt(n, jobs=2), "qalt n=11"
-        assert simsun_rec(n, "derivative") == simsun_rec(n, "quadratic") \
-            == brute_simsun(n, jobs=2), "simsun n=11"
+        _passes("eq-fn0")
+        _passes("thm2.1", "qrec", "cor3.5", max_n=11, jobs=2)
 
     _criterion(3, "recurrences match the oracle to n=10, n=11 with jobs=2",
                body, budget=60.0)
@@ -139,11 +121,8 @@ def test_criterion_05_generating_function():
 
 def test_criterion_06_gamma_pipeline():
     def body():
-        _passes("thm3.1")
+        _passes("thm3.1", "gamma-col")
         assert gamma_rec(5) == P(16, 19, 4)
-        E = euler_numbers(13)
-        for n in range(3, 13):
-            assert gamma_rec(n)[1] == n * E[n] - E[n + 1], f"n={n}"
 
     _criterion(6, "gamma positivity, gamma vectors, and column identity", body)
 
@@ -163,17 +142,7 @@ def test_criterion_08_values_at_minus_one():
 
 def test_criterion_09_divisibility():
     def body():
-        _passes("thm4.2", "thm4.5", "thm4.6")
-        for n in range(1, 21):
-            ok = check_pochhammer_orders(n)
-            assert ok.ok, ok.witness
-        for n in range(1, 31):
-            assert build_Gn(n, "product") == build_Gn(n, "cyclotomic"), f"n={n}"
-        for k in range(1, 9):
-            prod = IntPoly.one()
-            for i in range(1, k + 1):
-                prod = prod * build_Ev(i)
-            assert build_Gn(2 * k) == prod == build_Gn(2 * k + 1), f"k={k}"
+        _passes("thm4.2", "thm4.5", "thm4.6", "qfact")
         assert build_Ev(6) == one_plus_pow(6) * one_plus_pow(3)
 
     _criterion(9, "divisibility suite: orders, products, parity", body)
@@ -217,10 +186,7 @@ def test_criterion_10_conjecture_suite():
 
 def test_criterion_11_combinatorial_proofs():
     def body():
-        _passes("double-count", "thm4.11", "equidist")
-        for n in range(1, 9):
-            ok = theta_check(n)
-            assert ok.ok, ok.witness
+        _passes("double-count", "thm4.11", "equidist", "theta")
 
     _criterion(11, "bijective arguments: double count, involution, "
                    "prefix reversal, equidistribution", body)

@@ -1,9 +1,11 @@
 """Command-line behavior: formats, exit codes, report schema."""
 
+import ast
 import csv
 import dataclasses
 import errno
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altdes
-from altdes import checks, cli, divisibility, gamma, recurrences
+from altdes import checks, cli, divisibility, gamma, oracle, recurrences
 from altdes.cli import main, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
@@ -375,6 +377,10 @@ _VERIFY_DIGESTS = {
     "thm4.2": "0c4c6eca90a8c74da1c4b8f0369410b5c028d09093db29939a94645efc1a4a4d",
     "thm4.5": "c776b09958eb0be5e200c6232cd46965cd833fc88375e76ec18d8ee262c6d6fc",
     "thm4.6": "108afb2dceee4b80ab7d9a870b4f031b5b8d49e56c22b93f31149cffc1f9357a",
+    "qrec": "f22eeac13a594914a1cfe3b7ac9efd112769dff1de870befadd7f57606848c50",
+    "qfact": "496bb6cafc6517e66fb1e4f1e9105ee66f9d50740e0cc0eb4d3e98a75c6f42c2",
+    "theta": "77fe6bafaf33680ffe0a89297a0b73872a0957b9bbc41f22826b7f847cfc5e4e",
+    "gamma-col": "333ce4482a9193a13cc8443d5eb2aaf08f7d48b6225702af38fd5b90480ea539",
 }
 
 
@@ -388,6 +394,44 @@ def test_every_token_has_a_handler(capsys):
         assert code == 0 and rows, token
         assert all(r["status"] == "pass" for r in rows), token
         assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[token], token
+
+
+def test_every_exported_check_is_in_the_registry():
+    # each exported check is registered as itself or called by an adapter
+    registered = {c.run for _, suite in checks.SUITES.values() for c in suite}
+    adapted = {a.attr for a in ast.walk(ast.parse(inspect.getsource(checks)))
+               if isinstance(a, ast.Attribute)}
+    exported = {f for f in map(altdes.__dict__.get, altdes.__all__) if inspect.isfunction(f)
+                and inspect.signature(f).return_annotation in ("CheckResult", CheckResult)}
+    assert {altdes.check_thm42, altdes.theta_check} <= exported
+    assert {f.__name__ for f in exported - registered} <= adapted
+
+
+def test_broken_cyclotomic_is_fail_rows(capsys, monkeypatch):
+    real = divisibility.cyclotomic
+    monkeypatch.setattr(divisibility, "cyclotomic", lambda k: real(k) + 1 if k == 4 else real(k))
+    code, out, err = run(capsys, "verify", "qfact", "--max-n", "5", "--format", "csv")
+    assert code == 1 and err == ""
+    assert [line for line in out.splitlines() if ",fail," in line] == [
+        f"G_n as a cyclotomic product n={n},fail,G_{n} is not prod_m Phi_2m^floor(n/2m)"
+        for n in (4, 5)] + ["Foata factors k=2,fail,Ev_2 is not prod_d|k Phi_2d"]
+
+
+def test_broken_oracle_is_a_qrec_fail_row(capsys, monkeypatch):
+    real = oracle.brute_qalt
+    monkeypatch.setattr(oracle, "brute_qalt", lambda n, **kw: (
+        real(n, **kw) + BiPolyTQ.one() if n == 3 else real(n, **kw)))
+    code, out, err = run(capsys, "verify", "qrec", "--max-n", "4", "--format", "csv")
+    assert code == 1 and err == ""
+    assert [line for line in out.splitlines() if ",fail," in line] == [
+        "quadratic recurrence matches oracle n=3,fail,quadratic recurrence disagrees at n=3"]
+
+
+def test_theta_is_capped_by_brute_max(capsys):
+    code, out, _ = run(capsys, "verify", "theta", "--max-n", "12", "--brute-max", "8",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"theta involution n={n},pass," for n in range(1, 9)]
 
 
 def test_run_rejects_an_empty_range():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from altdes import checks
 from altdes.divisibility import (
     Factorization,
     binomial_criterion,
@@ -46,14 +47,11 @@ def test_cyclotomic_products():
 
 
 def test_build_gn_methods_and_values():
-    for n in range(1, 41):
-        assert build_Gn(n, "product") == build_Gn(n, "cyclotomic")
+    assert all(row.status == "pass" for row in checks.run("qfact", 40))  # G_n = cyclotomic form
     assert build_Gn(1) == IntPoly.one()
     assert build_Gn(2) == one_plus_pow(1)
     assert build_Gn(8) == one_plus_pow(1) ** 3 * one_plus_pow(2) ** 2 \
         * one_plus_pow(3) * one_plus_pow(4)
-    with pytest.raises(ValueError):
-        build_Gn(3, "table")
 
 
 def test_build_ev_and_product_identity():
