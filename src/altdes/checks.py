@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Callable
+from typing import Callable, Iterator
 
-from . import divisibility, gamma, oracle, permutations, recurrences
+from . import divisibility, gamma, oracle, permutations, recurrences, transfer
 from .gamma import ExpansionFailed
 from .oracle import DEFAULT_BRUTE_MAX
 from .polynomials import IntPoly, NCPoly, gamma_expand, shape_predicates
@@ -55,23 +55,40 @@ def _verdict(problems: list[str]) -> CheckResult:
     return CheckResult(not problems, "; ".join(problems) or None)
 
 
-def _over_j(check: Callable[[int, int], CheckResult], n: int, js: range) -> CheckResult:
-    bad = []
-    for j in js:
-        cr = check(n, j)
-        if not cr.ok:
-            bad.append(cr.witness or f"j={j}")
-    return _verdict(bad)
+def _over_j(check: Callable[[int, int], CheckResult], js: range) -> Callable[..., CheckResult]:
+    """The check that check(n, j) holds for each j in js, failing with every witness."""
+    def run(n: int) -> CheckResult:
+        results = [(j, check(n, j)) for j in js]
+        return _verdict([cr.witness or f"j={j}" for j, cr in results if not cr.ok])
+    return run
 
 
-def _vs_oracle(recurrence: str, brute: str, label: str) -> Callable[..., CheckResult]:
-    """The check that recurrences.<recurrence>(n) equals the enumerated
+def _vs_oracle(name: str, recurrence: str, brute: str, label: str) -> _Check:
+    """Rows checking recurrences.<recurrence>(n) against the enumerated
     oracle.<brute>(n), both looked up when the check runs."""
     def check(n: int, brute_max: int, jobs: int) -> CheckResult:
         ok = getattr(recurrences, recurrence)(n) == getattr(oracle, brute)(
             n, brute_max=brute_max, jobs=jobs)
         return CheckResult(ok, None if ok else f"{label} recurrence disagrees at n={n}")
-    return check
+    return _Check(name, check, _BRUTE)
+
+
+def _counted(form: str, *args: int):
+    """Cases n = 1..maxn sharing one pass transfer.<form>(maxn, *args) of
+    the pattern count: run reads its cases once each and in order, so case
+    n takes row n with next(rows), and no row is counted twice."""
+    def cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
+        rows = getattr(transfer, form)(maxn, *args)
+        return [{"n": n, "rows": rows} for n in range(1, maxn + 1)]
+    return cases
+
+
+def _vs_count(name: str, recurrence: str, form: str, *args: int) -> _Check:
+    """Rows checking recurrences.<recurrence>(n) against row n of the count."""
+    def check(n: int, rows: Iterator) -> CheckResult:
+        ok = getattr(recurrences, recurrence)(n) == next(rows)
+        return CheckResult(ok, None if ok else f"{recurrence} disagrees with the count at n={n}")
+    return _Check(name, check, _counted(form, *args))
 
 
 def _walked(maxn: int, brute_max: int, jobs: int) -> list[dict]:
@@ -152,21 +169,13 @@ def _factorization(n: int) -> CheckResult:
     return _verdict(bad)
 
 
-def _parity(n: int) -> CheckResult:
-    return _over_j(divisibility.check_qj_parity, n, range(5))
-
-
-def _substituted_recursion(n: int) -> CheckResult:
-    return _over_j(recurrences.specialized_recursion_check, n, range(1, 5))
-
-
 def _reversal_cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
     return [{"n": n, "m": m, "brute_max": brute_max}
             for n in range(2, min(maxn, brute_max) + 1) for m in range(1, n // 2 + 1)]
 
 
 def _derivative_route(n: int) -> CheckResult:
-    ok = recurrences.faa_di_bruno_altmaj(n) == recurrences.alt_at_t_qpow(n, 0)
+    ok = recurrences.faa_di_bruno_altmaj(n) == recurrences.quadratic_tq(n).at_t1()
     return CheckResult(ok, None if ok else f"major-index polynomials disagree at n={n}")
 
 
@@ -175,9 +184,9 @@ def _log_concave(n: int, walk: recurrences.FiveTermWalk) -> CheckResult:
     return CheckResult(ok, None if ok else f"coefficients not log-concave at n={n}")
 
 
-def _q_gamma(n: int) -> CheckResult:
+def _q_gamma(n: int, rows: Iterator) -> CheckResult:
     # the peel raises unless A_n(t,q) is exactly its expansion
-    qg = gamma.q_gamma_extract(recurrences.quadratic_tq(n), n)
+    qg = gamma.q_gamma_extract(next(rows), n)
     a = recurrences.gamma_rec(n)
     if any(g(1) != (2 ** k) * a[k] for k, g in enumerate(qg.gammas)):
         raise ExpansionFailed("values at q=1 disagree with gamma vector")
@@ -227,14 +236,14 @@ def _equidist(n: int, brute_max: int, jobs: int) -> CheckResult:
     return CheckResult(ok, None if ok else f"distributions differ at n={n}")
 
 
-_PARITY = _Check("one-plus-q order parity n={n}", _parity)
+_PARITY = _Check("one-plus-q order parity n={n}",
+                 _over_j(lambda n, j: divisibility.check_qj_parity(n, j), range(5)))
 _BRUTE = _upto(brute=True, enumerates=True)
 
 # token -> (default max n, checks)
 SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
-    "thm2.1": (10, (_Check("five-term matches oracle n={n}",
-                           _vs_oracle("five_term", "brute_alt_eulerian", "five-term"),
-                           _BRUTE),)),
+    "thm2.1": (10, (_vs_oracle("five-term matches oracle n={n}", "five_term",
+                               "brute_alt_eulerian", "five-term"),)),
     "eq1": (10, (_Check("convolution identity n={n}", recurrences.chebikin_check),)),
     "thm3.1": (12, (_Check("palindromic unimodal gamma-nonnegative n={n}",
                            _gamma_nonneg, _walked),)),
@@ -249,8 +258,8 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
                            _upto(enumerates=True)),)),
     "thm4.2": (16, (_Check("factorization n={n}", _factorization, _upto(start=2)),)),
     "thm4.5": (14, (_PARITY,)),
-    "thm4.6": (14, (_PARITY, _Check("substituted recursion n={n}",
-                                    _substituted_recursion))),
+    "thm4.6": (14, (_PARITY, _Check("substituted recursion n={n}", _over_j(
+        lambda n, j: recurrences.specialized_recursion_check(n, j), range(1, 5))))),
     "thm4.11": (9, (_Check("prefix-reversal bijection n={n} m={m}",
                            divisibility.thm411_bijection_check, _reversal_cases),)),
     "eq2": (10, (_Check("generating function through order {order}",
@@ -261,15 +270,16 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
                              _BRUTE, finding=True),)),
     "conj5.1": (200, (_Check("log-concave n={n}", _log_concave, _walked,
                              finding=True),)),
-    "conj5.2": (10, (_Check("q-gamma expansion n={n}", _q_gamma, finding=True),)),
+    "conj5.2": (10, (_Check("q-gamma expansion n={n}", _q_gamma, _counted("tq_rows"),
+                            finding=True),)),
     "conj5.3": (10, (_Check("two-sided expansion n={n}", _two_sided, _BRUTE,
                             finding=True),)),
     "equidist": (7, (_Check("alternating descents match triple-pattern class n={n}",
                             _equidist, _BRUTE),)),
     "double-count": (7, (_Check("insertion double count n={n}",
                                 permutations.double_count_check, _upto(brute=True)),)),
-    "qrec": (10, (_Check("quadratic recurrence matches oracle n={n}",
-                         _vs_oracle("quadratic_tq", "brute_qalt", "quadratic"), _BRUTE),)),
+    "qrec": (10, (_vs_oracle("quadratic recurrence matches oracle n={n}", "quadratic_tq",
+                             "brute_qalt", "quadratic"),)),
     "qfact": (30, (
         _Check("Pochhammer factor orders n={n}", divisibility.check_pochhammer_orders),
         _Check("G_n as a cyclotomic product n={n}", _gn_cyclotomic),
@@ -278,6 +288,12 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
     "theta": (8, (_Check("theta involution n={n}", permutations.theta_check,
                          _upto(brute=True)),)),
     "gamma-col": (12, (_Check("gamma column identity n={n}", _gamma_column),)),
+    "transfer": (20, (
+        _vs_count("five-term recurrence matches pattern count n={n}", "five_term", "t_rows"),
+        _vs_count("derivative route matches pattern count n={n}", "faa_di_bruno_altmaj",
+                  "qpow_rows", 0),
+        _vs_count("quadratic recurrence matches pattern count n={n}", "quadratic_tq",
+                  "tq_rows"))),
 }
 
 

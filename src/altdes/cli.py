@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import checks, divisibility, gamma, oracle, recurrences
+from . import checks, divisibility, gamma, oracle, recurrences, transfer
 from .oracle import DEFAULT_BRUTE_MAX
 from .polynomials import BiPolyTQ, IntPoly
 from .reporting import ResultRow, UsageError, _row
@@ -82,27 +82,24 @@ def _cmd_compute(args: argparse.Namespace) -> Report:
     if args.table == "gamma" and n < 1:
         raise UsageError("n must be positive")  # in gamma_rec's words, as before
     params: dict = {"table": args.table, "n": n}
-    rows: list[ResultRow]
-    if args.table == "alt":
+    if args.table in ("alt", "gamma"):
         params["q"] = args.q
-        if args.q:
-            rows = [_value_row(f"alt n={n} (t,q)", recurrences.quadratic_tq(n))]
-        else:
-            rows = [_value_row(f"alt n={n}", recurrences.five_term(n))]
+    if args.table == "alt":
+        name, p = ((f"alt n={n} (t,q)", transfer.alt_tq(n)) if args.q
+                   else (f"alt n={n}", recurrences.five_term(n)))
+        rows = [_value_row(name, p)]
     elif args.table == "simsun":
         rows = [_value_row(f"simsun n={n}", recurrences.simsun_rec(n))]
     elif args.table == "gamma":
-        params["q"] = args.q
         if args.q:
-            qg = gamma.q_gamma_extract(recurrences.quadratic_tq(n), n)
+            qg = gamma.q_gamma_extract(transfer.alt_tq(n), n)
             rows = [_value_row(f"qgamma n={n} k={k}", g, tvar="q")
                     for k, g in enumerate(qg.gammas)]
         else:
             rows = [_value_row(f"gamma n={n}", recurrences.gamma_rec(n), tvar="x")]
     else:  # two-sided
         A = oracle.brute_two_sided(n, brute_max=args.brute_max, jobs=args.jobs)
-        rows = [ResultRow(f"two-sided n={n}", "pass", value=ser_bipoly(A),
-                          display=A.pretty("s", "t"))]
+        rows = [_value_row(f"two-sided n={n}", A, tvar="s", qvar="t")]
     return Report("compute", params, rows)
 
 
@@ -152,18 +149,12 @@ _COMMANDS = {"compute": _cmd_compute, "factor": _cmd_factor, "verify": _cmd_veri
 
 def _render_text(report: Report) -> str:
     lines = []
-    if report.command == "compute":
+    if report.command == "compute" and len(report.results) == 1:
+        lines.append(report.results[0].display)  # a value row always has one
+    elif report.command != "verify":
         for r in report.results:
-            if len(report.results) == 1:
-                lines.append(r.display or r.status)
-            else:
-                lines.append(f"{r.name} = {r.display}")
-    elif report.command in ("factor", "oracle"):
-        for r in report.results:
-            if r.display is not None:
-                lines.append(f"{r.name} = {r.display}")
-            else:
-                lines.append(f"{r.name}: {r.status}")
+            lines.append(f"{r.name}: {r.status}" if r.display is None
+                         else f"{r.name} = {r.display}")
     else:
         counts = {"pass": 0, "fail": 0, "finding": 0}
         for r in report.results:

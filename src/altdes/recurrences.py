@@ -26,6 +26,7 @@ from typing import Callable
 
 from .polynomials import BiPolyTQ, IntPoly, pack_coeffs, unpack_coeffs
 from .reporting import AltdesError, CheckResult
+from .transfer import alt_at_t_qpow
 
 
 class ParityViolation(AltdesError, ArithmeticError):
@@ -251,30 +252,30 @@ def quadratic_tq(n: int) -> BiPolyTQ:
     return _tq_rows.upto(n)[n]
 
 
-def alt_at_t_qpow(n: int, j: int) -> IntPoly:
-    """A_n(q^j, q) as a univariate polynomial in q."""
-    return quadratic_tq(n).at_t_qpow(j)
-
-
 def specialized_recursion_check(n: int, j: int) -> CheckResult:
     """The quadratic recursion survives the substitution t -> q^j:
 
         2 A_{n+1}(q^j, q) = (1+q^(j+1)) A_n(q^(j+1), q)
           + (1+q^(n+j)) A_n(q^j, q)
-          + sum_i (1+q^(2i+2j+1)) C(n,i) A_i(q^j,q) A_{n-i}(q^(i+j+1),q).
+          + sum_i (1+q^(2i+2j+1)) C(n,i) A_i(q^j,q) A_{n-i}(q^(i+j+1),q),
 
-    Exercises the univariate specialization path end to end.
+    on rows of the pattern count, which does not use the recursion.  The
+    sides are compared packed: pack_coeffs refuses negative coefficients,
+    so none exceeds its side's value at q = 1, which the digits hold.
     """
-    lhs = 2 * alt_at_t_qpow(n + 1, j)
-    rhs = alt_at_t_qpow(n, j + 1).mul_binomial(j + 1, 1)
-    rhs = rhs + alt_at_t_qpow(n, j).mul_binomial(n + j, 1)
-    for i in range(1, n):
-        rhs = rhs + comb(n, i) * (
-            alt_at_t_qpow(i, j) * alt_at_t_qpow(n - i, i + j + 1)
-        ).mul_binomial(2 * i + 2 * j + 1, 1)
-    if lhs != rhs:
-        return CheckResult.failed(f"n={n}, j={j}")
-    return CheckResult.passed()
+    row, one = alt_at_t_qpow, IntPoly.one()
+    # (C(n, i), m, a, b) for each term C(n, i) (1 + q^m) a b of the right side
+    terms = [(1, j + 1, row(n, j + 1), one), (1, n + j, row(n, j), one)] + [
+        (comb(n, i), 2 * i + 2 * j + 1, row(i, j), row(n - i, i + j + 1)) for i in range(1, n)]
+    lhs = row(n + 1, j)
+    bound = 2 * max(sum(lhs), sum(c * sum(a) * sum(b) for c, _, a, b in terms))
+    width = bound.bit_length() // 8 + 1
+    rhs = 0
+    for c, m, a, b in terms:
+        x = c * pack_coeffs(a, width) * pack_coeffs(b, width)
+        rhs += x + (x << 8 * width * m)
+    ok = 2 * pack_coeffs(lhs, width) == rhs
+    return CheckResult(ok, None if ok else f"n={n}, j={j}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,6 @@ def _times_den(num: IntPoly, den: Counter) -> IntPoly:
 
 
 def _reduce(num: IntPoly, den: Counter) -> tuple[IntPoly, Counter]:
-    den = Counter({k: m for k, m in den.items() if m})
     for k in sorted(den, reverse=True):
         while den[k]:
             quot, exact = num.div_binomial(k, -1)
@@ -395,7 +395,7 @@ def _reduce(num: IntPoly, den: Counter) -> tuple[IntPoly, Counter]:
                 break
             num = quot
             den[k] -= 1
-    return num, Counter({k: m for k, m in den.items() if m})
+    return num, den
 
 
 def _faa_di_bruno_step(rows: list[RationalFnQ]) -> RationalFnQ:
@@ -404,18 +404,14 @@ def _faa_di_bruno_step(rows: list[RationalFnQ]) -> RationalFnQ:
     m = len(rows) - 1
     E = euler_numbers(max(m, 1))
     pieces: list[tuple[IntPoly, Counter]] = []
-    for k in range(m + 1):
+    for k in range(m % 2, m + 1, 2):  # r = m - k even: odd derivatives of sec vanish at 0
         r = m - k
-        if r % 2:
-            continue  # odd derivatives of sec vanish at 0
         td = rows[k].counter()
         td[r + 1] += 1
         pieces.append((rows[k].numerator * (comb(m, k) * E[r]), td))
     den: Counter = Counter()
     for _, td in pieces:
-        for key, mult in td.items():
-            if mult > den[key]:
-                den[key] = mult
+        den |= td  # the largest multiplicity of each factor
     num = IntPoly()
     for tn, td in pieces:
         num = num + _times_den(tn, Counter({k: den[k] - td.get(k, 0) for k in den}))

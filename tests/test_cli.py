@@ -206,8 +206,8 @@ def test_parity_violation_in_a_walk_is_fail_rows(capsys, monkeypatch):
 
 def test_false_factorization_is_a_fail_row(capsys, monkeypatch):
     # A_n(1, q) + 1 is not divisible by 1 + q, so no G_n divides it
-    altmaj = divisibility.faa_di_bruno_altmaj
-    monkeypatch.setattr(divisibility, "faa_di_bruno_altmaj", lambda n: altmaj(n) + 1)
+    altmaj = divisibility.alt_at_t_qpow
+    monkeypatch.setattr(divisibility, "alt_at_t_qpow", lambda n, c: altmaj(n, c) + 1)
     code, out, err = run(capsys, "factor", "--n", "6", "--format", "json")
     assert code == 1 and err == ""
     assert json.loads(out)["results"] == [{
@@ -381,6 +381,7 @@ _VERIFY_DIGESTS = {
     "qfact": "496bb6cafc6517e66fb1e4f1e9105ee66f9d50740e0cc0eb4d3e98a75c6f42c2",
     "theta": "77fe6bafaf33680ffe0a89297a0b73872a0957b9bbc41f22826b7f847cfc5e4e",
     "gamma-col": "333ce4482a9193a13cc8443d5eb2aaf08f7d48b6225702af38fd5b90480ea539",
+    "transfer": "afb210549c53a9304bcda47309e13c0227a8389d0722ade25bb08a1d46bb3019",
 }
 
 

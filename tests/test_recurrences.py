@@ -17,7 +17,6 @@ from altdes.recurrences import (
     FiveTermWalk,
     ParityViolation,
     RationalFnQ,
-    alt_at_t_qpow,
     chebikin_check,
     egf_check,
     euler_numbers,
@@ -29,6 +28,7 @@ from altdes.recurrences import (
     simsun_rec,
     specialized_recursion_check,
 )
+from altdes.transfer import alt_at_t_qpow
 
 GOLDEN = {
     1: (1,),
