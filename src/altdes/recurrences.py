@@ -4,10 +4,14 @@ descent polynomials.
 The polynomial family A_n(t) = sum over S_n of t^altdes and its
 refinement A_n(t, q) = sum t^altdes q^altmaj are computed here by
 recursion only; the oracle module recomputes the same objects by
-enumeration so that each route checks the other.
+enumeration so that each route checks the other.  The derivative route
+faa_di_bruno_altmaj reads A_n(1, q) off the generating function
+prod_{j>=0} (sec(z q^j) + tan(z q^j)) through a recursion on integer
+polynomials that the functional equation F(z) = (sec z + tan z) F(qz)
+gives.
 
 Rows of a recurrence that callers read by index (five_term,
-euler_numbers, chebikin_check, quadratic_tq, the Faa di Bruno rows) are
+euler_numbers, chebikin_check, quadratic_tq, faa_di_bruno_altmaj) are
 kept for the process in a _Rows table.  A check that reads A_n(t) once
 for n = 1, 2, ... in ascending order (log-concavity,
 gamma-nonnegativity, egf_check) walks the five-term recurrence with
@@ -18,8 +22,6 @@ about n^3 log n bits, about 1 GB at n = 1400.
 from __future__ import annotations
 
 import threading
-from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb, factorial
 from typing import Callable
@@ -31,10 +33,6 @@ from .transfer import alt_at_t_qpow
 
 class ParityViolation(AltdesError, ArithmeticError):
     """A doubled recurrence produced an odd coefficient."""
-
-
-class DenominatorNotCleared(AltdesError, ArithmeticError):
-    """A rational function in q failed to reduce to a polynomial."""
 
 
 _publish = threading.Lock()
@@ -360,101 +358,42 @@ def egf_check(order: int) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# derivative oracle for A_n(1, q)
+# derivative route for A_n(1, q)
 
-@dataclass(frozen=True)
-class RationalFnQ:
-    """numerator / prod (1-q^k)^mult, the product running over the
-    multiset denominator_exponents."""
+def _fdb_step(rows: list[IntPoly]) -> IntPoly:
+    """A_n(1, q), n = len(rows), from the rows before it.
 
-    numerator: IntPoly
-    denominator_exponents: tuple[tuple[int, int], ...]  # (k, mult), sorted
+    F(z) = sum_n A_n(1,q) z^n / (n! (q;q)_n) = prod_{j>=0} (sec(z q^j) + tan(z q^j))
+    satisfies F(z) = (sec z + tan z) F(qz).  Leibniz's rule at z = 0,
+    with sec z + tan z = sum_k E_k z^k / k!, gives
 
-    @classmethod
-    def from_counter(cls, num: IntPoly, den: Counter) -> "RationalFnQ":
-        return cls(num, tuple(sorted((k, m) for k, m in den.items() if m)))
+        A_n(1,q) / (q;q)_n = sum_{k=0}^n C(n,k) E_k q^(n-k) A_{n-k}(1,q) / (q;q)_{n-k},
 
-    def counter(self) -> Counter:
-        return Counter(dict(self.denominator_exponents))
+    and moving the term k = 0 to the left and multiplying by (q;q)_{n-1}
+    leaves a recursion with no division:
 
+        A_n(1,q) = sum_{k=1}^n C(n,k) E_k q^(n-k) A_{n-k}(1,q) prod_{i=n-k+1}^{n-1} (1 - q^i).
 
-def _times_den(num: IntPoly, den: Counter) -> IntPoly:
-    """num * prod (1-q^k)^mult over the multiset den, one binomial at a
-    time."""
-    for k, mult in den.items():
-        for _ in range(mult):
-            num = num.mul_binomial(k, -1)
-    return num
-
-
-def _reduce(num: IntPoly, den: Counter) -> tuple[IntPoly, Counter]:
-    for k in sorted(den, reverse=True):
-        while den[k]:
-            quot, exact = num.div_binomial(k, -1)
-            if not exact:
-                break
-            num = quot
-            den[k] -= 1
-    return num, den
-
-
-def _faa_di_bruno_step(rows: list[RationalFnQ]) -> RationalFnQ:
-    """f_{m+1} = sum_k C(m,k) f_k h_{m-k}, with h_r = E_r / (1 - q^(r+1))
-    for even r and 0 for odd r."""
-    m = len(rows) - 1
-    E = euler_numbers(max(m, 1))
-    pieces: list[tuple[IntPoly, Counter]] = []
-    for k in range(m % 2, m + 1, 2):  # r = m - k even: odd derivatives of sec vanish at 0
-        r = m - k
-        td = rows[k].counter()
-        td[r + 1] += 1
-        pieces.append((rows[k].numerator * (comb(m, k) * E[r]), td))
-    den: Counter = Counter()
-    for _, td in pieces:
-        den |= td  # the largest multiplicity of each factor
-    num = IntPoly()
-    for tn, td in pieces:
-        num = num + _times_den(tn, Counter({k: den[k] - td.get(k, 0) for k in den}))
-    return RationalFnQ.from_counter(*_reduce(num, den))
-
-
-_fdb_rows = _Rows((RationalFnQ(IntPoly.one(), ()),), _faa_di_bruno_step)
-
-
-def faa_di_bruno_derivatives(n: int) -> RationalFnQ:
-    """F^{(n)}(0) for F(z) = prod_{j>=0} (sec(z q^j) + tan(z q^j)),
-    as an exact rational function of q.
-
-    The logarithmic derivative of F collapses to the geometric sums
-    h_r = sec^{(r)}(0) / (1 - q^{r+1}), so the derivatives follow the
-    Leibniz convolution f_{m+1} = sum_k C(m,k) f_k h_{m-k}.
+    It is summed by Horner from k = n down to 1: the running sum is
+    multiplied by (1 - q^(n-k)) before term k is added.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _fdb_rows.upto(n)[n]
+    n = len(rows)
+    E = euler_numbers(n)
+    acc = IntPoly((E[n],))
+    for k in range(n - 1, 0, -1):
+        acc = acc.mul_binomial(n - k, -1) + comb(n, k) * E[k] * rows[n - k].shift(n - k)
+    return acc
+
+
+_fdb_rows = _Rows((IntPoly.one(),), _fdb_step)  # row for n = 0
 
 
 def faa_di_bruno_altmaj(n: int) -> IntPoly:
-    """A_n(1, q) = F^{(n)}(0) (q;q)_n, cleared to a polynomial.
+    """A_n(1, q) = F^{(n)}(0) (q;q)_n for F(z) = prod_{j>=0} (sec(z q^j) + tan(z q^j)).
 
     >>> faa_di_bruno_altmaj(3).coeffs
     (2, 1, 1, 2)
     """
     if n < 1:
         raise ValueError("n must be positive")
-    frac = faa_di_bruno_derivatives(n)
-    num = frac.numerator
-    den = frac.counter()
-    for i in range(1, n + 1):
-        if den[i] > 0:
-            den[i] -= 1
-        else:
-            num = num.mul_binomial(i, -1)
-    for k, mult in den.items():
-        for _ in range(mult):
-            num, exact = num.div_binomial(k, -1)
-            if not exact:
-                raise DenominatorNotCleared(
-                    f"(1-q^{k}) does not divide the cleared numerator at n={n}"
-                )
-    return num
+    return _fdb_rows.upto(n)[n]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from altdes import checks
+from altdes import checks, divisibility
 from altdes.divisibility import (
     Factorization,
     binomial_criterion,
@@ -103,6 +103,13 @@ def test_check_thm42_and_orders():
     for n in range(1, 19):
         ok = check_pochhammer_orders(n)
         assert ok.ok, ok.witness
+
+
+def test_check_thm42_witness(monkeypatch):
+    # 1 + q has (1+q)-order 1, where n = 6 needs floor(6/2) = 3
+    monkeypatch.setattr(divisibility, "alt_at_t_qpow", lambda n, c: IntPoly((1, 1)))
+    cr = check_thm42(6)
+    assert (cr.ok, cr.witness) == (False, "n=6, m=1: order 1 < 3")
 
 
 def test_parity_checks():

@@ -16,19 +16,17 @@ from altdes.polynomials import BiPolyTQ, IntPoly, q_pochhammer
 from altdes.recurrences import (
     FiveTermWalk,
     ParityViolation,
-    RationalFnQ,
     chebikin_check,
     egf_check,
     euler_numbers,
     faa_di_bruno_altmaj,
-    faa_di_bruno_derivatives,
     five_term,
     gamma_rec,
     quadratic_tq,
     simsun_rec,
     specialized_recursion_check,
 )
-from altdes.transfer import alt_at_t_qpow
+from altdes.transfer import alt_at_t_qpow, qpow_rows
 
 GOLDEN = {
     1: (1,),
@@ -220,18 +218,23 @@ def test_negative_sizes_are_rejected(check):
         check(-1)
 
 
-def test_faa_di_bruno_denominators_clear():
-    # the accumulated derivative at any order is a polynomial divided by
-    # one-minus-q-power factors that all cancel against (q;q)_n
-    for n in range(1, 9):
-        f = faa_di_bruno_derivatives(n)
-        assert isinstance(f, RationalFnQ)
-        num = f.numerator * q_pochhammer(n)
-        for k, mult in f.denominator_exponents:
-            for _ in range(mult):
-                num, exact = num.div_binomial(k, -1)
-                assert exact, (n, k)
-        assert num == faa_di_bruno_altmaj(n)
+def test_faa_di_bruno_matches_pattern_count():
+    # one pass of the count gives every row up to 60
+    for n, row in enumerate(qpow_rows(60, 0), 1):
+        assert faa_di_bruno_altmaj(n) == row, n
+
+
+def test_corrupted_derivative_row_is_a_fail_row(monkeypatch, capsys):
+    # rows 0..6 with row 6 off by one; row 7 is built from it
+    rows = list(recurrences._fdb_rows.upto(6)[:7])
+    rows[6] = rows[6] + 1
+    monkeypatch.setattr(recurrences._fdb_rows, "_rows", tuple(rows))
+    assert cli.main(["verify", "eq-fn0", "--max-n", "7", "--format", "csv"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[6:] == [
+        f"derivative route matches recursion n={n},fail,major-index polynomials disagree at n={n}"
+        for n in (6, 7)]
+    assert all(",pass," in line for line in out[1:6])
 
 
 def test_faa_di_bruno_matches_recursion():
