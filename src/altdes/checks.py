@@ -9,9 +9,9 @@ them, and the acceptance tests assert that they pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 from math import prod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import divisibility, gamma, oracle, permutations, recurrences, transfer
 from .gamma import ExpansionFailed
@@ -32,8 +32,7 @@ def _upto(*, start: int = 1, step: int = 1, brute: bool = False,
     return cases
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """One family of rows of a verify token.
 
     cases(maxn, brute_max, jobs) lists the cases as keyword dicts, name
@@ -73,13 +72,13 @@ def _vs_oracle(name: str, recurrence: str, brute: str, label: str) -> _Check:
     return _Check(name, check, _BRUTE)
 
 
-def _counted(form: str, *args: int):
-    """Cases n = 1..maxn sharing one pass transfer.<form>(maxn, *args) of
-    the pattern count: run reads its cases once each and in order, so case
-    n takes row n with next(rows), and no row is counted twice."""
+def _counted(form: str, *args: int, start: int = 1):
+    """Cases n = start..maxn sharing one pass transfer.<form>(maxn, *args)
+    of the pattern count: run reads its cases once each and in order, so
+    case n takes row n with next(rows), and no row is counted twice."""
     def cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
-        rows = getattr(transfer, form)(maxn, *args)
-        return [{"n": n, "rows": rows} for n in range(1, maxn + 1)]
+        rows = islice(getattr(transfer, form)(maxn, *args), start - 1, None)
+        return [{"n": n, "rows": rows} for n in range(start, maxn + 1)]
     return cases
 
 
@@ -103,7 +102,7 @@ def _gamma_nonneg(n: int, walk: recurrences.FiveTermWalk) -> CheckResult:
     f = walk.row(n)
     sh = shape_predicates(f)
     problems = []
-    if sh.palindromic_center is None:
+    if not sh.palindromic:
         problems.append("not palindromic")
     if not sh.unimodal:
         problems.append("not unimodal")
@@ -160,10 +159,11 @@ def _simsun_rec(n: int, brute_max: int, jobs: int) -> CheckResult:
     return _verdict(bad)
 
 
-def _factorization(n: int) -> CheckResult:
-    verdicts = divisibility.extract_Ehat(n).verdicts._asdict()
+def _factorization(n: int, rows: Iterator) -> CheckResult:
+    altmaj = next(rows)
+    verdicts = divisibility.extract_Ehat(n, altmaj).verdicts._asdict()
     bad = [divisibility.VERDICT_WITNESSES[k] for k, ok in verdicts.items() if not ok]
-    cr = divisibility.check_thm42(n)
+    cr = divisibility.check_thm42(n, altmaj)
     if not cr.ok:
         bad.append(cr.witness or "factor order too small")
     return _verdict(bad)
@@ -256,7 +256,8 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
     "prop3.4": (7, (_Check("cd-index relations n={n}", _cd_index, _BRUTE),)),
     "cor3.5": (10, (_Check("simsun descent polynomial n={n}", _simsun_rec,
                            _upto(enumerates=True)),)),
-    "thm4.2": (16, (_Check("factorization n={n}", _factorization, _upto(start=2)),)),
+    "thm4.2": (16, (_Check("factorization n={n}", _factorization,
+                           _counted("qpow_rows", 0, start=2)),)),
     "thm4.5": (14, (_PARITY,)),
     "thm4.6": (14, (_PARITY, _Check("substituted recursion n={n}", _over_j(
         lambda n, j: recurrences.specialized_recursion_check(n, j), range(1, 5))))),

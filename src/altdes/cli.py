@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import checks, divisibility, gamma, oracle, recurrences, transfer
@@ -33,12 +30,14 @@ COMPUTE_TABLES = ("alt", "simsun", "gamma", "two-sided")
 # ---------------------------------------------------------------------------
 # report plumbing
 
-@dataclass
 class Report:
-    command: str
-    parameters: dict
-    results: list[ResultRow] = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("command", "parameters", "results", "elapsed_ms")
+
+    def __init__(self, command: str, parameters: dict, results: list[ResultRow]):
+        self.command = command
+        self.parameters = parameters
+        self.results = results
+        self.elapsed_ms = 0
 
     @property
     def ok(self) -> bool:
@@ -173,10 +172,14 @@ def _render_text(report: Report) -> str:
 
 
 def _render_json(report: Report) -> str:
+    import json
+
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _render_csv(report: Report) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if report.command == "verify":

@@ -14,7 +14,6 @@ criterion together with its prefix-reversal bijection witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Mapping, NamedTuple
 
@@ -136,8 +135,7 @@ VERDICT_WITNESSES = {"e_hat_palindromic": "reduced factor not palindromic",
                      "constant_term_is_euler": "constant term is not the zigzag number"}
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Exact split of the altmaj generating polynomial as g_n * e_hat."""
 
     n: int
@@ -146,33 +144,35 @@ class Factorization:
     verdicts: FactorVerdicts
 
 
-def extract_Ehat(n: int) -> Factorization:
-    """Divide the altmaj polynomial by G_n and report whether the
-    cofactor is palindromic with constant term E_n.
+def extract_Ehat(n: int, altmaj: IntPoly | None = None) -> Factorization:
+    """Divide the altmaj polynomial A_n(1, q), or altmaj when given, by
+    G_n and report whether the cofactor is palindromic with constant term
+    E_n.
 
     NotDivisible from the division would falsify the factorization
     claim; it propagates so callers can record the finding.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    e_hat = alt_at_t_qpow(n, 0)
+    e_hat = alt_at_t_qpow(n, 0) if altmaj is None else altmaj
     for i in _gn_powers(n):  # one linear division per factor of G_n
         e_hat, exact = e_hat.div_binomial(i, 1)
         if not exact:
             raise NotDivisible(f"(1+q^{i}) does not divide the altmaj polynomial "
                                f"at n={n}")
-    palindromic = shape_predicates(e_hat).palindromic_center is not None
+    palindromic = shape_predicates(e_hat).palindromic
     constant_ok = e_hat[0] == euler_numbers(n)[n]
     return Factorization(n, build_Gn(n), e_hat,
                          FactorVerdicts(palindromic, constant_ok))
 
 
-def check_thm42(n: int) -> CheckResult:
-    """(1+q^m)^floor(n/2m) divides the altmaj polynomial for every
-    1 <= m <= n/2 (higher m give empty requirements)."""
+def check_thm42(n: int, altmaj: IntPoly | None = None) -> CheckResult:
+    """(1+q^m)^floor(n/2m) divides the altmaj polynomial A_n(1, q), or
+    altmaj when given, for every 1 <= m <= n/2 (higher m give empty
+    requirements)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    f = alt_at_t_qpow(n, 0)
+    f = alt_at_t_qpow(n, 0) if altmaj is None else altmaj
     for m in range(1, n // 2 + 1):
         need = n // (2 * m)
         got = order_of_factor(f, m)

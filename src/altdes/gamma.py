@@ -15,8 +15,8 @@ positivity or divisibility are reported as data, never enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .divisibility import order_of_factor
 from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand
@@ -70,8 +70,7 @@ def cd_transform(phi: NCPoly) -> CdTransform:
 # ---------------------------------------------------------------------------
 # q-refined gamma vectors
 
-@dataclass(frozen=True)
-class QGammaVector:
+class QGammaVector(NamedTuple):
     """Entries g_k(q) of the q-expansion of A_n(t,q), with verdict data:
     per-entry coefficient nonnegativity and the exact power of (1+q)
     dividing each entry."""
@@ -128,8 +127,7 @@ def q_gamma_extract(p: BiPolyTQ, n: int) -> QGammaVector:
 # ---------------------------------------------------------------------------
 # two-sided expansion
 
-@dataclass(frozen=True)
-class TwoSidedGamma:
+class TwoSidedGamma(NamedTuple):
     """Entries e[(i, j)] of the expansion of a symmetric two-sided
     polynomial in the basis (-st)^i (1+st)^j (s+t)^(n-1-j-2i)."""
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from functools import partial
 from math import factorial
 from typing import Iterator, NamedTuple
@@ -380,8 +379,7 @@ def _read_off(keys, counts: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # public oracle surface
 
-@dataclass(frozen=True)
-class StatMultiset:
+class StatMultiset(NamedTuple):
     """Multiset of a statistic over S_n, as value -> multiplicity."""
 
     n: int

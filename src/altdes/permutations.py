@@ -12,8 +12,9 @@ with distinct letters, not just permutations of 1..n.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations as _perms
-from math import comb
+from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from .reporting import AltdesError, CheckResult
@@ -158,19 +159,19 @@ def insertions(w: Iterable[int], j: int, kind: str) -> Word:
     n = len(w)
     if not 0 <= j <= n:
         raise ValueError(f"space {j} out of range 0..{n}")
-    return _insert(w, j, kind)
+    if kind not in ("min", "max"):
+        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    return _inserted(w, j)[kind == "max"]
 
 
-def _insert(w: Word, j: int, kind: str) -> Word:
-    """insertions() for a permutation w of 1..n and a space 0 <= j <= n,
-    unchecked.  The complemented suffix keeps its letters, so the min
-    insertion normalizes by shifting every letter up by one."""
+def _inserted(w: Word, j: int) -> tuple[Word, Word]:
+    """The min and max insertions of a permutation w of 1..n into a
+    space 0 <= j <= n, unchecked, from one complement of the suffix.  The
+    complemented suffix keeps its letters, so the min insertion
+    normalizes by shifting every letter up by one."""
     suffix = complement(w[j:])
-    if kind == "min":
-        return tuple(x + 1 for x in w[:j]) + (1,) + tuple(x + 1 for x in suffix)
-    if kind == "max":
-        return w[:j] + (len(w) + 1,) + suffix
-    raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    return (tuple([x + 1 for x in w[:j] + (0,) + suffix]),
+            w[:j] + (len(w) + 1,) + suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +270,12 @@ def double_count_check(n: int) -> CheckResult:
     S_{n+1} exactly twice."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    hits: dict[Word, int] = {}
-    for w in _perms(range(1, n + 1)):
-        for j in range(n + 1):
-            for kind in ("min", "max"):
-                v = _insert(w, j, kind)
-                hits[v] = hits.get(v, 0) + 1
-    target = [tuple(p) for p in _perms(range(1, n + 2))]
-    if len(hits) != len(target):
-        return CheckResult.failed(f"covered {len(hits)} of {len(target)} targets")
-    for v in target:
+    hits = Counter(v for w in _perms(range(1, n + 1))
+                   for j in range(n + 1) for v in _inserted(w, j))
+    targets = factorial(n + 1)
+    if len(hits) != targets:
+        return CheckResult.failed(f"covered {len(hits)} of {targets} targets")
+    for v in _perms(range(1, n + 2)):
         if hits.get(v, 0) != 2:
             return CheckResult.failed(
                 f"{format_word(v)} constructed {hits.get(v, 0)} times"

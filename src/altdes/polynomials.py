@@ -15,7 +15,6 @@ exact log-concavity test of ``shape_predicates``; every verdict is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import log, nan
 from operator import add, sub
@@ -362,7 +361,7 @@ def q_pochhammer(n: int) -> IntPoly:
 
 
 class Shape(NamedTuple):
-    palindromic_center: Fraction | None
+    palindromic: bool
     unimodal: bool
     log_concave: bool
 
@@ -371,15 +370,15 @@ def shape_predicates(f: IntPoly) -> Shape:
     """Palindromicity, unimodality, and log-concavity of a coefficient
     sequence.
 
-    The palindromic center is reported as a Fraction when the stored
-    coefficients 0..deg read the same reversed, else None.  Unimodality
+    palindromic holds when the stored coefficients 0..deg read the same
+    reversed; the zero polynomial is not palindromic.  Unimodality
     is over the full 0..deg range; log-concavity (c_i^2 >= c_{i-1} c_{i+1})
     is over the interior of the support.
     """
     cs = f.coeffs
     if not cs:
-        return Shape(None, True, True)
-    center = Fraction(len(cs) - 1, 2) if cs == tuple(reversed(cs)) else None
+        return Shape(False, True, True)
+    palindromic = cs == cs[::-1]
     unimodal = True
     falling = False
     for i in range(1, len(cs)):
@@ -405,7 +404,7 @@ def shape_predicates(f: IntPoly) -> Shape:
         or cs[i] * cs[i] >= cs[i - 1] * cs[i + 1]
         for i in range(f.valuation() + 1, f.degree)
     )
-    return Shape(center, unimodal, log_concave)
+    return Shape(palindromic, unimodal, log_concave)
 
 
 class GammaVector(NamedTuple):

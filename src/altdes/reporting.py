@@ -3,7 +3,7 @@ and the command line."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class AltdesError(Exception):
@@ -14,8 +14,7 @@ class UsageError(AltdesError, ValueError):
     """A bad argument or setting; the CLI exits 2 on it."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a single verification.
 
     Truthiness follows ``ok`` so callers may treat a CheckResult as a
@@ -38,8 +37,7 @@ class CheckResult:
         return cls(False, witness)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One named check or value in a report.
 
     status is "pass", "fail", or "finding"; "finding" marks a negative

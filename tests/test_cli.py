@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import dataclasses
 import errno
 import hashlib
 import inspect
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altdes
-from altdes import checks, cli, divisibility, gamma, oracle, recurrences
+from altdes import checks, cli, divisibility, gamma, oracle, recurrences, transfer
 from altdes.cli import main, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
@@ -205,9 +204,11 @@ def test_parity_violation_in_a_walk_is_fail_rows(capsys, monkeypatch):
 
 
 def test_false_factorization_is_a_fail_row(capsys, monkeypatch):
-    # A_n(1, q) + 1 is not divisible by 1 + q, so no G_n divides it
-    altmaj = divisibility.alt_at_t_qpow
+    # A_n(1, q) + 1 is not divisible by 1 + q, so no G_n divides it; factor
+    # reads A_n(1, q) alone, thm4.2 every row from one pass of the count
+    altmaj, rows = divisibility.alt_at_t_qpow, transfer.qpow_rows
     monkeypatch.setattr(divisibility, "alt_at_t_qpow", lambda n, c: altmaj(n, c) + 1)
+    monkeypatch.setattr(transfer, "qpow_rows", lambda n, c: (p + 1 for p in rows(n, c)))
     code, out, err = run(capsys, "factor", "--n", "6", "--format", "json")
     assert code == 1 and err == ""
     assert json.loads(out)["results"] == [{
@@ -320,7 +321,7 @@ def test_value_error_in_a_check_is_a_fail_row(capsys, monkeypatch):
     default_max, (check,) = checks.SUITES["eq1"]
     assert check.run is recurrences.chebikin_check  # registered as itself
     monkeypatch.setitem(checks.SUITES, "eq1",
-                        (default_max, (dataclasses.replace(check, run=broken),)))
+                        (default_max, (check._replace(run=broken),)))
     code, out, err = run(capsys, "verify", "eq1", "--max-n", "2", "--format", "csv")
     assert code == 1 and err == ""
     assert out.splitlines()[1:] == [
@@ -492,6 +493,23 @@ def test_numpy_is_imported_only_to_enumerate():
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("OPENBLAS_NUM_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_start_up_loads_no_code_generation_or_output_formats():
+    # every command pays for what `import altdes, altdes.cli` loads: no
+    # dataclass code generation, no Fraction, and json and csv only when
+    # a report is rendered in that format
+    script = textwrap.dedent("""
+        import sys
+        import altdes, altdes.cli
+        assert "numpy" not in sys.modules
+        unwanted = ("dataclasses", "fractions", "json", "csv", "inspect")
+        assert [m for m in unwanted if m in sys.modules] == []
+    """)
+    src = os.path.dirname(os.path.dirname(altdes.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -24,7 +24,7 @@ from altdes.permutations import (
     theta,
     theta_check,
 )
-from altdes.permutations import _insert
+from altdes.permutations import _inserted
 
 rng = random.Random(41)
 
@@ -150,8 +150,9 @@ def test_unchecked_insert_matches_the_normalize_definition():
         for w in itertools.permutations(range(1, n + 1)):
             for j in range(n + 1):
                 suffix = complement(w[j:])
-                assert _insert(w, j, "min") == normalize(w[:j] + (0,) + suffix)
-                assert _insert(w, j, "max") == w[:j] + (n + 1,) + suffix
+                low, high = _inserted(w, j)
+                assert low == normalize(w[:j] + (0,) + suffix)
+                assert high == w[:j] + (n + 1,) + suffix
 
 
 def test_double_count_small():

@@ -120,8 +120,8 @@ def test_q_pochhammer_and_factorial():
 
 def test_shape_predicates():
     sh = shape_predicates(IntPoly((1, 3, 3, 1)))
-    assert sh.palindromic_center is not None and sh.unimodal and sh.log_concave
-    assert shape_predicates(IntPoly((1, 2, 1, 2))).palindromic_center is None
+    assert sh.palindromic and sh.unimodal and sh.log_concave
+    assert not shape_predicates(IntPoly((1, 2, 1, 2))).palindromic
     assert not shape_predicates(IntPoly((1, 5, 2, 5, 1))).unimodal
     # unimodal but not log-concave: 1, 1, 3
     sh2 = shape_predicates(IntPoly((1, 1, 3)))
