@@ -20,14 +20,36 @@ from .polynomials import IntPoly, NCPoly, gamma_expand, shape_predicates
 from .reporting import CheckResult, ResultRow, UsageError, _row
 
 
+def _reader(rows: Iterator) -> Callable[[], object]:
+    """A read of the next of rows.  Once a step of the pass has raised,
+    every later read raises the same error, so the case that hit it and
+    each case after it fail with one witness, not with StopIteration."""
+    error = None
+
+    def read():
+        nonlocal error
+        if error is None:
+            try:
+                return next(rows)
+            except (ArithmeticError, ValueError) as exc:  # as run catches
+                error = exc
+        raise error
+    return read
+
+
 def _upto(*, start: int = 1, step: int = 1, brute: bool = False,
-          enumerates: bool = False):
+          enumerates: bool = False, rows: Callable[[int], Iterator] | None = None):
     """Cases n = start, start + step, ... up to --max-n, and up to
     --brute-max as well when brute is set.  For a check that enumerates,
-    each case also carries brute_max and jobs."""
+    each case also carries brute_max and jobs.  Given a pass rows, the
+    cases share one run rows(maxn), looked up when they are listed: run
+    reads its cases once each and in order, so case n takes row n with
+    rows(), and no row is computed twice."""
     def cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
         top = min(maxn, brute_max) if brute else maxn
         given = {"brute_max": brute_max, "jobs": jobs} if enumerates else {}
+        if rows is not None:
+            given["rows"] = _reader(islice(rows(maxn), start - 1, None, step))
         return [{"n": n, **given} for n in range(start, top + 1, step)]
     return cases
 
@@ -72,34 +94,26 @@ def _vs_oracle(name: str, recurrence: str, brute: str, label: str) -> _Check:
     return _Check(name, check, _BRUTE)
 
 
-def _counted(form: str, *args: int, start: int = 1):
-    """Cases n = start..maxn sharing one pass transfer.<form>(maxn, *args)
-    of the pattern count: run reads its cases once each and in order, so
-    case n takes row n with next(rows), and no row is counted twice."""
-    def cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
-        rows = islice(getattr(transfer, form)(maxn, *args), start - 1, None)
-        return [{"n": n, "rows": rows} for n in range(start, maxn + 1)]
-    return cases
-
-
-def _vs_count(name: str, recurrence: str, form: str, *args: int) -> _Check:
-    """Rows checking recurrences.<recurrence>(n) against row n of the count."""
-    def check(n: int, rows: Iterator) -> CheckResult:
-        ok = getattr(recurrences, recurrence)(n) == next(rows)
+def _vs_count(name: str, recurrence: str, rows: Callable[[int], Iterator]) -> _Check:
+    """Rows checking a recurrence's pass against the count's, zipped by
+    rows; the witness names the one-n function recurrences.<recurrence>."""
+    def check(n: int, rows: Callable) -> CheckResult:
+        ours, count = rows()
+        ok = ours == count
         return CheckResult(ok, None if ok else f"{recurrence} disagrees with the count at n={n}")
-    return _Check(name, check, _counted(form, *args))
+    return _Check(name, check, _upto(rows=rows))
 
 
-def _walked(maxn: int, brute_max: int, jobs: int) -> list[dict]:
-    """Cases n = 1..maxn sharing one five-term walk, for a check that
-    reads row n once and in ascending order: the walk keeps one row,
-    where the shared table would keep rows 0..maxn for the process."""
-    walk = recurrences.FiveTermWalk()
-    return [{"n": n, "walk": walk} for n in range(1, maxn + 1)]
+def _alt_upto(maxn: int) -> Iterator[list[IntPoly]]:
+    """A_0..A_n for n = 1..maxn, one list grown by one five-term pass."""
+    rows = [IntPoly.one()]
+    for row in recurrences.five_term_rows(maxn):
+        rows.append(row)
+        yield rows
 
 
-def _gamma_nonneg(n: int, walk: recurrences.FiveTermWalk) -> CheckResult:
-    f = walk.row(n)
+def _gamma_nonneg(n: int, rows: Callable) -> CheckResult:
+    f = rows()
     sh = shape_predicates(f)
     problems = []
     if not sh.palindromic:
@@ -111,8 +125,8 @@ def _gamma_nonneg(n: int, walk: recurrences.FiveTermWalk) -> CheckResult:
     return _verdict(problems)
 
 
-def _minus_one(n: int) -> CheckResult:
-    ok = recurrences.five_term(n)(-1) == recurrences.euler_numbers(n)[n]
+def _minus_one(n: int, rows: Callable) -> CheckResult:
+    ok = rows()(-1) == recurrences.euler_numbers(n)[n]
     return CheckResult(ok, None if ok else f"five_term({n})(-1) != E_{n}")
 
 
@@ -147,10 +161,10 @@ def _cd_index(n: int, brute_max: int, jobs: int) -> CheckResult:
     return _verdict(bad)
 
 
-def _simsun_rec(n: int, brute_max: int, jobs: int) -> CheckResult:
-    r1 = recurrences.simsun_rec(n, "derivative")
+def _simsun_rec(n: int, rows: Callable, brute_max: int, jobs: int) -> CheckResult:
+    r1, r2 = rows()
     bad = []
-    if r1 != recurrences.simsun_rec(n, "quadratic"):
+    if r1 != r2:
         bad.append("the two recurrences disagree")
     if r1(1) != recurrences.euler_numbers(n + 1)[n + 1]:
         bad.append(f"total count is not E_{n + 1}")
@@ -159,8 +173,8 @@ def _simsun_rec(n: int, brute_max: int, jobs: int) -> CheckResult:
     return _verdict(bad)
 
 
-def _factorization(n: int, rows: Iterator) -> CheckResult:
-    altmaj = next(rows)
+def _factorization(n: int, rows: Callable) -> CheckResult:
+    altmaj = rows()
     verdicts = divisibility.extract_Ehat(n, altmaj).verdicts._asdict()
     bad = [divisibility.VERDICT_WITNESSES[k] for k, ok in verdicts.items() if not ok]
     cr = divisibility.check_thm42(n, altmaj)
@@ -174,19 +188,20 @@ def _reversal_cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
             for n in range(2, min(maxn, brute_max) + 1) for m in range(1, n // 2 + 1)]
 
 
-def _derivative_route(n: int) -> CheckResult:
-    ok = recurrences.faa_di_bruno_altmaj(n) == recurrences.quadratic_tq(n).at_t1()
+def _derivative_route(n: int, rows: Callable) -> CheckResult:
+    altmaj, tq = rows()
+    ok = altmaj == tq.at_t1()
     return CheckResult(ok, None if ok else f"major-index polynomials disagree at n={n}")
 
 
-def _log_concave(n: int, walk: recurrences.FiveTermWalk) -> CheckResult:
-    ok = shape_predicates(walk.row(n)).log_concave
+def _log_concave(n: int, rows: Callable) -> CheckResult:
+    ok = shape_predicates(rows()).log_concave
     return CheckResult(ok, None if ok else f"coefficients not log-concave at n={n}")
 
 
-def _q_gamma(n: int, rows: Iterator) -> CheckResult:
+def _q_gamma(n: int, rows: Callable) -> CheckResult:
     # the peel raises unless A_n(t,q) is exactly its expansion
-    qg = gamma.q_gamma_extract(next(rows), n)
+    qg = gamma.q_gamma_extract(rows(), n)
     a = recurrences.gamma_rec(n)
     if any(g(1) != (2 ** k) * a[k] for k, g in enumerate(qg.gammas)):
         raise ExpansionFailed("values at q=1 disagree with gamma vector")
@@ -244,20 +259,24 @@ _BRUTE = _upto(brute=True, enumerates=True)
 SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
     "thm2.1": (10, (_vs_oracle("five-term matches oracle n={n}", "five_term",
                                "brute_alt_eulerian", "five-term"),)),
-    "eq1": (10, (_Check("convolution identity n={n}", recurrences.chebikin_check),)),
-    "thm3.1": (12, (_Check("palindromic unimodal gamma-nonnegative n={n}",
-                           _gamma_nonneg, _walked),)),
+    "eq1": (10, (_Check("convolution identity n={n}",
+                        lambda n, rows: recurrences.chebikin_check(n, rows()),
+                        _upto(rows=_alt_upto)),)),
+    "thm3.1": (12, (_Check("palindromic unimodal gamma-nonnegative n={n}", _gamma_nonneg,
+                           _upto(rows=lambda n: recurrences.five_term_rows(n))),)),
     "thm3.2": (12, (_Check("gamma vector vs simsun polynomial n={n}",
                            gamma.simsun_relation_check),)),
     "cor3.3": (13, (
-        _Check("value at -1 equals zigzag count n={n}", _minus_one, _upto(step=2)),
+        _Check("value at -1 equals zigzag count n={n}", _minus_one,
+               _upto(step=2, rows=lambda n: recurrences.five_term_rows(n))),
         _Check("down-up simsun count length {length}", _down_up_simsun,
                _down_up_lengths))),
     "prop3.4": (7, (_Check("cd-index relations n={n}", _cd_index, _BRUTE),)),
-    "cor3.5": (10, (_Check("simsun descent polynomial n={n}", _simsun_rec,
-                           _upto(enumerates=True)),)),
+    "cor3.5": (10, (_Check("simsun descent polynomial n={n}", _simsun_rec, _upto(
+        enumerates=True, rows=lambda n: zip(recurrences.simsun_rows(n, "derivative"),
+                                            recurrences.simsun_rows(n, "quadratic")))),)),
     "thm4.2": (16, (_Check("factorization n={n}", _factorization,
-                           _counted("qpow_rows", 0, start=2)),)),
+                           _upto(start=2, rows=lambda n: transfer.qpow_rows(n, 0))),)),
     "thm4.5": (14, (_PARITY,)),
     "thm4.6": (14, (_PARITY, _Check("substituted recursion n={n}", _over_j(
         lambda n, j: recurrences.specialized_recursion_check(n, j), range(1, 5))))),
@@ -265,14 +284,15 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
                            divisibility.thm411_bijection_check, _reversal_cases),)),
     "eq2": (10, (_Check("generating function through order {order}",
                         recurrences.egf_check, lambda maxn, *_: [{"order": maxn}]),)),
-    "eq-fn0": (20, (_Check("derivative route matches recursion n={n}",
-                           _derivative_route),)),
+    "eq-fn0": (20, (_Check("derivative route matches recursion n={n}", _derivative_route,
+                           _upto(rows=lambda n: zip(recurrences.faa_di_bruno_rows(n),
+                                                    recurrences.quadratic_tq_rows(n)))),)),
     "conj4.10": (11, (_Check("binomial criterion n={n}", divisibility.verify_conj410,
                              _BRUTE, finding=True),)),
-    "conj5.1": (200, (_Check("log-concave n={n}", _log_concave, _walked,
-                             finding=True),)),
-    "conj5.2": (10, (_Check("q-gamma expansion n={n}", _q_gamma, _counted("tq_rows"),
-                            finding=True),)),
+    "conj5.1": (200, (_Check("log-concave n={n}", _log_concave,
+                             _upto(rows=lambda n: recurrences.five_term_rows(n)), finding=True),)),
+    "conj5.2": (10, (_Check("q-gamma expansion n={n}", _q_gamma,
+                            _upto(rows=lambda n: transfer.tq_rows(n)), finding=True),)),
     "conj5.3": (10, (_Check("two-sided expansion n={n}", _two_sided, _BRUTE,
                             finding=True),)),
     "equidist": (7, (_Check("alternating descents match triple-pattern class n={n}",
@@ -290,11 +310,12 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
                          _upto(brute=True)),)),
     "gamma-col": (12, (_Check("gamma column identity n={n}", _gamma_column),)),
     "transfer": (20, (
-        _vs_count("five-term recurrence matches pattern count n={n}", "five_term", "t_rows"),
+        _vs_count("five-term recurrence matches pattern count n={n}", "five_term",
+                  lambda n: zip(recurrences.five_term_rows(n), transfer.t_rows(n))),
         _vs_count("derivative route matches pattern count n={n}", "faa_di_bruno_altmaj",
-                  "qpow_rows", 0),
+                  lambda n: zip(recurrences.faa_di_bruno_rows(n), transfer.qpow_rows(n, 0))),
         _vs_count("quadratic recurrence matches pattern count n={n}", "quadratic_tq",
-                  "tq_rows"))),
+                  lambda n: zip(recurrences.quadratic_tq_rows(n), transfer.tq_rows(n))))),
 }
 
 

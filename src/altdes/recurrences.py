@@ -10,61 +10,30 @@ prod_{j>=0} (sec(z q^j) + tan(z q^j)) through a recursion on integer
 polynomials that the functional equation F(z) = (sec z + tan z) F(qz)
 gives.
 
-Rows of a recurrence that callers read by index (five_term,
-euler_numbers, chebikin_check, quadratic_tq, faa_di_bruno_altmaj) are
-kept for the process in a _Rows table.  A check that reads A_n(t) once
-for n = 1, 2, ... in ascending order (log-concavity,
-gamma-nonnegativity, egf_check) walks the five-term recurrence with
-FiveTermWalk instead and publishes no row: the table of rows 0..n holds
-about n^3 log n bits, about 1 GB at n = 1400.
+Each recurrence is a pass, like the count of altdes.transfer: a
+generator of rows 1..n that holds only the rows its step reads.  A one-n
+function returns the last row of one pass; a caller that reads rows in
+ascending order shares one pass.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import threading
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, factorial
-from typing import Callable
+from typing import Iterator
 
 from .polynomials import BiPolyTQ, IntPoly, pack_coeffs, unpack_coeffs
 from .reporting import AltdesError, CheckResult
-from .transfer import alt_at_t_qpow
+from .transfer import _last, alt_at_t_qpow
 
 
 class ParityViolation(AltdesError, ArithmeticError):
     """A doubled recurrence produced an odd coefficient."""
 
 
-_publish = threading.Lock()
-
-
-class _Rows:
-    """Rows 0, 1, 2, ... of a recurrence, kept for the process.
-
-    step(rows) returns the row after the last one in rows.  A caller
-    extends a private copy of the published rows and publishes it under
-    one lock, so concurrent callers never see a partial or duplicated
-    table, and every published row is immutable.
-    """
-
-    __slots__ = ("_rows", "_step")
-
-    def __init__(self, first: tuple, step: Callable[[list], object]):
-        self._rows = first
-        self._step = step
-
-    def upto(self, n: int) -> tuple:
-        """The rows 0..n, and possibly more."""
-        rows = self._rows
-        if len(rows) <= n:
-            new = list(rows)
-            while len(new) <= n:
-                new.append(self._step(new))
-            with _publish:
-                if len(self._rows) < len(new):
-                    self._rows = tuple(new)
-            rows = self._rows
-        return rows
+def _nonnegative(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -82,80 +51,63 @@ def _five_term_next(m: int, row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(nxt)
 
 
-# rows for n = 0, 1
-_alt_rows = _Rows(((1,), (1,)), lambda rows: _five_term_next(len(rows) - 1, rows[-1]))
-
-
-class FiveTermWalk:
-    """A_n(t) for a caller that asks for n in ascending order, keeping
-    only the newest row instead of publishing every row to the table.
-
-    row(n) steps forward from the current row.  A step that raises
-    leaves the last good row in place, and an n below the current one
-    starts again from A_1, so every answer is the one five_term gives.
-
-    >>> w = FiveTermWalk()
-    >>> w.row(5).coeffs, w.row(4).coeffs
-    ((16, 26, 36, 26, 16), (5, 7, 7, 5))
-    """
-
-    __slots__ = ("_m", "_row")
-
-    def __init__(self):
-        self._m, self._row = 1, (1,)
-
-    def row(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n == 0:
-            return IntPoly.one()
-        if n < self._m:
-            self._m, self._row = 1, (1,)
-        while self._m < n:
-            self._row = _five_term_next(self._m, self._row)
-            self._m += 1
-        return IntPoly(self._row)
-
-
-def five_term(n: int) -> IntPoly:
-    """A_n(t) from the five-term recurrence
+def five_term_rows(n: int) -> Iterator[IntPoly]:
+    """A_1(t), ..., A_n(t) from the five-term recurrence
 
         2 A_{n+1,k} = (k+1)(A_{n,k+1} + A_{n,k-1})
                       + (n-k+1)(A_{n,k} + A_{n,k-2}),
 
-    with A_1 = 1.  Out-of-range coefficients read as zero.
+    with A_1 = 1; out-of-range coefficients read as zero.  The pass
+    holds only its newest row, and steps to row m when row m is read.
+
+    >>> [p.coeffs for p in five_term_rows(5)][3:]
+    [(5, 7, 7, 5), (16, 26, 36, 26, 16)]
+    """
+    row = (1,)
+    for m in range(1, n + 1):
+        if m > 1:
+            row = _five_term_next(m - 1, row)
+        yield IntPoly(row)
+
+
+def five_term(n: int) -> IntPoly:
+    """A_n(t), the last row of one five_term_rows pass; A_0 = 1.
 
     >>> five_term(5).coeffs
     (16, 26, 36, 26, 16)
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return IntPoly(_alt_rows.upto(n)[n])
+    _nonnegative(n)
+    return _last(five_term_rows(n), IntPoly.one())
 
 
 def euler_numbers(upto: int) -> tuple[int, ...]:
-    """E_0..E_upto, taken as the leading coefficients A_{n,n-1}.
-
-    These are the zigzag numbers 1, 1, 1, 2, 5, 16, 61, ... counting
-    down-up permutations; all positive.
+    """E_0..E_upto, the zigzag numbers 1, 1, 1, 2, 5, 16, 61, ...
+    counting down-up permutations, from the Seidel-Entringer
+    (boustrophedon) triangle: row n is the running sums of row n-1
+    read backwards, starting at 0, and E_n is its last entry.  This is
+    O(upto^2) additions and reads no recurrence row.
     """
-    if upto < 0:
-        raise ValueError("n must be nonnegative")
-    rows = _alt_rows.upto(max(upto, 1))
-    return (1,) + tuple(rows[n][n - 1] for n in range(1, upto + 1))
+    _nonnegative(upto)
+    row, numbers = [1], [1]
+    for _ in range(upto):
+        row = list(accumulate(reversed(row), initial=0))
+        numbers.append(row[-1])
+    return tuple(numbers)
 
 
-def chebikin_check(n: int) -> CheckResult:
+def chebikin_check(n: int, rows: list[IntPoly] | None = None) -> CheckResult:
     """Convolution identity linking consecutive rows:
 
         sum_{i,j} C(n,i) A_{i,j} A_{n-i,k-j}
             = (n+1-k) A_{n,k} + (k+1) A_{n,k+1},
 
-    for 0 <= k <= n-1, with A_0 = 1 and absent coefficients zero.
+    for 0 <= k <= n-1, with A_0 = 1 and absent coefficients zero.  rows
+    is A_0..A_n when the caller already has them; otherwise one five-term
+    pass gives them.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    rows = [IntPoly(r) for r in _alt_rows.upto(n)[: n + 1]]
+    _nonnegative(n)
+    if rows is None:
+        rows = [IntPoly.one(), *five_term_rows(n)]
     lhs = IntPoly()
     for i in range(n // 2 + 1):  # the terms i and n-i are equal
         weight = comb(n, i) if 2 * i == n else 2 * comb(n, i)
@@ -231,23 +183,30 @@ def _tq_step(rows: list[BiPolyTQ]) -> BiPolyTQ:
     return BiPolyTQ.from_rows(row)
 
 
-_tq_rows = _Rows((BiPolyTQ.one(), BiPolyTQ.one()), _tq_step)  # rows for n = 0, 1
-
-
-def quadratic_tq(n: int) -> BiPolyTQ:
-    """A_n(t, q) from the doubled product recursion
+def quadratic_tq_rows(n: int) -> Iterator[BiPolyTQ]:
+    """A_1(t, q), ..., A_n(t, q) from the doubled product recursion
 
         2 A_{n+1}(t,q) = (1+tq) A_n(tq,q) + (1+tq^n) A_n(t,q)
           + sum_{i=1}^{n-1} (1+t^2 q^(2i+1)) C(n,i) A_i(t,q) A_{n-i}(tq^(i+1),q),
 
-    with A_1 = 1.  Every doubled coefficient must be even.
+    with A_1 = 1.  Every doubled coefficient must be even.  The pass
+    holds every row, which each step reads.
+    """
+    rows = [BiPolyTQ.one(), BiPolyTQ.one()]  # n = 0, 1
+    for m in range(1, n + 1):
+        if m > 1:
+            rows.append(_tq_step(rows))
+        yield rows[m]
+
+
+def quadratic_tq(n: int) -> BiPolyTQ:
+    """A_n(t, q), the last row of one quadratic_tq_rows pass; A_0 = 1.
 
     >>> quadratic_tq(3).terms()
     [(0, 0, 2), (1, 1, 1), (1, 2, 1), (2, 3, 2)]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _tq_rows.upto(n)[n]
+    _nonnegative(n)
+    return _last(quadratic_tq_rows(n), BiPolyTQ.one())
 
 
 def specialized_recursion_check(n: int, j: int) -> CheckResult:
@@ -279,31 +238,40 @@ def specialized_recursion_check(n: int, j: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Simsun descent polynomials
 
-def simsun_rec(n: int, method: str = "derivative") -> IntPoly:
-    """R_n(x), the Simsun descent polynomial.
+def simsun_rows(n: int, method: str = "derivative") -> Iterator[IntPoly]:
+    """R_1(x), ..., R_n(x), the Simsun descent polynomials, from
 
     derivative:  R_n = ((n-1)x + 1) R_{n-1} + x(1-2x) R'_{n-1}
     quadratic:   R_{n+1} = R_n + x sum_{i=1}^n C(n,i) R_{i-1} R_{n-i}
 
-    >>> simsun_rec(3).coeffs
-    (1, 4)
+    with R_0 = 1.  The derivative pass holds its newest row, the
+    quadratic pass every row.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if method == "derivative":
         r = IntPoly.one()
         for m in range(1, n + 1):
             r = IntPoly((1, m - 1)) * r + IntPoly((0, 1, -2)) * r.derivative()
-        return r
-    if method == "quadratic":
+            yield r
+    elif method == "quadratic":
         rows = [IntPoly.one()]
         for m in range(n):
             s = IntPoly()
             for i in range(1, m + 1):
                 s = s + comb(m, i) * rows[i - 1] * rows[m - i]
             rows.append(rows[m] + IntPoly((0, 1)) * s)
-        return rows[n]
-    raise ValueError(f"unknown method {method!r}")
+            yield rows[-1]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+
+
+def simsun_rec(n: int, method: str = "derivative") -> IntPoly:
+    """R_n(x), the last row of one simsun_rows pass.
+
+    >>> simsun_rec(3).coeffs
+    (1, 4)
+    """
+    _nonnegative(n)
+    return _last(simsun_rows(n, method), IntPoly.one())
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +311,8 @@ def egf_check(order: int) -> CheckResult:
     Horner in (1-t).  The first n where it fails is also the first
     z-power where the two series differ.
     """
-    if order < 0:
-        raise ValueError("n must be nonnegative")
-    walk = FiveTermWalk()
-    rows = [walk.row(m) for m in range(order + 1)]
+    _nonnegative(order)
+    rows = [IntPoly.one(), *five_term_rows(order)]
     L = [IntPoly.one()] + [a.shift(1) for a in rows[1:]]
     for n in range(1, order + 1):
         acc = IntPoly()
@@ -360,8 +326,9 @@ def egf_check(order: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # derivative route for A_n(1, q)
 
-def _fdb_step(rows: list[IntPoly]) -> IntPoly:
-    """A_n(1, q), n = len(rows), from the rows before it.
+def _fdb_step(rows: list[IntPoly], E: tuple[int, ...]) -> IntPoly:
+    """A_n(1, q), n = len(rows), from the rows before it and the Euler
+    numbers E_0..E_n or more.
 
     F(z) = sum_n A_n(1,q) z^n / (n! (q;q)_n) = prod_{j>=0} (sec(z q^j) + tan(z q^j))
     satisfies F(z) = (sec z + tan z) F(qz).  Leibniz's rule at z = 0,
@@ -378,22 +345,29 @@ def _fdb_step(rows: list[IntPoly]) -> IntPoly:
     multiplied by (1 - q^(n-k)) before term k is added.
     """
     n = len(rows)
-    E = euler_numbers(n)
     acc = IntPoly((E[n],))
     for k in range(n - 1, 0, -1):
         acc = acc.mul_binomial(n - k, -1) + comb(n, k) * E[k] * rows[n - k].shift(n - k)
     return acc
 
 
-_fdb_rows = _Rows((IntPoly.one(),), _fdb_step)  # row for n = 0
+def faa_di_bruno_rows(n: int) -> Iterator[IntPoly]:
+    """A_1(1, q), ..., A_n(1, q) by the derivative route, reading
+    E_0..E_n once.  The pass holds every row, which each step reads."""
+    E = euler_numbers(n)
+    rows = [IntPoly.one()]  # n = 0
+    for _ in range(n):
+        rows.append(_fdb_step(rows, E))
+        yield rows[-1]
 
 
 def faa_di_bruno_altmaj(n: int) -> IntPoly:
-    """A_n(1, q) = F^{(n)}(0) (q;q)_n for F(z) = prod_{j>=0} (sec(z q^j) + tan(z q^j)).
+    """A_n(1, q) = F^{(n)}(0) (q;q)_n for F(z) = prod_{j>=0} (sec(z q^j) + tan(z q^j)),
+    the last row of one faa_di_bruno_rows pass.
 
     >>> faa_di_bruno_altmaj(3).coeffs
     (2, 1, 1, 2)
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _fdb_rows.upto(n)[n]
+    return _last(faa_di_bruno_rows(n), None)

@@ -3,30 +3,33 @@
 import math
 import sys
 import threading
+import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altdes import cli, recurrences
+from altdes import checks, cli, recurrences
 from altdes.divisibility import check_pochhammer_orders
 from altdes.oracle import brute_alt_eulerian, brute_qalt, brute_simsun
 from altdes.permutations import double_count_check
 from altdes.polynomials import BiPolyTQ, IntPoly, q_pochhammer
 from altdes.recurrences import (
-    FiveTermWalk,
     ParityViolation,
     chebikin_check,
     egf_check,
     euler_numbers,
     faa_di_bruno_altmaj,
+    faa_di_bruno_rows,
     five_term,
+    five_term_rows,
     gamma_rec,
     quadratic_tq,
     simsun_rec,
     specialized_recursion_check,
 )
-from altdes.transfer import alt_at_t_qpow, qpow_rows
+from altdes.transfer import alt_at_t_qpow, qpow_rows, t_rows
 
 GOLDEN = {
     1: (1,),
@@ -62,6 +65,9 @@ def test_five_term_matches_oracle():
 def test_euler_numbers():
     assert euler_numbers(11) == ZIGZAG
     assert euler_numbers(0) == (1,)
+    # the boustrophedon against the leading coefficients A_{n,n-1}
+    E = euler_numbers(80)
+    assert [a[n - 1] for n, a in enumerate(five_term_rows(80), 1)] == list(E[1:])
 
 
 def test_chebikin_convolution():
@@ -70,13 +76,12 @@ def test_chebikin_convolution():
         assert ok.ok, ok.witness
 
 
-def triple_loop_chebikin(n):
-    """The convolution identity coefficient by coefficient, summing
-    C(n,i) A_{i,j} A_{n-i,k-j} over i and j for each k."""
-    rows = recurrences._alt_rows.upto(n)
+def triple_loop_chebikin(n, rows):
+    """The convolution identity coefficient by coefficient on rows
+    A_0..A_n, summing C(n,i) A_{i,j} A_{n-i,k-j} over i and j for each k."""
 
     def at(i, j):
-        r = rows[i]
+        r = rows[i].coeffs
         return r[j] if 0 <= j < len(r) else 0
 
     for k in range(n):
@@ -90,30 +95,31 @@ def triple_loop_chebikin(n):
     return True, None
 
 
-def test_chebikin_matches_triple_loop(monkeypatch):
+def test_chebikin_matches_triple_loop():
+    rows = [IntPoly.one(), *five_term_rows(40)]
     for n in range(0, 41):
         cr = chebikin_check(n)
-        assert (cr.ok, cr.witness) == triple_loop_chebikin(n), n
+        assert (cr.ok, cr.witness) == triple_loop_chebikin(n, rows), n
+        assert chebikin_check(n, rows) == cr
     # a corrupted row: both report the same first failing k
-    rows = list(recurrences._alt_rows.upto(12)[:13])
     for bad in (5, 12):
-        table = list(rows)
-        table[bad] = table[bad][:2] + (table[bad][2] + 1,) + table[bad][3:]
-        monkeypatch.setattr(recurrences._alt_rows, "_rows", tuple(table))
+        table = rows[:13]
+        table[bad] = table[bad] + IntPoly.monomial(2)
         for n in range(1, 13):
-            cr = chebikin_check(n)
-            assert (cr.ok, cr.witness) == triple_loop_chebikin(n), (bad, n)
-        assert not chebikin_check(bad).ok
+            cr = chebikin_check(n, table)
+            assert (cr.ok, cr.witness) == triple_loop_chebikin(n, table), (bad, n)
+        assert not chebikin_check(bad, table).ok
 
 
 def test_five_term_walk_matches_table():
-    walk = FiveTermWalk()
-    up = list(range(0, 121))
-    for seq in (up, up[::-1], up, [7, 7, 3, 3, 120, 120]):
-        for n in seq:
-            assert walk.row(n) == five_term(n), n
+    # one pass yields the rows of the count, and five_term the last row
+    # of its own pass, whatever the order of the calls
+    rows = list(five_term_rows(120))
+    assert rows == list(t_rows(120)) and list(five_term_rows(0)) == []
+    for n in (120, 7, 7, 1, 60):
+        assert five_term(n) == rows[n - 1], n
     with pytest.raises(ValueError):
-        walk.row(-1)
+        five_term(-1)
 
 
 def _odd_at(m_bad):
@@ -124,18 +130,20 @@ def _odd_at(m_bad):
 
 
 def test_five_term_walk_keeps_last_good_row(monkeypatch):
-    walk = FiveTermWalk()
+    good = list(t_rows(9))
     monkeypatch.setattr(recurrences, "_five_term_next", _odd_at(6))
-    assert walk.row(6) == five_term(6)
+    rows = five_term_rows(9)
+    # the pass yields every row before the failing step, which raises
+    # when row 7 is read
+    assert [next(rows) for _ in range(6)] == good[:6]
+    with pytest.raises(ParityViolation, match=r"^odd total at n=7, k=0$"):
+        next(rows)
+    assert five_term(6) == good[5]
     for n in (7, 9):
         with pytest.raises(ParityViolation, match=r"^odd total at n=7, k=0$"):
-            walk.row(n)
-    # the shared table fails the same way from cold
-    _cold(monkeypatch, recurrences._alt_rows)
-    with pytest.raises(ParityViolation, match=r"^odd total at n=7, k=0$"):
-        five_term(9)
+            five_term(n)
     monkeypatch.undo()
-    assert walk.row(7) == five_term(7) and walk.row(9) == five_term(9)
+    assert [five_term(7), five_term(9)] == [good[6], good[8]]
 
 
 def test_quadratic_tq_matches_oracle():
@@ -190,22 +198,19 @@ def test_gamma_rec_column_identity():
         assert gamma_rec(n)[1] == n * E[n] - E[n + 1]
 
 
-def test_egf_orders(monkeypatch):
-    _cold(monkeypatch, recurrences._alt_rows)
+def test_egf_orders():
     for order in (0, 1, 4, 8, 10, 30):
         ok = egf_check(order)
         assert ok.ok, ok.witness
-    # the series check walks its rows and publishes none
-    assert len(recurrences._alt_rows._rows) == 2
 
 
 @pytest.mark.parametrize("bad", range(2, 11))
 def test_egf_witness_is_first_failing_power(monkeypatch, bad):
     # row `bad` read with its constant term off by 2; E_bad, its leading
-    # coefficient, and the walk's own state stay intact
-    row = FiveTermWalk.row
-    monkeypatch.setattr(FiveTermWalk, "row", lambda self, n: (
-        row(self, n) + 2 if n == bad else row(self, n)))
+    # coefficient, and the rows the pass steps from stay intact
+    rows = recurrences.five_term_rows
+    monkeypatch.setattr(recurrences, "five_term_rows", lambda n: (
+        a + 2 if m == bad else a for m, a in enumerate(rows(n), 1)))
     cr = egf_check(10)
     assert (cr.ok, cr.witness) == (False, f"z^{bad} coefficients differ")
 
@@ -225,16 +230,61 @@ def test_faa_di_bruno_matches_pattern_count():
 
 
 def test_corrupted_derivative_row_is_a_fail_row(monkeypatch, capsys):
-    # rows 0..6 with row 6 off by one; row 7 is built from it
-    rows = list(recurrences._fdb_rows.upto(6)[:7])
-    rows[6] = rows[6] + 1
-    monkeypatch.setattr(recurrences._fdb_rows, "_rows", tuple(rows))
+    # the step to row 6 off by one; row 7 is built from it
+    step = recurrences._fdb_step
+    monkeypatch.setattr(recurrences, "_fdb_step", lambda rows, E: (
+        step(rows, E) + (1 if len(rows) == 6 else 0)))
     assert cli.main(["verify", "eq-fn0", "--max-n", "7", "--format", "csv"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[6:] == [
         f"derivative route matches recursion n={n},fail,major-index polynomials disagree at n={n}"
         for n in (6, 7)]
     assert all(",pass," in line for line in out[1:6])
+
+
+def test_parity_violation_in_a_quadratic_step_is_fail_rows(monkeypatch, capsys):
+    # the step to row 6 raises; that case and every later one fail with
+    # its witness, and the rows before it pass
+    step = recurrences._tq_step
+
+    def odd(rows):
+        if len(rows) == 6:
+            raise ParityViolation("odd total at n=6, t^2 q^7")
+        return step(rows)
+
+    monkeypatch.setattr(recurrences, "_tq_step", odd)
+    for token, name, passed in (
+            ("eq-fn0", "derivative route matches recursion n={}", 0),
+            ("transfer", "quadratic recurrence matches pattern count n={}", 16)):
+        assert cli.main(["verify", token, "--max-n", "8", "--format", "csv"]) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        lines = out.out.splitlines()[1 + passed:]
+        assert lines == [f"{name.format(n)},pass," for n in range(1, 6)] + [
+            f'{name.format(n)},fail,"odd total at n=6, t^2 q^7"' for n in (6, 7, 8)]
+
+
+def test_corrupted_simsun_row_is_a_fail_row(monkeypatch, capsys):
+    # row 5 of the derivative pass off by one
+    rows = recurrences.simsun_rows
+    monkeypatch.setattr(recurrences, "simsun_rows", lambda n, method: (
+        r + (1 if (m, method) == (5, "derivative") else 0)
+        for m, r in enumerate(rows(n, method), 1)))
+    assert cli.main(["verify", "cor3.5", "--max-n", "7", "--format", "csv"]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines() if ",fail," in line] == [
+        "simsun descent polynomial n=5,fail,the two recurrences disagree; "
+        "total count is not E_6; oracle disagrees"]
+
+
+def test_wrong_euler_number_is_a_fail_row(monkeypatch, capsys):
+    # E_7 off by one; E_7 = 272 is no longer 2^3 times the 34 words counted
+    real = recurrences.euler_numbers
+    monkeypatch.setattr(recurrences, "euler_numbers", lambda upto: tuple(
+        e + (1 if k == 7 else 0) for k, e in enumerate(real(upto))))
+    assert cli.main(["verify", "cor3.3", "--format", "csv"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if ",fail," in line]
+    assert failed[0] == "value at -1 equals zigzag count n=7,fail,five_term(7)(-1) != E_7"
+    assert len(failed) == 2 and failed[1].startswith("down-up simsun count length 6,fail,")
 
 
 def test_faa_di_bruno_matches_recursion():
@@ -285,57 +335,54 @@ def test_quadratic_tq_matches_dict_loop():
             assert alt_at_t_qpow(n, j) == p.at_t_qpow(j)
 
 
-def _cold(monkeypatch, *tables):
-    """Forget every row past n = 1 for the rest of the test."""
-    for table in tables:
-        monkeypatch.setattr(table, "_rows", table._rows[:2])
-
-
-def test_walked_checks_publish_no_five_term_row(monkeypatch, capsys):
-    _cold(monkeypatch, recurrences._alt_rows)
+def test_walked_checks_publish_no_five_term_row(capsys):
+    # conj5.1 reads each row once, so its pass holds one row at a time:
+    # rows 1..300 together would hold about 8.6 MB
+    tracemalloc.start()
+    try:
+        rows = checks.run("conj5.1", 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 300 and all(r.status == "pass" for r in rows)
+    assert peak < 2 * 2 ** 20
     assert cli.main(["verify", "conj5.1", "--max-n", "300"]) == 0
     assert cli.main(["verify", "thm3.1", "--max-n", "40"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "40/40 passed" and "300/300 passed" in out
-    assert len(recurrences._alt_rows._rows) == 2
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.integers(1, 22), min_size=1, max_size=6))
 def test_faa_di_bruno_rows_ignore_call_order(order):
-    expected = {n: faa_di_bruno_altmaj(n) for n in order}
-    with pytest.MonkeyPatch.context() as mp:
-        _cold(mp, recurrences._fdb_rows)
-        assert {n: faa_di_bruno_altmaj(n) for n in order} == expected
-    for seq in (sorted(order), sorted(order, reverse=True)):
-        with pytest.MonkeyPatch.context() as mp:
-            _cold(mp, recurrences._fdb_rows)
-            assert [faa_di_bruno_altmaj(n) for n in seq] == [expected[n] for n in seq]
+    expected = [IntPoly.one(), *faa_di_bruno_rows(22)]
+    for seq in (order, sorted(order), sorted(order, reverse=True)):
+        assert [faa_di_bruno_altmaj(n) for n in seq] == [expected[n] for n in seq]
     for n in order:
-        assert faa_di_bruno_altmaj(n) == quadratic_tq(n).at_t1()
+        assert expected[n] == quadratic_tq(n).at_t1()
 
 
-def test_recurrence_tables_are_thread_safe(monkeypatch):
-    """Four threads extend the three row tables from cold at once, each
-    to its own length; every caller gets the single-threaded answer, no
-    row is duplicated and no shorter table replaces a longer one."""
+def test_recurrence_tables_are_thread_safe():
+    """Four threads run the three recurrences at once, each to its own
+    length, beside two threads that run checks sharing passes; every
+    caller gets the single-threaded answer."""
     sizes = [(60 + 20 * i, 10 + 2 * i, 12 + 4 * i) for i in range(4)]
 
     def rows(a, b, c):
         return five_term(a), quadratic_tq(b), faa_di_bruno_altmaj(c)
 
-    expected = {size: rows(*size) for size in sizes}
-    tables = (recurrences._alt_rows, recurrences._tq_rows, recurrences._fdb_rows)
-    _cold(monkeypatch, *tables)
-    results, errors = [], []
+    calls = [partial(rows, *size) for size in sizes] + [
+        partial(checks.run, "eq-fn0", 16), partial(checks.run, "transfer", 12)]
+    expected = [call() for call in calls]
+    results, errors = {}, []
 
-    def work(size):
+    def work(i):
         try:
-            results.append((size, rows(*size)))
+            results[i] = calls[i]()
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(size,)) for size in sizes]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -347,5 +394,5 @@ def test_recurrence_tables_are_thread_safe(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sorted(results) == sorted(expected.items())
-    assert [len(t._rows) for t in tables] == [121, 17, 25]
+    assert [results[i] for i in range(len(calls))] == expected
+    assert [len(r) for r in expected[4:]] == [16, 36]
