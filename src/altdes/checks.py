@@ -137,8 +137,10 @@ def _down_up_lengths(maxn: int, brute_max: int, jobs: int) -> list[dict]:
 def _down_up_simsun(length: int, brute_max: int) -> CheckResult:
     e = recurrences.euler_numbers(length + 1)[length + 1]
     expected, rem = divmod(e, 2 ** (length // 2))
+    if rem:
+        return CheckResult.failed(f"E_{length + 1} = {e} is not divisible by 2^{length // 2}")
     got = oracle.down_up_simsun_count(length, brute_max=brute_max)
-    ok = rem == 0 and got == expected
+    ok = got == expected
     return CheckResult(ok, None if ok else f"count {got}, expected {expected}")
 
 

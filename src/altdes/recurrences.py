@@ -10,10 +10,11 @@ prod_{j>=0} (sec(z q^j) + tan(z q^j)) through a recursion on integer
 polynomials that the functional equation F(z) = (sec z + tan z) F(qz)
 gives.
 
-Each recurrence is a pass, like the count of altdes.transfer: a
-generator of rows 1..n that holds only the rows its step reads.  A one-n
-function returns the last row of one pass; a caller that reads rows in
-ascending order shares one pass.  Nothing is kept between calls.
+Each recurrence but gamma_rec is a pass, like the count of
+altdes.transfer: a generator of rows 1..n that holds only the rows its
+step reads.  A one-n function returns the last row of one pass; a caller
+that reads rows in ascending order shares one pass.  gamma_rec rebuilds
+from a_1 on every call.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 
 from .polynomials import BiPolyTQ, IntPoly, pack_coeffs, unpack_coeffs
 from .reporting import AltdesError, CheckResult
-from .transfer import _last, alt_at_t_qpow
+from .transfer import _bipoly, _last, alt_at_t_qpow
 
 
 class ParityViolation(AltdesError, ArithmeticError):
@@ -129,58 +130,50 @@ def _tq_step(rows: list[BiPolyTQ]) -> BiPolyTQ:
     Every coefficient is nonnegative and the doubled row sums to
     2 (m+1)!, so with digits of `width` bytes above that bound each
     t-slice is one integer, q^s is a shift by s digits, a slice product
-    is one integer product, and sums never carry between digits.
+    is one integer product, and sums never carry between digits.  Slice
+    k is based at q^(k(k+1)/2), as in altdes.transfer, so slice a of A_r
+    times slice b of A_{m-r}(tq^(r+1), q) sits b(r+1-a) digits up in
+    slice a+b, and t^2 q^(2r+1) moves slice K by 2(r-1-K) digits to
+    slice K+2.  A sum for slice K >= r is kept the 2(K+1-r) digits down
+    that are zero unless A_r has a slice a >= r; such a row makes a shift
+    negative, which Python refuses, so no digit is lost silently.
     """
     m = len(rows) - 1
     width = (2 * factorial(m + 1)).bit_length() // 8 + 1
     bits = 8 * width
-    packed = [[(lo, pack_coeffs(p, width)) for lo, p in row.rows] for row in rows]
-    lows: list = [None] * (m + 1)
+    packed = [[pack_coeffs(p, width) << bits * (lo - k * (k + 1) // 2) if p else 0
+               for k, (lo, p) in enumerate(row.rows)] for row in rows]
     vals = [0] * (m + 1)
-
-    def put(los: list, vs: list, k: int, lo: int, x: int) -> None:
-        cur = los[k]
-        if cur is None:
-            los[k], vs[k] = lo, x
-        elif lo >= cur:
-            vs[k] += x << (bits * (lo - cur))
-        else:
-            los[k], vs[k] = lo, x + (vs[k] << (bits * (cur - lo)))
-
-    for k, (lo, x) in enumerate(packed[m]):
-        put(lows, vals, k, lo + k, x)  # A_m(tq, q)
-        put(lows, vals, k + 1, lo + k + 1, x)  # times tq
-        put(lows, vals, k, lo, x)  # A_m(t, q)
-        put(lows, vals, k + 1, lo + m, x)  # times tq^m
+    for k, x in enumerate(packed[m]):
+        vals[k] += (x << bits * k) + x  # A_m(tq, q) + A_m(t, q)
+        vals[k + 1] += x + (x << bits * (m - k - 1))  # times tq and tq^m
     # sum_i C(m,i) (1 + t^2 q^(2i+1)) A_i(t,q) A_{m-i}(tq^(i+1),q): the
     # terms i and m-i share their slice products and differ in shifts
     for i in range(1, m // 2 + 1):
         j = m - i
-        sums = {i: ([None] * (m - 1), [0] * (m - 1)),
-                j: ([None] * (m - 1), [0] * (m - 1))}
-        for k1, (lo1, x1) in enumerate(packed[i]):
-            for k2, (lo2, x2) in enumerate(packed[j], k1):
-                x = x1 * x2
-                put(*sums[i], k2, lo1 + lo2 + (i + 1) * (k2 - k1), x)
+        sums = {i: [0] * (m - 1), j: [0] * (m - 1)}
+        drop = {r: [bits * max(0, 2 * (K + 1 - r)) for K in range(m - 1)] for r in sums}
+        si, sj, di, dj = sums[i], sums[j], drop[i], drop[j]
+        for a, x1 in enumerate(packed[i]):
+            for b, x2 in enumerate(packed[j]):
+                x, K = x1 * x2, a + b
+                si[K] += x << (bits * b * (i + 1 - a) - di[K])
                 if j != i:
-                    put(*sums[j], k2, lo1 + lo2 + (j + 1) * k1, x)
+                    sj[K] += x << (bits * a * (j + 1 - b) - dj[K])
         cmi = comb(m, i)
-        for r, (plows, pvals) in sums.items():
-            for k, lo in enumerate(plows):
-                if lo is not None:
-                    x = cmi * pvals[k]
-                    put(lows, vals, k, lo, x)
-                    put(lows, vals, k + 2, lo + 2 * r + 1, x)
+        for r, sum_r in sums.items():
+            for K, (x, d) in enumerate(zip(sum_r, drop[r])):
+                x *= cmi
+                vals[K] += x << d
+                vals[K + 2] += x << (d + bits * 2 * (r - 1 - K))
     # the lowest bit of each digit a slice can have (q-degree <= m(m+1)/2);
     # when no such bit is set, x >> 1 halves every digit at once
     parity = pack_coeffs(repeat(1, m * (m + 1) // 2 + 1), width)
-    row = []
-    for k, (lo, x) in enumerate(zip(lows, vals)):
+    for k, x in enumerate(vals):
         if x & parity:
             odd = next(i for i, c in enumerate(unpack_coeffs(x, width)) if c & 1)
-            raise ParityViolation(f"odd total at n={m + 1}, t^{k} q^{lo + odd}")
-        row.append((lo, IntPoly(unpack_coeffs(x >> 1, width))))
-    return BiPolyTQ.from_rows(row)
+            raise ParityViolation(f"odd total at n={m + 1}, t^{k} q^{k * (k + 1) // 2 + odd}")
+    return _bipoly([x >> 1 for x in vals], bits)
 
 
 def quadratic_tq_rows(n: int) -> Iterator[BiPolyTQ]:
@@ -245,7 +238,9 @@ def simsun_rows(n: int, method: str = "derivative") -> Iterator[IntPoly]:
     quadratic:   R_{n+1} = R_n + x sum_{i=1}^n C(n,i) R_{i-1} R_{n-i}
 
     with R_0 = 1.  The derivative pass holds its newest row, the
-    quadratic pass every row.
+    quadratic pass every row.  The terms i and n+1-i of the quadratic
+    sum share their product, so it is formed once, weighted
+    C(n,i) + C(n,i-1) = C(n+1,i).
     """
     if method == "derivative":
         r = IntPoly.one()
@@ -256,8 +251,9 @@ def simsun_rows(n: int, method: str = "derivative") -> Iterator[IntPoly]:
         rows = [IntPoly.one()]
         for m in range(n):
             s = IntPoly()
-            for i in range(1, m + 1):
-                s = s + comb(m, i) * rows[i - 1] * rows[m - i]
+            for i in range(1, (m + 1) // 2 + 1):  # terms i and m+1-i are equal
+                weight = comb(m, i) if 2 * i == m + 1 else comb(m + 1, i)
+                s = s + rows[i - 1] * rows[m - i] * weight
             rows.append(rows[m] + IntPoly((0, 1)) * s)
             yield rows[-1]
     else:

@@ -27,9 +27,10 @@ from altdes.recurrences import (
     gamma_rec,
     quadratic_tq,
     simsun_rec,
+    simsun_rows,
     specialized_recursion_check,
 )
-from altdes.transfer import alt_at_t_qpow, qpow_rows, t_rows
+from altdes.transfer import alt_at_t_qpow, qpow_rows, t_rows, tq_rows
 
 GOLDEN = {
     1: (1,),
@@ -264,6 +265,35 @@ def test_parity_violation_in_a_quadratic_step_is_fail_rows(monkeypatch, capsys):
             f'{name.format(n)},fail,"odd total at n=6, t^2 q^7"' for n in (6, 7, 8)]
 
 
+def test_tq_step_parity_check_names_the_odd_term():
+    # the step's own check, on rows A_0..A_5 with t^2 q^5 added to A_5
+    rows = [BiPolyTQ.one(), *tq_rows(5)]
+    rows[5] = rows[5] + BiPolyTQ.term(2, 5)
+    with pytest.raises(ParityViolation, match=r"^odd total at n=6, t\^2 q\^5$"):
+        recurrences._tq_step(rows)
+
+
+def test_quadratic_simsun_pass_forms_each_product_once(monkeypatch):
+    # the terms i and m+1-i share R_{i-1} R_{m-i}, so step m forms
+    # ceil(m/2) products, and one more for the factor x
+    products = 0
+    mul = IntPoly.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += isinstance(other, IntPoly)
+        return mul(self, other)
+
+    monkeypatch.setattr(IntPoly, "__mul__", counting)
+    counts = []
+    for _ in simsun_rows(12, "quadratic"):
+        counts.append(products)
+        products = 0
+    assert counts == [(m + 1) // 2 + 1 for m in range(12)]
+    monkeypatch.undo()
+    assert list(simsun_rows(60, "quadratic")) == list(simsun_rows(60, "derivative"))
+
+
 def test_corrupted_simsun_row_is_a_fail_row(monkeypatch, capsys):
     # row 5 of the derivative pass off by one
     rows = recurrences.simsun_rows
@@ -277,14 +307,19 @@ def test_corrupted_simsun_row_is_a_fail_row(monkeypatch, capsys):
 
 
 def test_wrong_euler_number_is_a_fail_row(monkeypatch, capsys):
-    # E_7 off by one; E_7 = 272 is no longer 2^3 times the 34 words counted
+    # E_7 off by one; 273 is not 2^3 times any count, and the row says so
+    # without enumerating
     real = recurrences.euler_numbers
     monkeypatch.setattr(recurrences, "euler_numbers", lambda upto: tuple(
         e + (1 if k == 7 else 0) for k, e in enumerate(real(upto))))
+    counted, count = [], checks.oracle.down_up_simsun_count
+    monkeypatch.setattr(checks.oracle, "down_up_simsun_count", lambda length, **kw: (
+        counted.append(length) or count(length, **kw)))
     assert cli.main(["verify", "cor3.3", "--format", "csv"]) == 1
+    assert counted == [2, 4]
     failed = [line for line in capsys.readouterr().out.splitlines() if ",fail," in line]
     assert failed[0] == "value at -1 equals zigzag count n=7,fail,five_term(7)(-1) != E_7"
-    assert len(failed) == 2 and failed[1].startswith("down-up simsun count length 6,fail,")
+    assert failed[1:] == ["down-up simsun count length 6,fail,E_7 = 273 is not divisible by 2^3"]
 
 
 def test_faa_di_bruno_matches_recursion():
