@@ -285,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # The enumeration is integer-only and never calls BLAS, but importing
-    # numpy starts OpenBLAS's thread pool, which costs start-up time in every
-    # command that enumerates.  A value the user set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

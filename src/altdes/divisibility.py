@@ -252,11 +252,10 @@ def thm411_bijection_check(
     l and l+m (mod 2m) are equinumerous.  The witness of a failed shift
     is the first failing word in the block order of
     oracle.iter_perm_arrays, which is lexicographic only for n <= 9."""
-    import numpy as np
-
     if m < 1 or 2 * m > n:
         raise ValueError("need 1 <= 2m <= n")
     oracle._guard(n, brute_max)
+    np = oracle._load_numpy()
     mod = 2 * m
     perm = np.r_[mod - 1 : -1 : -1, mod:n]  # the image's letter i is the word's perm[i]
     if not np.array_equal(perm[perm], np.arange(n)):

@@ -4,12 +4,17 @@ Every histogram here is a tally over materialized words, never read from
 a recurrence.  S_k is an int8 array of shape (k, k!), one word per
 column in lexicographic order; blocks up to S_9 are cached (about
 3.7 MB, published under a lock).  Every enumeration streams S_n in
-blocks of at most 9! words, so none holds more than one block: above
-n = 9, block b of S_{n-1} is built once and each first letter v in turn
-is placed in front of it, relabelled by x -> x + [x >= v], in one reused
-buffer.  The (n-1)!/9! blocks of S_{n-1} are the parallelism seam: they
-run on at most min(jobs, blocks, cpu count) processes, forked after S_9
-and its descent codes are built so that workers inherit them.
+blocks of at most 9! words.  Above n = 9 the (n-1)!/9! blocks of
+S_{n-1} are the tasks, and the parallelism seam: they are dealt in
+strided slices to at most min(jobs, tasks, cpu count) processes, forked
+after S_9 and its descent codes are built so that workers inherit them,
+one call and one returned histogram per worker.  A slice allocates its
+(n, 9!) block once and reuses it for every task.  A task's block of
+S_{n-1} is built straight into rows 1.. of it: S_9 is copied in and
+relabelled in place under each letter the task fixes in front of it.
+Each first letter v in turn is then placed in front of the block in
+place: after relabelling the block onto 1..n-1 for v = 0, going from
+v - 1 to v changes one letter per word, v in the tail becoming v - 1.
 
 Each word becomes the code sum_i [w_i > w_{i+1}] << i of its descent
 set.  Above n = 9 a task codes its block of S_{n-1} once: the last 9
@@ -17,24 +22,32 @@ rows of the block relabel S_9 in column order, so their part of the
 code is read from the codes of S_9, cached read-only (uint16, about
 0.7 MB) and built once under the same lock.  As each first letter is
 placed in front of the block, a uint8 counter per column counts the
-letters that make position 0 a descent, and one bincount of
-code * (n + 1) + counter per task gives every bin of its n blocks.
-des, maj, altdes, altmaj and the ab-indexes psi and psi_hat are
-read off one histogram of codes (the alternating descent set is the
-descent set XOR the even-position mask).  That histogram is tallied once
-per n and kept, read-only, in a cache published under a lock: one entry
-per n of 2^(n-1) int64 bins.  _guard stops n at 16, where the uint16
-codes of w^-1 would lose a letter, so an entry has at most 2^15 bins and
-the cache never exceeds 512 KB, under 20 KB for n <= 11.  The two-sided
-tally uses the codes of w and of w^-1, and des3, not a function of the
-descent set, has its own kernel.  Simsun words are generated by
-inserting each new largest letter where it makes no double descent.  The
-words of length 9 are made whole (E_10 = 50 521 columns, about 0.45 MB);
-above that each length is streamed from the blocks of the one below, one
-block at a time, so a Simsun enumeration holds one block of at most
-50 521 words per length and is tallied block by block.  Counts are int64
-and leave as Python ints; the test-suite's pure-Python definitional
-loops must agree with all of it.
+letters that make position 0 a descent, and the key
+code * (n + 1) + counter is formed in place, in the narrowest unsigned
+dtype that holds it (uint16 to n = 13), and binned in chunks of 64K
+keys, so no block-sized intp array is made.  The key, the counter and
+one bool row are slice buffers too, so a slice's allocations do not
+grow with its task count.  des, maj, altdes, altmaj and the ab-indexes
+psi and psi_hat are read off one histogram of codes (the alternating
+descent set is the descent set XOR the even-position mask).  That
+histogram is tallied once per n and kept, read-only, in a cache
+published under a lock: one entry per n of 2^(n-1) int64 bins.  _guard
+stops n at 16, where the uint16 codes of w^-1 would lose a letter, so
+an entry has at most 2^15 bins and the cache never exceeds 512 KB,
+under 20 KB for n <= 11.  The two-sided tally uses the codes of w and
+of w^-1, and des3, not a function of the descent set, has its own
+kernel; both read the same reused block stream.  Simsun words are
+generated by inserting each new largest letter where it makes no double
+descent.  The words of length 9 are made whole (E_10 = 50 521 columns,
+about 0.45 MB); above that each length is streamed from the blocks of
+the one below, one block at a time, so a Simsun enumeration holds one
+block of at most 50 521 words per length and is tallied block by block.
+Counts are int64 and leave as Python ints; the test-suite's pure-Python
+definitional loops must agree with all of it.
+
+numpy is imported on the first enumeration, with OpenBLAS's thread pool
+capped at one thread for the import unless the user set
+OPENBLAS_NUM_THREADS; the environment is left as it was found.
 """
 
 from __future__ import annotations
@@ -50,15 +63,31 @@ from .polynomials import BiPolyTQ, IntPoly, NCPoly
 from .reporting import UsageError
 
 
+def _load_numpy():
+    """Import numpy and rebind the module's np to it.  The enumeration is
+    integer-only and never calls BLAS, but importing numpy starts
+    OpenBLAS's thread pool, which costs start-up time: so unless the user
+    set OPENBLAS_NUM_THREADS, it is 1 for the import and gone again after,
+    and library callers get the cap as the command line does."""
+    global np
+    capped = "OPENBLAS_NUM_THREADS" not in os.environ
+    if capped:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        if capped:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    return np
+
+
 class _Numpy:
     """Stands in for numpy until the first enumeration: the first attribute
-    read imports it and rebinds the module's np, so commands that never
-    enumerate do not pay for the import."""
+    read loads it through _load_numpy, which rebinds the module's np, so
+    commands that never enumerate do not pay for the import."""
 
     def __getattr__(self, name: str):
-        global np
-        import numpy as np
-        return getattr(np, name)
+        return getattr(_load_numpy(), name)
 
 
 np = _Numpy()
@@ -99,13 +128,13 @@ _CODE_CACHE: dict[int, np.ndarray] = {}  # K -> descent-set codes of S_K
 _BLOCK_LOCK = threading.Lock()
 
 
-def _place(sub: np.ndarray, v: int, out: np.ndarray) -> None:
-    """Write v followed by each column of sub (S_{k-1}) relabelled onto
-    the letters other than v; the relabelling keeps lexicographic order.
-    It goes one row at a time, so its comparison is one row, not a block."""
-    out[0] = v
-    for row, dst in zip(sub, out[1:]):
-        np.add(row, row >= v, out=dst)
+def _relabel(rows: np.ndarray, v: int, scratch: np.ndarray) -> None:
+    """x -> x + [x >= v] on every row of rows, in place, comparing into
+    scratch, an int8 row, viewed as bool."""
+    flag = scratch.view(np.bool_)
+    for row in rows:
+        np.greater_equal(row, v, out=flag)
+        np.add(row, scratch, out=row)
 
 
 def _columns(k: int) -> np.ndarray:
@@ -121,8 +150,11 @@ def _columns(k: int) -> np.ndarray:
         sub = _columns(k - 1)
         f = sub.shape[1]
         W = np.empty((k, k * f), dtype=np.int8)
-        for v in range(k):
-            _place(sub, v, W[:, v * f : (v + 1) * f])
+        for v in range(k):  # v, then S_{k-1} relabelled onto the other letters
+            block = W[:, v * f : (v + 1) * f]
+            block[1:] = sub
+            _relabel(block[1:], v, block[0])
+            block[0] = v
     W.flags.writeable = False
     with _BLOCK_LOCK:
         return _BLOCK_CACHE.setdefault(k, W)
@@ -136,32 +168,59 @@ def _n_partitions(n: int) -> int:
     return factorial(n - 1) // factorial(_BLOCK_CACHE_MAX)
 
 
-def _rest(m: int, idx: int) -> np.ndarray:
-    """Block idx of S_m (m >= K): the K! words of lexicographic ranks
-    idx K! to (idx + 1) K! - 1, as an (m, K!) array."""
-    if m == _BLOCK_CACHE_MAX:
-        return _columns(m)
-    v, idx = divmod(idx, _n_partitions(m))
-    W = np.empty((m, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
-    _place(_rest(m - 1, idx), v, W)
-    return W
+def _rest(idx: int, out: np.ndarray) -> None:
+    """Write block idx of S_m (m = len(out) >= K) into out, an (m, K!)
+    int8 array: the K! words of lexicographic ranks idx K! to
+    (idx + 1) K! - 1.  Its first m - K letters are fixed by idx, read as
+    first letter and block of S_{m-1}, that block's first letter and
+    block of S_{m-2}, and so on down to S_K.  So S_K is copied into the
+    last K rows and relabelled in place under each fixed letter in turn,
+    the innermost first, with the row that letter will fill as scratch."""
+    m = out.shape[0]
+    letters = []
+    for i in range(m - _BLOCK_CACHE_MAX):
+        v, idx = divmod(idx, _n_partitions(m - i))
+        letters.append(v)
+    np.copyto(out[len(letters):], _columns(_BLOCK_CACHE_MAX))
+    for i in reversed(range(len(letters))):
+        _relabel(out[i + 1 :], letters[i], out[i])
+        out[i] = letters[i]
 
 
-def _blocks(n: int, idx: int) -> Iterator[np.ndarray]:
-    """Task idx of S_n, block by block.  While S_n is cached it is one
-    block.  Else block idx of S_{n-1} is built once, and each first letter
-    v in turn is placed in front of it in one reused (n, K!) buffer, so a
-    block is overwritten when the next is made.  Column j of the block
-    with first letter v is the word of lexicographic rank
+def _letters(W: np.ndarray) -> Iterator[None]:
+    """Place each first letter v = 0..n-1 in turn in front of the block of
+    S_{n-1} in W[1:], in place, and yield after each.  The block is first
+    relabelled onto 1..n-1; from first letter v - 1 to v only one letter
+    of each word changes, v in the tail becoming v - 1.  Row 0 is the
+    comparison's scratch until it is set to v."""
+    tail = W[1:]
+    tail += 1
+    flag = W[0].view(np.bool_)
+    for v in range(W.shape[0]):
+        if v:
+            for row in tail:
+                np.equal(row, v, out=flag)
+                np.subtract(row, W[0], out=row)
+        W[0] = v
+        yield
+
+
+def _blocks(n: int, tasks: range) -> Iterator[np.ndarray]:
+    """The tasks of S_n, block by block.  While S_n is cached it is one
+    block (and tasks is range(1)).  Else one (n, K!) buffer serves the
+    whole slice: for each task idx, block idx of S_{n-1} is built in its
+    rows 1.. and each first letter v in turn is placed in front of it, in
+    place, so a block is overwritten when the next is made.  Column j of
+    the block with first letter v is the word of lexicographic rank
     v (n-1)! + idx K! + j."""
     if n <= _BLOCK_CACHE_MAX:
         yield _columns(n)
         return
-    rest = _rest(n - 1, idx)
-    W = np.empty((n, rest.shape[1]), dtype=np.int8)
-    for v in range(n):
-        _place(rest, v, W)
-        yield W
+    W = np.empty((n, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
+    for idx in tasks:
+        _rest(idx, W[1:])
+        for _ in _letters(W):
+            yield W
 
 
 def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
@@ -171,11 +230,10 @@ def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
     a block of 9! rows whose row j is the word of lexicographic rank
     v (n-1)! + b 9! + j.  A block is overwritten when the next one is
     made, so copy what must outlive it."""
-    for idx in range(_n_partitions(n)):
-        for W in _blocks(n, idx):
-            rows = W.T
-            rows.flags.writeable = False
-            yield rows
+    for W in _blocks(n, range(_n_partitions(n))):
+        rows = W.T
+        rows.flags.writeable = False
+        yield rows
 
 
 def _simsun_blocks(n: int) -> Iterator[np.ndarray]:
@@ -273,17 +331,23 @@ def _des3_hist(W: np.ndarray) -> np.ndarray:
     return np.bincount(count, minlength=W.shape[0])
 
 
-def _des3_first1_hist(W: np.ndarray) -> np.ndarray:
-    """des3 histogram of the words 0.(w+1), w running over W."""
-    P = np.empty((W.shape[0] + 1, W.shape[1]), dtype=np.int8)
-    _place(W, 0, P)
-    return _des3_hist(P)
+def _run(kernel, n: int, tasks: range) -> np.ndarray:
+    """A slice of the tasks of S_n tallied block by block: the sum of
+    kernel over their blocks."""
+    return sum(map(kernel, _blocks(n, tasks)))
 
 
-def _run(kernel, n: int, idx: int) -> np.ndarray:
-    """Task idx of S_n tallied block by block: the sum of kernel over
-    its blocks."""
-    return sum(map(kernel, _blocks(n, idx)))
+def _des3_first1_task(n: int, tasks: range) -> np.ndarray:
+    """des3 histogram of the words 0.(w+1), w running over a slice of the
+    tasks of S_n, each written into one buffer reused across the slice."""
+    P = np.empty((n + 1, factorial(min(n, _BLOCK_CACHE_MAX))), dtype=np.int8)
+    P[0] = 0
+
+    def kernel(W: np.ndarray) -> np.ndarray:
+        np.add(W, 1, out=P[1:])
+        return _des3_hist(P)
+
+    return _run(kernel, n, tasks)
 
 
 def _base_codes() -> np.ndarray:
@@ -302,32 +366,59 @@ def _base_codes() -> np.ndarray:
     return codes
 
 
-def _descent_task(n: int, idx: int) -> np.ndarray:
-    """Task idx of S_n (n >= 1) tallied into a descent-set histogram.
+# keys per bincount call: bincount copies its input to intp, and a fixed
+# chunk keeps that copy at 512 KB whatever the block size
+_CHUNK = 1 << 16
 
-    Above n = K the task's block of S_{n-1} is coded once: its last K
-    rows relabel S_K in S_K's column order, so a column's code is the
-    cached code of S_K shifted past the k = n - 1 - K rows above them,
-    plus the descents among those rows.  Each first letter v is still
-    placed in front of the block by _place, and the word v.rest'_j has
-    code (code(rest_j) << 1) | [W_0 > W_1]: a uint8 counter per column
-    counts the letters that make position 0 a descent.  One bincount of
-    code * (n + 1) + count over the n letters then gives every bin."""
+
+def _key_dtype(n: int):
+    """The narrowest unsigned dtype that holds every key
+    code * (n + 1) + count of the descent task, which is below
+    (n + 1) 2^(n-1): uint16 up to n = 13, uint32 up to _guard's 16."""
+    return np.uint16 if (n + 1) << (n - 1) <= 1 << 16 else np.uint32
+
+
+def _descent_task(n: int, tasks: range) -> np.ndarray:
+    """A slice of the tasks of S_n (n >= 1) tallied into one descent-set
+    histogram.
+
+    Above n = K the slice allocates its buffers once and reuses them for
+    every task: the (n, K!) block, the key, a uint8 counter and a bool
+    row.  Each task's block of S_{n-1} is built in the block's rows 1..
+    and coded once: its last K rows relabel S_K in S_K's column order, so
+    a column's code is the cached code of S_K shifted past the
+    k = n - 1 - K rows above them, plus the descents among those rows.
+    As each first letter v is placed in front of it in place, the word
+    v.rest'_j has code (code(rest_j) << 1) | [W_0 > W_1], so the counter
+    counts, per column, the letters that make position 0 a descent.  The
+    key code * (n + 1) + count is formed in place and binned in chunks;
+    the bins of all n letters are split by parity at the end."""
     if n <= _BLOCK_CACHE_MAX:
-        return _run(_descent_hist, n, idx)
-    rest = _rest(n - 1, idx)
+        return _descent_hist(_columns(n))
+    f = factorial(_BLOCK_CACHE_MAX)
     k = n - 1 - _BLOCK_CACHE_MAX
-    code = (_base_codes() << k) | _descent_codes(rest[: k + 1])
-    ones = np.zeros(rest.shape[1], dtype=np.uint8)
-    W = np.empty((n, rest.shape[1]), dtype=np.int8)
-    for v in range(n):
-        _place(rest, v, W)
-        ones += W[0] > W[1]
-    del W, rest  # free the block before the bincount's key
-    key = code.astype(np.intp)  # bincount would copy any other dtype to intp
-    key *= n + 1
-    key += ones
-    H = np.bincount(key, minlength=(n + 1) << (n - 2)).reshape(-1, n + 1)
+    W = np.empty((n, f), dtype=np.int8)
+    key = np.empty(f, dtype=_key_dtype(n))
+    ones = np.empty(f, dtype=np.uint8)
+    flag = np.empty(f, dtype=np.uint8)
+    is_descent = flag.view(np.bool_)
+    H = np.zeros((n + 1) << (n - 2), dtype=np.int64)
+    for idx in tasks:
+        _rest(idx, W[1:])
+        np.copyto(key, _base_codes())
+        for i in reversed(range(k)):
+            np.left_shift(key, 1, out=key)
+            np.greater(W[i + 1], W[i + 2], out=is_descent)
+            np.bitwise_or(key, flag, out=key)
+        ones.fill(0)
+        for _ in _letters(W):
+            np.greater(W[0], W[1], out=is_descent)
+            np.add(ones, flag, out=ones)
+        np.multiply(key, n + 1, out=key)
+        np.add(key, ones, out=key)
+        for s in range(0, f, _CHUNK):
+            H += np.bincount(key[s : s + _CHUNK], minlength=H.size)
+    H = H.reshape(-1, n + 1)
     o = np.arange(n + 1)
     hist = np.empty(1 << (n - 1), dtype=np.int64)
     hist[1::2] = H @ o
@@ -336,18 +427,20 @@ def _descent_task(n: int, idx: int) -> np.ndarray:
 
 
 def _merge(task, n: int, jobs: int) -> np.ndarray:
-    """Sum task(n, idx) over the tasks idx of S_n, on at most
-    min(jobs, partitions, cpu count) worker processes.  task is a
+    """Sum task(n, tasks) over the tasks of S_n, on at most
+    min(jobs, partitions, cpu count) worker processes.  Each worker takes
+    one strided slice, range(w, partitions, workers), in one call, so it
+    allocates one workspace and returns one histogram.  task is a
     module-level function, or a partial of one, so the pool can pickle
     it."""
     parts = _n_partitions(n)
     workers = min(jobs, parts, os.cpu_count() or 1)
     run = partial(task, n)
     if workers <= 1:
-        return sum(map(run, range(parts)))
+        return run(range(parts))
     _base_codes()  # build S_K and its codes once here; forked workers inherit them
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, range(parts)))
+        return sum(pool.map(run, [range(w, parts, workers) for w in range(workers)]))
 
 
 _HIST_CACHE: dict[int, np.ndarray] = {}  # n -> descent-set histogram of S_n
@@ -499,7 +592,7 @@ def brute_des3_first1(n: int, *, brute_max: int | None = None,
     _guard(n, brute_max)
     if n == 0:
         return StatMultiset(0, "des3", {0: 1})
-    hist = _merge(partial(_run, _des3_first1_hist), n, jobs)
+    hist = _merge(_des3_first1_task, n, jobs)
     return StatMultiset(n + 1, "des3", _read_off(range(n + 1), hist))
 
 

@@ -621,16 +621,9 @@ class BiPolyTQ:
 
     def at_t1(self) -> IntPoly:
         """Set t = 1, leaving a polynomial in q."""
-        return self.at_t_qpow(0)
-
-    def at_t_qpow(self, j: int) -> IntPoly:
-        """Set t = q^j, leaving a polynomial in q."""
-        if j < 0:
-            raise ValueError("power must be nonnegative")
-        out = [0] * max((j * k + lo + len(p) for k, (lo, p) in enumerate(self.rows)), default=0)
-        for k, (lo, p) in enumerate(self.rows):
-            at = j * k + lo
-            out[at:at + len(p)] = map(add, out[at:at + len(p)], p.coeffs)
+        out = [0] * max((lo + len(p) for lo, p in self.rows), default=0)
+        for lo, p in self.rows:
+            out[lo:lo + len(p)] = map(add, out[lo:lo + len(p)], p.coeffs)
         return IntPoly(out)
 
     def slice_t(self, k: int) -> IntPoly:

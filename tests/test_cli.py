@@ -445,14 +445,35 @@ def test_run_rejects_an_unknown_token():
         checks.run("thm9.9")
 
 
-def test_main_caps_the_openblas_pool_unless_set(monkeypatch, capsys):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # restored after the test
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert run(capsys, "factor", "--n", "4")[0] == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    assert run(capsys, "factor", "--n", "4")[0] == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+def test_numpy_loader_caps_the_openblas_pool_unless_set():
+    # the oracle's loader sets OPENBLAS_NUM_THREADS=1 only around its import
+    # of numpy: library callers and `verify thm4.11` start no BLAS thread and
+    # find the environment as it was, and a value the user set is honoured
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("threads are counted in /proc/self/task")
+    library = 'from altdes import oracle; assert oracle.stat_multiset(5, "des").total() == 120'
+    command = 'import altdes.cli; assert altdes.cli.main(["verify", "thm4.11"]) == 0'
+    src = os.path.dirname(os.path.dirname(altdes.__file__))
+
+    def threads_and_value(call, value):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        script = call + textwrap.dedent("""
+            import os
+            print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    assert threads_and_value(library, None) == ["1", "None"]
+    assert threads_and_value(command, None) == ["1", "None"]
+    # OpenBLAS starts at most one thread per available cpu
+    honoured = str(min(2, len(os.sched_getaffinity(0))))
+    assert threads_and_value(library, "2") == [honoured, "2"]
 
 
 _small = st.integers(-(1 << 70), 1 << 70)
@@ -479,7 +500,6 @@ def test_numpy_is_imported_only_to_enumerate():
         import altdes.cli
         assert "altdes.cli" in sys.modules and "numpy" not in sys.modules
         assert "concurrent.futures.process" not in sys.modules
-        assert "OPENBLAS_NUM_THREADS" not in os.environ  # only main sets it
         assert altdes.cli.main(["factor", "--n", "12"]) == 0
         assert altdes.cli.main(["verify", "conj5.1", "--max-n", "30"]) == 0
         assert "numpy" not in sys.modules
@@ -487,6 +507,7 @@ def test_numpy_is_imported_only_to_enumerate():
         from altdes import oracle
         assert oracle.stat_multiset(5, "des").values == {0: 1, 1: 26, 2: 66, 3: 26, 4: 1}
         assert "numpy" in sys.modules and oracle.np is sys.modules["numpy"]
+        assert "OPENBLAS_NUM_THREADS" not in os.environ  # the loader restores it
     """)
     src = os.path.dirname(os.path.dirname(altdes.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -227,10 +227,12 @@ def test_column_builder_is_lexicographic():
         assert [tuple(int(x) for x in col) for col in W.T] == list(
             itertools.permutations(range(n))
         )
+    import numpy as np
+
     f = math.factorial(9)
+    W = np.empty((11, f), dtype=np.int8)  # one buffer, rewritten for every block
     for idx in range(math.factorial(11) // f):
-        W = oracle._rest(11, idx)
-        assert W.shape == (11, f)
+        oracle._rest(idx, W)
         for j in (0, f // 2, f - 1):
             assert tuple(int(x) for x in W[:, j]) == nth_permutation(11, idx * f + j)
 
@@ -288,19 +290,22 @@ def test_block_cache_is_thread_safe():
 
 
 def test_descent_histogram_is_tallied_once_per_n(monkeypatch):
+    calls = []
     tallied = []
     task = oracle._descent_task
 
-    def counting(n, idx):
-        tallied.append((n, idx))
-        return task(n, idx)
+    def counting(n, tasks):
+        calls.append(n)
+        tallied.extend((n, idx) for idx in tasks)
+        return task(n, tasks)
 
     monkeypatch.setattr(oracle, "_descent_task", counting)
     oracle._HIST_CACHE.clear()
     brute_alt_eulerian(11)
     brute_qalt(11)
     stat_multiset(11, "maj")
-    assert tallied == [(11, idx) for idx in range(10)]  # one pass, not three
+    assert calls == [11]  # one pass, not three, and one slice when serial
+    assert sorted(tallied) == [(11, idx) for idx in range(10)]  # each task once
 
 
 def test_task_tally_matches_the_block_tally():
@@ -313,6 +318,57 @@ def test_task_tally_matches_the_block_tally():
             hist = oracle._merge(oracle._descent_task, n, jobs)
             assert hist.dtype == np.int64
             assert np.array_equal(hist, expected), (n, jobs)
+
+
+class _RecordingNumpy:
+    """numpy as the oracle sees it, recording the size of every array of
+    at least 9! bytes that a numpy call makes (an out= argument is not
+    made, and a view owns no data)."""
+
+    def __init__(self, np):
+        self.np = np
+        self.made = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            got = attr(*args, **kwargs)
+            if (isinstance(got, self.np.ndarray) and got.flags.owndata
+                    and got.nbytes >= math.factorial(9)
+                    and all(got is not a for a in (*args, *kwargs.values()))):
+                self.made.append(got.nbytes)
+            return got
+
+        return call
+
+
+def test_descent_tally_reuses_one_workspace_per_slice(monkeypatch):
+    import numpy as np
+
+    oracle._base_codes()  # S_9 and its codes are cached, not per task
+    made = {}
+    for n in (11, 12):  # 10 and 110 tasks in one serial slice
+        recording = _RecordingNumpy(np)
+        monkeypatch.setattr(oracle, "np", recording)
+        hist = oracle._merge(oracle._descent_task, n, 1)
+        monkeypatch.undo()
+        assert hist.sum() == math.factorial(n)
+        made[n] = recording.made
+    # the block, the key, the counter and the bool row, however many tasks
+    assert len(made[12]) == len(made[11]) <= 4
+
+
+def test_key_width_holds_every_key():
+    import numpy as np
+
+    # the largest key is code * (n + 1) + n, code < 2^(n-1)
+    for n, width in ((13, np.uint16), (14, np.uint32), (16, np.uint32)):
+        assert oracle._key_dtype(n) == width
+        assert ((1 << (n - 1)) - 1) * (n + 1) + n <= np.iinfo(width).max
+    assert 15 * (1 << 13) > 1 << 16  # n = 14 would wrap in uint16
 
 
 def test_code_cache_is_read_only_and_built_once(monkeypatch):
