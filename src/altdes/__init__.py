@@ -25,8 +25,6 @@ from .divisibility import (
 )
 from .gamma import (
     ExpansionFailed,
-    QGammaVector,
-    TwoSidedGamma,
     cd_transform,
     q_gamma_extract,
     simsun_relation_check,
@@ -62,7 +60,6 @@ from .permutations import (
 )
 from .polynomials import (
     BiPolyTQ,
-    GammaVector,
     IntPoly,
     NCPoly,
     NotDivisible,
@@ -94,16 +91,13 @@ __all__ = [
     "DEFAULT_BRUTE_MAX",
     "ExpansionFailed",
     "Factorization",
-    "GammaVector",
     "IntPoly",
     "LimitExceeded",
     "NCPoly",
     "NotDivisible",
     "NotPalindromic",
     "ParityViolation",
-    "QGammaVector",
     "StatMultiset",
-    "TwoSidedGamma",
     "UsageError",
     "alt_at_t_qpow",
     "alt_stats",

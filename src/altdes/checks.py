@@ -131,7 +131,8 @@ def _minus_one(n: int, rows: Callable) -> CheckResult:
 
 
 def _down_up_lengths(maxn: int, brute_max: int, jobs: int) -> list[dict]:
-    return [{"length": k, "brute_max": brute_max} for k in (2, 4, 6) if k <= brute_max]
+    return [{"length": k, "brute_max": brute_max}
+            for k in (2, 4, 6) if k <= min(maxn, brute_max)]
 
 
 def _down_up_simsun(length: int, brute_max: int) -> CheckResult:
@@ -149,13 +150,13 @@ _CD_IMAGES = {"c": NCPoly({"a": 1, "b": 1}), "d": NCPoly({"ab": 1, "ba": 1})}
 
 def _cd_index(n: int, brute_max: int, jobs: int) -> CheckResult:
     cd = oracle.brute_cd_index(n, brute_max=brute_max, jobs=jobs)
-    tr = gamma.cd_transform(cd.phi)
+    phi_hat, alt = gamma.cd_transform(cd.phi)
     bad = []
     if cd.psi != cd.phi.substitute(_CD_IMAGES):
         bad.append("descent-set index")
-    if cd.psi_hat != tr.phi_hat.substitute(_CD_IMAGES):
+    if cd.psi_hat != phi_hat.substitute(_CD_IMAGES):
         bad.append("alternating-descent-set index")
-    if tr.alt_poly != recurrences.five_term(n):
+    if alt != recurrences.five_term(n):
         bad.append("alternating descent polynomial")
     if cd.phi.eval_commutative(
             {"c": IntPoly.one(), "d": IntPoly((1, 1))}) != recurrences.gamma_rec(n):
@@ -176,10 +177,12 @@ def _simsun_rec(n: int, rows: Callable, brute_max: int, jobs: int) -> CheckResul
 
 
 def _factorization(n: int, rows: Callable) -> CheckResult:
-    altmaj = rows()
-    verdicts = divisibility.extract_Ehat(n, altmaj).verdicts._asdict()
-    bad = [divisibility.VERDICT_WITNESSES[k] for k, ok in verdicts.items() if not ok]
-    cr = divisibility.check_thm42(n, altmaj)
+    # extract_Ehat divides A_n(1, q) by G_n exactly or raises, so every
+    # factor order that G_n carries, A_n(1, q) carries too
+    fac = divisibility.extract_Ehat(n, rows())
+    bad = [divisibility.VERDICT_WITNESSES[k]
+           for k, ok in fac.verdicts._asdict().items() if not ok]
+    cr = divisibility.check_thm42(n, fac.g_n)
     if not cr.ok:
         bad.append(cr.witness or "factor order too small")
     return _verdict(bad)
@@ -203,21 +206,24 @@ def _log_concave(n: int, rows: Callable) -> CheckResult:
 
 def _q_gamma(n: int, rows: Callable) -> CheckResult:
     # the peel raises unless A_n(t,q) is exactly its expansion
-    qg = gamma.q_gamma_extract(rows(), n)
+    gammas = gamma.q_gamma_extract(rows(), n)
     a = recurrences.gamma_rec(n)
-    if any(g(1) != (2 ** k) * a[k] for k, g in enumerate(qg.gammas)):
+    if any(g(1) != (2 ** k) * a[k] for k, g in enumerate(gammas)):
         raise ExpansionFailed("values at q=1 disagree with gamma vector")
-    ok = qg.conjecture_holds()
+    # each g_k has nonnegative coefficients and (1+q)^k divides it; a zero
+    # g_k with k >= 1 fails, as its (1+q)-order is taken to be 0
+    ok = all(c >= 0 for g in gammas for c in g.coeffs) and all(
+        g and divisibility.order_of_factor(g, 1) >= k for k, g in enumerate(gammas) if k)
     return CheckResult(ok, None if ok else "negative coefficient or missing 1+q factor")
 
 
 def _two_sided(n: int, brute_max: int, jobs: int) -> CheckResult:
     # the peel raises unless A is exactly its expansion
     A = oracle.brute_two_sided(n, brute_max=brute_max, jobs=jobs)
-    ext = gamma.two_sided_extract(A)
+    entries = gamma.two_sided_extract(A)
     if A.at_t1() != recurrences.five_term(n):
         raise ExpansionFailed("value at s=1 is not A_n(t)")
-    ok = ext.nonnegative()
+    ok = all(e >= 0 for e in entries.values())
     return CheckResult(ok, None if ok else "negative expansion entry")
 
 

@@ -91,9 +91,8 @@ def _cmd_compute(args: argparse.Namespace) -> Report:
         rows = [_value_row(f"simsun n={n}", recurrences.simsun_rec(n))]
     elif args.table == "gamma":
         if args.q:
-            qg = gamma.q_gamma_extract(transfer.alt_tq(n), n)
             rows = [_value_row(f"qgamma n={n} k={k}", g, tvar="q")
-                    for k, g in enumerate(qg.gammas)]
+                    for k, g in enumerate(gamma.q_gamma_extract(transfer.alt_tq(n), n))]
         else:
             rows = [_value_row(f"gamma n={n}", recurrences.gamma_rec(n), tvar="x")]
     else:  # two-sided

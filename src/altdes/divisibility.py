@@ -166,13 +166,13 @@ def extract_Ehat(n: int, altmaj: IntPoly | None = None) -> Factorization:
                          FactorVerdicts(palindromic, constant_ok))
 
 
-def check_thm42(n: int, altmaj: IntPoly | None = None) -> CheckResult:
+def check_thm42(n: int, poly: IntPoly | None = None) -> CheckResult:
     """(1+q^m)^floor(n/2m) divides the altmaj polynomial A_n(1, q), or
-    altmaj when given, for every 1 <= m <= n/2 (higher m give empty
+    poly when given, for every 1 <= m <= n/2 (higher m give empty
     requirements)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    f = alt_at_t_qpow(n, 0) if altmaj is None else altmaj
+    f = alt_at_t_qpow(n, 0) if poly is None else poly
     for m in range(1, n // 2 + 1):
         need = n // (2 * m)
         got = order_of_factor(f, m)

@@ -9,16 +9,17 @@ interpretations plus the two refinements that are still conjectural:
 * the two-sided expansion of sum s^altdes(w^-1) t^altdes(w) in the
   basis (-st)^i (1+st)^j (s+t)^(n-1-j-2i).
 
-Both extractions are deterministic triangular peels; verdicts about
-positivity or divisibility are reported as data, never enforced.
+Both extractions are deterministic triangular peels that return the
+entries and raise ExpansionFailed unless the input is exactly its
+expansion; whether the entries are nonnegative, or divisible by powers
+of 1 + q, is for the checks of Conjectures 5.2 and 5.3 in altdes.checks
+to decide.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
-from .divisibility import order_of_factor
 from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand
 from .recurrences import five_term, gamma_rec, simsun_rec
 from .reporting import AltdesError, CheckResult
@@ -36,7 +37,7 @@ def simsun_relation_check(n: int) -> CheckResult:
     """a_n(x) = R_{n-1}(x+1), with a_n from the derivative recursion and
     independently from peeling A_n(t)."""
     a_rec = gamma_rec(n)
-    a_peel = gamma_expand(five_term(n), n).polynomial()
+    a_peel = gamma_expand(five_term(n), n)
     if a_rec != a_peel:
         return CheckResult.failed(f"n={n}: recursion and peel disagree")
     shifted = simsun_rec(n - 1).compose(IntPoly((1, 1)))
@@ -48,43 +49,16 @@ def simsun_relation_check(n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # cd-index transform
 
-class CdTransform:
-    """Result of substituting d -> cc - d into a cd-polynomial."""
-
-    __slots__ = ("phi_hat", "alt_poly")
-
-    def __init__(self, phi_hat: NCPoly, alt_poly: IntPoly):
-        self.phi_hat = phi_hat
-        self.alt_poly = alt_poly
-
-
-def cd_transform(phi: NCPoly) -> CdTransform:
-    """phi_hat = phi(c, cc - d), plus its commutative shadow at
-    c = 1 + t, d = 2t (which must reproduce A_n(t))."""
+def cd_transform(phi: NCPoly) -> tuple[NCPoly, IntPoly]:
+    """The pair (phi_hat, A): phi_hat = phi(c, cc - d), and A its
+    commutative shadow at c = 1 + t, d = 2t (which must reproduce A_n(t))."""
     images = {"d": NCPoly({"cc": 1, "d": -1})}
     phi_hat = phi.substitute(images)
-    alt = phi_hat.eval_commutative({"c": IntPoly((1, 1)), "d": IntPoly((0, 2))})
-    return CdTransform(phi_hat, alt)
+    return phi_hat, phi_hat.eval_commutative({"c": IntPoly((1, 1)), "d": IntPoly((0, 2))})
 
 
 # ---------------------------------------------------------------------------
 # q-refined gamma vectors
-
-class QGammaVector(NamedTuple):
-    """Entries g_k(q) of the q-expansion of A_n(t,q), with verdict data:
-    per-entry coefficient nonnegativity and the exact power of (1+q)
-    dividing each entry."""
-
-    n: int
-    gammas: tuple[IntPoly, ...]
-    nonnegative: tuple[bool, ...]
-    one_plus_q_orders: tuple[int, ...]
-
-    def conjecture_holds(self) -> bool:
-        return all(self.nonnegative) and all(
-            o >= k for k, o in enumerate(self.one_plus_q_orders)
-        )
-
 
 def _q_basis_element(n: int, k: int, g: IntPoly) -> BiPolyTQ:
     """g(q) q^C(k+1,2) (-t)^k prod_{i=k+1}^{n-1-k} (1 + t q^i)."""
@@ -94,12 +68,14 @@ def _q_basis_element(n: int, k: int, g: IntPoly) -> BiPolyTQ:
     return base
 
 
-def q_gamma_extract(p: BiPolyTQ, n: int) -> QGammaVector:
-    """Peel A_n(t,q) in the q-gamma basis, ascending in the t degree.
+def q_gamma_extract(p: BiPolyTQ, n: int) -> tuple[IntPoly, ...]:
+    """The entries (g_0(q), ..., g_((n-1)//2)(q)) of A_n(t,q) in the
+    q-gamma basis, zero entries included, peeled ascending in the t
+    degree.
 
     At step k the residual must start at t^k and its t^k slice must be
     divisible by q^C(k+1,2); otherwise ExpansionFailed.  Integrality is
-    automatic, positivity and (1+q)-divisibility are reported only.
+    automatic.
     """
     residual = p
     gammas: list[IntPoly] = []
@@ -119,24 +95,11 @@ def q_gamma_extract(p: BiPolyTQ, n: int) -> QGammaVector:
         residual = residual - _q_basis_element(n, k, g)
     if residual:
         raise ExpansionFailed("nonzero residual after the final peel step")
-    nonneg = tuple(all(c >= 0 for c in g.coeffs) for g in gammas)
-    orders = tuple(order_of_factor(g, 1) if g else 0 for g in gammas)
-    return QGammaVector(n, tuple(gammas), nonneg, orders)
+    return tuple(gammas)
 
 
 # ---------------------------------------------------------------------------
 # two-sided expansion
-
-class TwoSidedGamma(NamedTuple):
-    """Entries e[(i, j)] of the expansion of a symmetric two-sided
-    polynomial in the basis (-st)^i (1+st)^j (s+t)^(n-1-j-2i)."""
-
-    n: int
-    entries: dict[tuple[int, int], int]
-
-    def nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.entries.values())
-
 
 def _two_sided_basis(n: int, i: int, j: int) -> BiPolyTQ:
     """(-st)^i (1+st)^j (s+t)^(n-1-j-2i), with s in the t slot and t in
@@ -148,9 +111,9 @@ def _two_sided_basis(n: int, i: int, j: int) -> BiPolyTQ:
     return base
 
 
-def two_sided_extract(a: BiPolyTQ) -> TwoSidedGamma:
-    """Expand a symmetric polynomial in s, t (slots of the carrier) in
-    the two-sided basis, peeling ascending powers of s.
+def two_sided_extract(a: BiPolyTQ) -> dict[tuple[int, int], int]:
+    """The entries {(i, j): e} of a symmetric polynomial in s, t (slots
+    of the carrier) in the two-sided basis, peeling ascending powers of s.
 
     The basis element of (i, j) has no term of s-degree below i and one
     of s-degree i, (-1)^i s^i t^(n-1-i-j), so the s^i slice of the
@@ -174,4 +137,4 @@ def two_sided_extract(a: BiPolyTQ) -> TwoSidedGamma:
             residual = residual - e * _two_sided_basis(n, i, j)
     if residual:
         raise ExpansionFailed("nonzero residual after the final peel step")
-    return TwoSidedGamma(n, entries)
+    return entries

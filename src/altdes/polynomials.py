@@ -407,30 +407,10 @@ def shape_predicates(f: IntPoly) -> Shape:
     return Shape(palindromic, unimodal, log_concave)
 
 
-class GammaVector(NamedTuple):
-    """Entries a(n, k) of the expansion
-    f(t) = sum_k a(n,k) (-2t)^k (1+t)^(n-1-2k)."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    def reconstruct(self) -> IntPoly:
-        out = IntPoly()
-        one_plus_t = IntPoly((1, 1))
-        for k, a in enumerate(self.coeffs):
-            out = out + a * IntPoly.monomial(k, (-2) ** k) * one_plus_t ** (
-                self.n - 1 - 2 * k
-            )
-        return out
-
-    def polynomial(self) -> IntPoly:
-        """The generating polynomial sum_k a(n,k) x^k."""
-        return IntPoly(self.coeffs)
-
-
-def gamma_expand(f: IntPoly, n: int) -> GammaVector:
+def gamma_expand(f: IntPoly, n: int) -> IntPoly:
     """Expand a palindromic polynomial of center (n-1)/2 in the basis
-    (-2t)^k (1+t)^(n-1-2k), 0 <= k <= (n-1)/2.
+    (-2t)^k (1+t)^(n-1-2k), 0 <= k <= (n-1)/2, and return the entries
+    as the polynomial sum_k a(n,k) x^k.
 
     >>> gamma_expand(IntPoly([5, 7, 7, 5]), 4).coeffs
     (5, 4)
@@ -458,7 +438,7 @@ def gamma_expand(f: IntPoly, n: int) -> GammaVector:
         residual = residual - (power * c).shift(k)
     if residual:
         raise NotPalindromic("nonzero residual after the peel")
-    return GammaVector(n, tuple(out))
+    return IntPoly(out)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,60 @@ def test_expansion_errors_are_failures_not_findings(capsys, monkeypatch):
         f"q-gamma expansion n={n},fail,forced at n={n}" for n in (1, 2, 3)]
 
 
+def test_thm42_reads_the_orders_off_g_n(capsys, monkeypatch):
+    # G_4 one 1 + q short: extract_Ehat still divides by every factor,
+    # and check_thm42 finds the orders on the G_n it returns
+    real = divisibility.build_Gn
+    monkeypatch.setattr(divisibility, "build_Gn", lambda n: (
+        real(n).div_binomial(1, 1)[0] if n == 4 else real(n)))
+    code, out, err = run(capsys, "verify", "thm4.2", "--max-n", "5", "--format", "csv")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == [
+        "factorization n=2,pass,", "factorization n=3,pass,",
+        'factorization n=4,fail,"n=4, m=1: order 1 < 2"', "factorization n=5,pass,"]
+
+
+def test_down_up_lengths_stop_at_max_n(capsys):
+    code, out, _ = run(capsys, "verify", "cor3.3", "--max-n", "4", "--format", "csv")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("down-up")] == [
+        "down-up simsun count length 2,pass,", "down-up simsun count length 4,pass,"]
+
+
+def test_negative_two_sided_entry_is_a_finding(capsys, monkeypatch):
+    # 1000 (B(1,0) - B(1,2)) is symmetric and vanishes at s = 1, so the peel
+    # and its check at s = 1 pass, and the entry (1, 2) turns negative
+    real = oracle.brute_two_sided
+
+    def shifted(n, **kw):
+        a = real(n, **kw)
+        if n < 5:
+            return a
+        return a + 1000 * (gamma._two_sided_basis(n, 1, 0) - gamma._two_sided_basis(n, 1, 2))
+
+    monkeypatch.setattr(oracle, "brute_two_sided", shifted)
+    code, out, err = run(capsys, "verify", "conj5.3", "--max-n", "6", "--format", "csv")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == (
+        [f"two-sided expansion n={n},pass," for n in range(1, 5)]
+        + [f"two-sided expansion n={n},finding,negative expansion entry" for n in (5, 6)])
+
+
+def test_q_gamma_entry_without_one_plus_q_is_a_finding(capsys, monkeypatch):
+    # g_1 gains 1 - q, which is 0 at q = 1: the peel and its check at q = 1
+    # pass, and 1 + q no longer divides g_1
+    real = transfer.tq_rows
+    monkeypatch.setattr(transfer, "tq_rows", lambda n: (
+        p + gamma._q_basis_element(m, 1, IntPoly((1, -1))) if m >= 4 else p
+        for m, p in enumerate(real(n), 1)))
+    code, out, err = run(capsys, "verify", "conj5.2", "--max-n", "6", "--format", "csv")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == (
+        [f"q-gamma expansion n={n},pass," for n in range(1, 4)]
+        + [f"q-gamma expansion n={n},finding,negative coefficient or missing 1+q factor"
+           for n in (4, 5, 6)])
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "verify", "nosuch")[0] == 2
     assert run(capsys, "compute", "simsun", "--n", "3", "--q")[0] == 2
@@ -356,13 +410,14 @@ def test_jobs_flag_passes_through(capsys):
 
 
 # sha256 of each `verify <token> --max-n 2 --format csv` report, recorded
-# before the verify registry moved from altdes.cli to altdes.checks
+# before the verify registry moved from altdes.cli to altdes.checks; cor3.3's
+# since its down-up lengths stop at --max-n (lengths 4 and 6 dropped)
 _VERIFY_DIGESTS = {
     "conj4.10": "ec3912f34831b0b4bd6184cd4d2764138140238f63a2aaa82443902b5f810f93",
     "conj5.1": "a5100c9c2a80a83c1ff8600cc33f5024217a940a3d3043b35cd2a2152021e8bb",
     "conj5.2": "c2c0716c0bea54e2a67c7a8ccf3ade2759ec8de3f06e1818e3ebe52deffe96e9",
     "conj5.3": "4042ac55574d504b21b9ca95586a448914ba40dc1c8632b798dd9999981df32c",
-    "cor3.3": "2d1c56d8333a7d0815218166e84d892df9109a9ae7b05955651946630a57421b",
+    "cor3.3": "858abe99b1b7d2b60ed242bbc371d13a2f95db92f44950a0ce7fee4778b0ad1f",
     "cor3.5": "ed6cb859582bc602d99382fbc54106f08b465264d7e6d6a16b7fb26cdc032e8d",
     "double-count": "396217798a3880166c259adcb1ef3be0334e1213996a22f541071956e883ab0e",
     "eq-fn0": "4bba902f7c8d9732295f3bac4db83afa1d5b83d6010da30a5cfcd9b01c57a3e6",

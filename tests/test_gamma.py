@@ -2,10 +2,9 @@
 
 import pytest
 
+from altdes.divisibility import order_of_factor
 from altdes.gamma import (
     ExpansionFailed,
-    QGammaVector,
-    TwoSidedGamma,
     cd_transform,
     q_gamma_extract,
     simsun_relation_check,
@@ -34,15 +33,13 @@ def test_simsun_relation():
 def test_cd_transform_small():
     for n in range(1, 7):
         cd = brute_cd_index(n)
-        tr = cd_transform(cd.phi)
-        assert tr.alt_poly == five_term(n)
+        phi_hat, alt = cd_transform(cd.phi)
+        assert alt == five_term(n)
         # applying the d -> cc - d twist twice restores the original
-        again = cd_transform(tr.phi_hat)
-        assert again.phi_hat == cd.phi
+        assert cd_transform(phi_hat)[0] == cd.phi
     # hand case: one c-word and one d-word
-    tr = cd_transform(NCPoly({"cc": 1, "d": 1}))
-    assert tr.phi_hat == NCPoly({"cc": 2, "d": -1})
-    assert tr.alt_poly == IntPoly((1, 1)) ** 2 * 2 - IntPoly((0, 2))
+    assert cd_transform(NCPoly({"cc": 1, "d": 1})) == (
+        NCPoly({"cc": 2, "d": -1}), IntPoly((1, 1)) ** 2 * 2 - IntPoly((0, 2)))
 
 
 def test_q_gamma_small_expansions():
@@ -54,21 +51,21 @@ def test_q_gamma_small_expansions():
     }
     for n, gammas in expected.items():
         got = q_gamma_extract(quadratic_tq(n), n)
-        assert list(got.gammas) == gammas
-        assert got.conjecture_holds()
+        assert got == tuple(gammas)
+        assert all(min(g.coeffs) >= 0 and order_of_factor(g, 1) >= k
+                   for k, g in enumerate(got))
 
 
 def test_q_gamma_reconstruct_and_q1():
     for n in range(1, 11):
         p = quadratic_tq(n)
         got = q_gamma_extract(p, n)
-        assert isinstance(got, QGammaVector)
+        assert isinstance(got, tuple) and len(got) == (n - 1) // 2 + 1
         a = gamma_rec(n)
-        for k, g in enumerate(got.gammas):
+        for k, g in enumerate(got):
             assert g(1) == 2 ** k * a[k]
-        assert got.conjecture_holds()
-        # each entry carries at least k factors of 1 + q
-        assert all(o >= k for k, o in enumerate(got.one_plus_q_orders))
+            # nonnegative, with at least k factors of 1 + q
+            assert min(g.coeffs) >= 0 and order_of_factor(g, 1) >= k
 
 
 def test_q_gamma_rejects_bad_input():
@@ -88,16 +85,16 @@ def test_two_sided_small_entries():
     }
     for n, entries in expected.items():
         got = two_sided_extract(brute_two_sided(n))
-        assert isinstance(got, TwoSidedGamma)
-        assert got.entries == entries
-        assert got.nonnegative()
+        assert isinstance(got, dict)
+        assert got == entries
+        assert all(e >= 0 for e in got.values())
 
 
 def test_two_sided_reconstruct():
     for n in range(1, 9):
         a = brute_two_sided(n)
         got = two_sided_extract(a)
-        assert got.nonnegative()
+        assert all(e >= 0 for e in got.values())
         # setting one side to 1 recovers the one-sided polynomial
         assert a.at_t1() == five_term(n)
 
