@@ -25,7 +25,6 @@ from .divisibility import (
 )
 from .gamma import (
     ExpansionFailed,
-    cd_transform,
     q_gamma_extract,
     simsun_relation_check,
     two_sided_extract,
@@ -61,7 +60,6 @@ from .permutations import (
 from .polynomials import (
     BiPolyTQ,
     IntPoly,
-    NCPoly,
     NotDivisible,
     NotPalindromic,
     gamma_expand,
@@ -93,7 +91,6 @@ __all__ = [
     "Factorization",
     "IntPoly",
     "LimitExceeded",
-    "NCPoly",
     "NotDivisible",
     "NotPalindromic",
     "ParityViolation",
@@ -110,7 +107,6 @@ __all__ = [
     "brute_two_sided",
     "build_Ev",
     "build_Gn",
-    "cd_transform",
     "chebikin_check",
     "check_pochhammer_orders",
     "check_qj_parity",

@@ -1,8 +1,9 @@
 """Gamma-type expansions: classical, q-refined, and two-sided.
 
 The classical expansion writes A_n(t) in the basis (-2t)^k (1+t)^(n-1-2k)
-(see polynomials.gamma_expand); here live its Simsun and cd-index
-interpretations plus the two refinements that are still conjectural:
+(see polynomials.gamma_expand); here live its Simsun interpretation
+plus the two refinements that are still conjectural (its cd-index
+relations are checked on word counts, by prop3.4 in altdes.checks):
 
 * the q-expansion  A_n(t,q) = sum_k g_k(q) q^C(k+1,2) (-t)^k
                               prod_{i=k+1}^{n-1-k} (1 + t q^i),
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .polynomials import BiPolyTQ, IntPoly, NCPoly, gamma_expand
+from .polynomials import BiPolyTQ, IntPoly, gamma_expand
 from .recurrences import five_term, gamma_rec, simsun_rec
 from .reporting import AltdesError, CheckResult
 
@@ -44,17 +45,6 @@ def simsun_relation_check(n: int) -> CheckResult:
     if a_rec != shifted:
         return CheckResult.failed(f"n={n}: a_n != R_(n-1)(x+1)")
     return CheckResult.passed()
-
-
-# ---------------------------------------------------------------------------
-# cd-index transform
-
-def cd_transform(phi: NCPoly) -> tuple[NCPoly, IntPoly]:
-    """The pair (phi_hat, A): phi_hat = phi(c, cc - d), and A its
-    commutative shadow at c = 1 + t, d = 2t (which must reproduce A_n(t))."""
-    images = {"d": NCPoly({"cc": 1, "d": -1})}
-    phi_hat = phi.substitute(images)
-    return phi_hat, phi_hat.eval_commutative({"c": IntPoly((1, 1)), "d": IntPoly((0, 2))})
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .permutations import ab_to_cd
-from .polynomials import BiPolyTQ, IntPoly, NCPoly
+from .polynomials import BiPolyTQ, IntPoly
 from .reporting import UsageError
 
 
@@ -553,13 +553,13 @@ def brute_simsun(n: int, *, brute_max: int | None = None, jobs: int = 1) -> IntP
 
 
 class CdIndex(NamedTuple):
-    """phi: cd-index over Simsun permutations ending in n;
-    psi, psi_hat: ab-indexes of the descent and alternating descent
-    statistics over all of S_n."""
+    """Word counts: phi, the cd-index, as cd-words over the Simsun
+    permutations ending in n; psi and psi_hat, the ab-indexes of the
+    descent and alternating descent sets over all of S_n, as ab-words."""
 
-    phi: NCPoly
-    psi: NCPoly
-    psi_hat: NCPoly
+    phi: dict[str, int]
+    psi: dict[str, int]
+    psi_hat: dict[str, int]
 
 
 def _ab_words(n: int, hist: np.ndarray, flip: int = 0) -> dict[str, int]:
@@ -570,19 +570,23 @@ def _ab_words(n: int, hist: np.ndarray, flip: int = 0) -> dict[str, int]:
 
 
 def brute_cd_index(n: int, *, brute_max: int | None = None, jobs: int = 1) -> CdIndex:
-    """Tally the three word-valued generating functions: psi and psi_hat
-    off the descent-set histogram of S_n (tallied by jobs workers), read
-    directly and with the odd (0-based) positions flipped; phi off the
-    descent sets of the generated Simsun words that end in their largest
-    letter, in one process."""
+    """Tally the three word counts of CdIndex: psi and psi_hat off the
+    descent-set histogram of S_n (tallied by jobs workers), read directly
+    and with the odd (0-based) positions flipped; phi off the descent sets
+    of the generated Simsun words that end in their largest letter, in
+    one process.
+
+    >>> brute_cd_index(3).phi
+    {'cc': 1, 'd': 1}
+    """
     _guard(n, brute_max)
     if n == 0:
-        return CdIndex(NCPoly.one(), NCPoly.one(), NCPoly.one())
+        return CdIndex({"": 1}, {"": 1}, {"": 1})
     hist = _descent_histogram(n, jobs)
     odd = sum(1 << i for i in range(1, n - 1, 2))
     phi = _ab_words(n, sum(_descent_hist(S[:, S[-1] == n - 1]) for S in _simsun_blocks(n)))
-    return CdIndex(NCPoly({ab_to_cd(u): c for u, c in phi.items()}),
-                   NCPoly(_ab_words(n, hist)), NCPoly(_ab_words(n, hist, odd)))
+    return CdIndex({ab_to_cd(u): c for u, c in phi.items()},
+                   _ab_words(n, hist), _ab_words(n, hist, odd))
 
 
 def brute_des3_first1(n: int, *, brute_max: int | None = None,

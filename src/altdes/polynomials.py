@@ -1,13 +1,11 @@
 """Exact polynomial arithmetic over the integers.
 
-Three carriers, all with arbitrary-precision integer coefficients:
+Two carriers, both with arbitrary-precision integer coefficients:
 
 * ``IntPoly``      dense univariate polynomials,
 * ``BiPolyTQ``     bivariate polynomials, one run of q-coefficients per
                    power of t (slots named t and q, reused as (s, t) for
-                   two-sided statistics),
-* ``NCPoly``       noncommutative polynomials on words over a two
-                   letter alphabet (descent words, cd-words).
+                   two-sided statistics).
 
 Floating point appears once, as a certified filter in front of the
 exact log-concavity test of ``shape_predicates``; every verdict is exact.
@@ -613,100 +611,3 @@ class BiPolyTQ:
 
     def pretty(self, tvar: str = "t", qvar: str = "q") -> str:
         return _pretty((_mono(tvar, k) + _mono(qvar, j), c) for k, j, c in self.terms())
-
-
-# ---------------------------------------------------------------------------
-# noncommutative word polynomials
-
-class NCPoly:
-    """Polynomial in noncommuting letters; terms are string words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[str, int] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms: dict[str, int] = {w: c for w, c in items if c}
-
-    @classmethod
-    def zero(cls) -> "NCPoly":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "NCPoly":
-        return cls({"": 1})
-
-    @classmethod
-    def word(cls, w: str, c: int = 1) -> "NCPoly":
-        return cls({w: c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        inner = " + ".join(
-            f"{c}*{w or '1'}" for w, c in sorted(self.terms.items())
-        )
-        return f"NCPoly({inner or '0'})"
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        res = NCPoly.__new__(NCPoly)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-1) * other
-
-    def __mul__(self, other) -> "NCPoly":
-        if isinstance(other, int):
-            return NCPoly({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        out: dict[str, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                nc = out.get(w, 0) + c1 * c2
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
-        res = NCPoly.__new__(NCPoly)
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def substitute(self, images: Mapping[str, "NCPoly"]) -> "NCPoly":
-        """Replace each letter by a noncommutative polynomial; letters
-        missing from the mapping stand for themselves."""
-        out = NCPoly.zero()
-        for w, c in self.terms.items():
-            prod = NCPoly.one()
-            for letter in w:
-                prod = prod * images.get(letter, NCPoly.word(letter))
-            out = out + c * prod
-        return out
-
-    def eval_commutative(self, images: Mapping[str, IntPoly]) -> IntPoly:
-        """Evaluate with letters sent to commuting polynomials."""
-        out = IntPoly()
-        for w, c in self.terms.items():
-            prod = IntPoly.one()
-            for letter in w:
-                prod = prod * images[letter]
-            out = out + c * prod
-        return out

@@ -483,6 +483,51 @@ def test_broken_oracle_is_a_qrec_fail_row(capsys, monkeypatch):
         "quadratic recurrence matches oracle n=3,fail,quadratic recurrence disagrees at n=3"]
 
 
+_CD_RELATIONS = ("descent-set index; alternating-descent-set index; "
+                 "alternating descent polynomial; gamma vector link")
+
+
+@pytest.mark.parametrize("field, letter, witness", [
+    ("phi", "c", _CD_RELATIONS), ("psi", "a", "descent-set index")])
+def test_corrupted_cd_index_is_fail_rows(capsys, monkeypatch, field, letter, witness):
+    # the word letter^(n-1) of phi (or of psi alone) counts one more: every
+    # relation that reads it fails at every n
+    real = oracle.brute_cd_index
+
+    def corrupted(n, **kw):
+        cd = real(n, **kw)
+        words, w = getattr(cd, field), letter * (n - 1)
+        return cd._replace(**{field: {**words, w: words[w] + 1}})
+
+    monkeypatch.setattr(oracle, "brute_cd_index", corrupted)
+    assert [(r.name, r.status, r.witness) for r in checks.run("prop3.4", 6)] == [
+        (f"cd-index relations n={n}", "fail", witness) for n in range(1, 7)]
+    code, out, err = run(capsys, "verify", "prop3.4", "--max-n", "6", "--format", "csv")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == [
+        f"cd-index relations n={n},fail,{witness}" for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("module, attr, extra, token, failed", [
+    (gamma, "gamma_rec", 1, "thm3.2",
+     {n: f"n={n}: recursion and peel disagree" for n in (3, 4, 5)}),
+    (gamma, "simsun_rec", 1, "thm3.2",  # thm3.2 reads R_(n-1)
+     {n: f"n={n}: a_n != R_(n-1)(x+1)" for n in (4, 5)}),
+    (recurrences, "gamma_rec", IntPoly((0, 1)), "gamma-col",
+     {3: "a(3, 1) = 2, not 1", 4: "a(4, 1) = 5, not 4", 5: "a(5, 1) = 20, not 19"}),
+], ids=["thm3.2-gamma_rec", "thm3.2-simsun_rec", "gamma-col"])
+def test_corrupted_gamma_row_is_fail_rows(capsys, monkeypatch, module, attr, extra,
+                                          token, failed):
+    # the row off from argument 3 on
+    real = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda n: real(n) + extra if n >= 3 else real(n))
+    want = [("fail", failed[n]) if n in failed else ("pass", None) for n in range(1, 6)]
+    assert [(r.status, r.witness) for r in checks.run(token, 5)] == want
+    code, out, err = run(capsys, "verify", token, "--max-n", "5", "--format", "json")
+    assert code == 1 and err == ""
+    assert [(r["status"], r.get("witness")) for r in json.loads(out)["results"]] == want
+
+
 def test_theta_is_capped_by_brute_max(capsys):
     code, out, _ = run(capsys, "verify", "theta", "--max-n", "12", "--brute-max", "8",
                        "--format", "csv")
@@ -490,9 +535,17 @@ def test_theta_is_capped_by_brute_max(capsys):
     assert out.splitlines()[1:] == [f"theta involution n={n},pass," for n in range(1, 9)]
 
 
-def test_run_rejects_an_empty_range():
+def test_run_rejects_an_empty_range(capsys):
     with pytest.raises(UsageError, match="--max-n must be at least 1"):
         checks.run("eq1", 0)
+    # a range that lists no case is a usage error, never "0/0 passed"
+    for token, max_n, brute_max in (("thm4.2", 1, 11), ("thm4.11", 1, 11),
+                                    ("thm4.11", None, 1)):
+        message = f"{token} has no case up to --max-n {max_n or 9} and --brute-max {brute_max}"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            checks.run(token, max_n, brute_max=brute_max)
+        argv = ["--max-n", str(max_n)] if max_n else ["--brute-max", str(brute_max)]
+        assert run(capsys, "verify", token, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_run_rejects_an_unknown_token():

@@ -1,22 +1,20 @@
-"""q-refined and two-sided gamma expansions, cd-index transform."""
+"""q-refined and two-sided gamma expansions."""
 
 import pytest
 
 from altdes.divisibility import order_of_factor
 from altdes.gamma import (
     ExpansionFailed,
-    cd_transform,
     q_gamma_extract,
     simsun_relation_check,
     two_sided_extract,
 )
 from altdes.oracle import (
     LimitExceeded,
-    brute_cd_index,
     brute_two_sided,
     down_up_simsun_count,
 )
-from altdes.polynomials import BiPolyTQ, IntPoly, NCPoly
+from altdes.polynomials import BiPolyTQ, IntPoly
 from altdes.recurrences import five_term, gamma_rec, quadratic_tq
 
 
@@ -28,18 +26,6 @@ def test_simsun_relation():
     for n in range(1, 13):
         ok = simsun_relation_check(n)
         assert ok.ok, ok.witness
-
-
-def test_cd_transform_small():
-    for n in range(1, 7):
-        cd = brute_cd_index(n)
-        phi_hat, alt = cd_transform(cd.phi)
-        assert alt == five_term(n)
-        # applying the d -> cc - d twist twice restores the original
-        assert cd_transform(phi_hat)[0] == cd.phi
-    # hand case: one c-word and one d-word
-    assert cd_transform(NCPoly({"cc": 1, "d": 1})) == (
-        NCPoly({"cc": 2, "d": -1}), IntPoly((1, 1)) ** 2 * 2 - IntPoly((0, 2)))
 
 
 def test_q_gamma_small_expansions():

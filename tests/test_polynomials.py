@@ -10,7 +10,6 @@ from altdes import polynomials
 from altdes.polynomials import (
     BiPolyTQ,
     IntPoly,
-    NCPoly,
     NonIntegralGamma,
     NotPalindromic,
     gamma_expand,
@@ -182,18 +181,6 @@ def test_bipoly_pretty():
     a = BiPolyTQ({(0, 0): 2, (1, 1): 1, (2, 0): -3})
     assert a.pretty() == "2 + tq - 3t^2"
     assert a.pretty("s", "t") == "2 + st - 3s^2"
-
-
-def test_ncpoly_substitution_and_eval():
-    phi = NCPoly({"cc": 1, "d": 2})
-    sub = phi.substitute({"c": NCPoly({"a": 1, "b": 1}), "d": NCPoly({"ab": 1, "ba": 1})})
-    assert sub == NCPoly({"aa": 1, "ab": 3, "ba": 3, "bb": 1})
-    # letters without an image stand for themselves
-    assert NCPoly({"cd": 1}).substitute({"d": NCPoly({"dd": 1})}) == NCPoly({"cdd": 1})
-    x = IntPoly((0, 1))
-    val = phi.eval_commutative({"c": IntPoly((1, 1)), "d": x})
-    assert val == IntPoly((1, 1)) ** 2 + 2 * x
-    assert NCPoly({"": 3}).eval_commutative({}) == IntPoly((3,))
 
 
 # ---------------------------------------------------------------------------
