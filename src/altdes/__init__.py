@@ -10,13 +10,11 @@ the registry's rows as reports.
 
 from . import checks
 from .divisibility import (
-    Factorization,
     binomial_criterion,
     build_Ev,
     build_Gn,
     check_pochhammer_orders,
     check_qj_parity,
-    check_thm42,
     cyclotomic,
     extract_Ehat,
     order_of_factor,
@@ -88,7 +86,6 @@ __all__ = [
     "CheckResult",
     "DEFAULT_BRUTE_MAX",
     "ExpansionFailed",
-    "Factorization",
     "IntPoly",
     "LimitExceeded",
     "NotDivisible",
@@ -110,7 +107,6 @@ __all__ = [
     "chebikin_check",
     "check_pochhammer_orders",
     "check_qj_parity",
-    "check_thm42",
     "classic_stats",
     "complement",
     "cyclotomic",

@@ -10,7 +10,7 @@ them, and the acceptance tests assert that they pass.
 from __future__ import annotations
 
 from itertools import islice, product
-from math import prod
+from math import factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
 from . import divisibility, gamma, oracle, permutations, recurrences, transfer
@@ -196,14 +196,26 @@ def _simsun_rec(n: int, rows: Callable, brute_max: int, jobs: int) -> CheckResul
 
 
 def _factorization(n: int, rows: Callable) -> CheckResult:
-    # extract_Ehat divides A_n(1, q) by G_n exactly or raises, so every
-    # factor order that G_n carries, A_n(1, q) carries too
-    fac = divisibility.extract_Ehat(n, rows())
-    bad = [divisibility.VERDICT_WITNESSES[k]
-           for k, ok in fac.verdicts._asdict().items() if not ok]
-    cr = divisibility.check_thm42(n, fac.g_n)
-    if not cr.ok:
-        bad.append(cr.witness or "factor order too small")
+    # extract_Ehat divides A_n(1, q) by each factor 1 + q^i of G_n exactly or
+    # raises, and 1 + q^m divides 1 + q^i when i/m is odd, so the count of
+    # those factors is an order of 1 + q^m that A_n(1, q) carries
+    e_hat = divisibility.extract_Ehat(n, rows())
+    bad = [w for w in divisibility.e_hat_claims(n, e_hat).values() if w]
+    powers = list(divisibility._gn_powers(n))
+    for m in range(1, n // 2 + 1):
+        got, need = sum(i % (2 * m) == m for i in powers), n // (2 * m)
+        if got < need:
+            bad.append(f"n={n}, m={m}: order {got} < {need}")
+            break
+    return _verdict(bad)
+
+
+def _odd_part(n: int, rows: Callable) -> CheckResult:
+    # G_n(1) = 2^l for its l factors 1 + q^i, and A_n(1, 1) = n!
+    value, ell = divisibility.extract_Ehat(n, rows())(1), len(list(divisibility._gn_powers(n)))
+    bad = [] if value % 2 else [f"E^_{n}(1) = {value} is even"]
+    if value << ell != factorial(n):
+        bad.append(f"E^_{n}(1) 2^{ell} != {n}!")
     return _verdict(bad)
 
 
@@ -332,7 +344,9 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
         _Check("Pochhammer factor orders n={n}", divisibility.check_pochhammer_orders),
         _Check("G_n as a cyclotomic product n={n}", _gn_cyclotomic),
         _Check("Foata factors k={k}", _foata,
-               lambda maxn, *_: [{"k": k} for k in range(1, (maxn - 1) // 2 + 1)]))),
+               lambda maxn, *_: [{"k": k} for k in range(1, (maxn - 1) // 2 + 1)]),
+        _Check("E^_n(1) is the odd part of n! n={n}", _odd_part,
+               _upto(start=2, rows=lambda n: transfer.qpow_rows(n, 0))))),
     "theta": (8, (_Check("theta involution n={n}", permutations.theta_check,
                          _upto(brute=True)),)),
     "gamma-col": (12, (_Check("gamma column identity n={n}", _gamma_column),)),

@@ -106,15 +106,15 @@ def _cmd_factor(args: argparse.Namespace) -> Report:
     if n < 2:
         raise UsageError("--n must be at least 2")
     try:
-        f = divisibility.extract_Ehat(n)
+        e_hat = divisibility.extract_Ehat(n)
     except ArithmeticError as exc:
         return Report("factor", {"n": n},
                       [_row("e_hat", False, witness=str(exc))])
     rows = [
-        _value_row("g_n", f.g_n, tvar="q"),
-        _value_row("e_hat", f.e_hat, tvar="q"),
-        *(_row(k, ok, witness=divisibility.VERDICT_WITNESSES[k])
-          for k, ok in f.verdicts._asdict().items()),
+        _value_row("g_n", divisibility.build_Gn(n), tvar="q"),
+        _value_row("e_hat", e_hat, tvar="q"),
+        *(_row(k, w is None, witness=w)
+          for k, w in divisibility.e_hat_claims(n, e_hat).items()),
     ]
     return Report("factor", {"n": n}, rows)
 

@@ -1,21 +1,24 @@
 """Divisibility structure of the alternating major-index polynomials.
 
-The generating function of altmaj over S_n factors as G_n times a
-palindromic cofactor whose constant term is the zigzag number E_n,
-where
+The generating function A_n(1, q) of altmaj over S_n factors as G_n
+times a cofactor E^_n, palindromic with constant term the zigzag number
+E_n, where
 
     G_n = prod_{k>=1} prod_{i=1}^{floor(n/2^k)} (1 + q^i).
 
-This module builds G_n, Foata's factors Ev_k and the cyclotomic
-polynomials they factor into, extracts the cofactor by exact division,
-measures orders of (1+q^m) factors, and hosts the balanced-binomial-sum
-criterion together with its prefix-reversal bijection witness.
+As 1 + q^m divides 1 + q^i exactly when i/m is odd, floor(n/2m) factors
+of G_n carry 1 + q^m (Theorem 4.2), and G_n(1) = 2^l for its l factors,
+so E^_n(1) is the odd part of n! = A_n(1, 1).  This module builds G_n,
+Foata's factors Ev_k and the cyclotomic polynomials they factor into,
+extracts E^_n by exact division, measures orders of (1+q^m) factors, and
+hosts the balanced-binomial-sum criterion together with its
+prefix-reversal bijection witness.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from . import oracle
 from .oracle import StatMultiset
@@ -125,31 +128,11 @@ def order_of_factor(f: IntPoly, m: int) -> int:
         order += 1
 
 
-class FactorVerdicts(NamedTuple):
-    e_hat_palindromic: bool
-    constant_term_is_euler: bool
+def extract_Ehat(n: int, altmaj: IntPoly | None = None) -> IntPoly:
+    """The cofactor E^_n of G_n in the altmaj polynomial A_n(1, q), or
+    in altmaj when given, divided out one factor 1 + q^i at a time.
 
-
-# the witness of each FactorVerdicts field when it is False
-VERDICT_WITNESSES = {"e_hat_palindromic": "reduced factor not palindromic",
-                     "constant_term_is_euler": "constant term is not the zigzag number"}
-
-
-class Factorization(NamedTuple):
-    """Exact split of the altmaj generating polynomial as g_n * e_hat."""
-
-    n: int
-    g_n: IntPoly
-    e_hat: IntPoly
-    verdicts: FactorVerdicts
-
-
-def extract_Ehat(n: int, altmaj: IntPoly | None = None) -> Factorization:
-    """Divide the altmaj polynomial A_n(1, q), or altmaj when given, by
-    G_n and report whether the cofactor is palindromic with constant term
-    E_n.
-
-    NotDivisible from the division would falsify the factorization
+    NotDivisible from a division would falsify the factorization
     claim; it propagates so callers can record the finding.
     """
     if n < 2:
@@ -160,25 +143,16 @@ def extract_Ehat(n: int, altmaj: IntPoly | None = None) -> Factorization:
         if not exact:
             raise NotDivisible(f"(1+q^{i}) does not divide the altmaj polynomial "
                                f"at n={n}")
-    palindromic = shape_predicates(e_hat).palindromic
-    constant_ok = e_hat[0] == euler_numbers(n)[n]
-    return Factorization(n, build_Gn(n), e_hat,
-                         FactorVerdicts(palindromic, constant_ok))
+    return e_hat
 
 
-def check_thm42(n: int, poly: IntPoly | None = None) -> CheckResult:
-    """(1+q^m)^floor(n/2m) divides the altmaj polynomial A_n(1, q), or
-    poly when given, for every 1 <= m <= n/2 (higher m give empty
-    requirements)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    f = alt_at_t_qpow(n, 0) if poly is None else poly
-    for m in range(1, n // 2 + 1):
-        need = n // (2 * m)
-        got = order_of_factor(f, m)
-        if got < need:
-            return CheckResult.failed(f"n={n}, m={m}: order {got} < {need}")
-    return CheckResult.passed()
+def e_hat_claims(n: int, e_hat: IntPoly) -> dict[str, str | None]:
+    """The witness of each claim on E^_n by report name, None when it
+    holds: E^_n is palindromic (so not zero) and E^_n(0) = E_n."""
+    return {"e_hat_palindromic": None if shape_predicates(e_hat).palindromic
+            else "reduced factor not palindromic",
+            "constant_term_is_euler": None if e_hat[0] == euler_numbers(n)[n]
+            else "constant term is not the zigzag number"}
 
 
 def check_qj_parity(n: int, j: int) -> CheckResult:

@@ -10,7 +10,7 @@ import json
 import time
 
 from altdes import checks, cli
-from altdes.divisibility import build_Ev, extract_Ehat
+from altdes.divisibility import build_Ev, e_hat_claims, extract_Ehat
 from altdes.gamma import q_gamma_extract, two_sided_extract
 from altdes.oracle import brute_two_sided, down_up_simsun_count
 from altdes.polynomials import IntPoly, one_plus_pow
@@ -93,9 +93,9 @@ def test_criterion_02_factorization_table(tmp_path):
         E = euler_numbers(20)
         for n in range(2, 21):
             f = extract_Ehat(n)
-            assert f.verdicts.e_hat_palindromic, f"n={n}"
-            assert f.verdicts.constant_term_is_euler, f"n={n}"
-            assert f.e_hat[0] == E[n], f"n={n}"
+            assert e_hat_claims(n, f) == dict.fromkeys(
+                ("e_hat_palindromic", "constant_term_is_euler")), f"n={n}"
+            assert f[0] == E[n], f"n={n}"
 
     _criterion(2, "factorization table n=2..8 and reduced factors to n=20",
                body, budget=10.0)

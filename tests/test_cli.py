@@ -221,6 +221,34 @@ def test_false_factorization_is_a_fail_row(capsys, monkeypatch):
         f"at n={n}" for n in range(2, 6)]
 
 
+def test_corrupted_e_hat_is_fail_rows(capsys, monkeypatch):
+    # A_n(1, q) + G_n = G_n (E^_n + 1): every division by G_n is exact, the
+    # constant term is E_n + 1, and E^_n + 1 is palindromic only at n = 2
+    altmaj, rows, g = divisibility.alt_at_t_qpow, transfer.qpow_rows, divisibility.build_Gn
+    monkeypatch.setattr(divisibility, "alt_at_t_qpow", lambda n, c: altmaj(n, c) + g(n))
+    monkeypatch.setattr(transfer, "qpow_rows", lambda n, c: (
+        p + g(m) for m, p in enumerate(rows(n, c), 1)))
+    code, out, err = run(capsys, "verify", "thm4.2", "--max-n", "6", "--format", "csv")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == (
+        ["factorization n=2,fail,constant term is not the zigzag number"]
+        + [f"factorization n={n},fail,reduced factor not palindromic; constant term "
+           "is not the zigzag number" for n in range(3, 7)])
+    code, out, err = run(capsys, "factor", "--n", "5", "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["results"][2:] == [
+        {"name": "e_hat_palindromic", "status": "fail",
+         "witness": "reduced factor not palindromic"},
+        {"name": "constant_term_is_euler", "status": "fail",
+         "witness": "constant term is not the zigzag number"}]
+    # and E^_n(1) + 1, the odd part of n! plus one, is even
+    code, out, err = run(capsys, "verify", "qfact", "--max-n", "4", "--format", "csv")
+    assert code == 1 and err == ""
+    assert [line for line in out.splitlines() if ",fail," in line] == [
+        f"E^_n(1) is the odd part of n! n={n},fail,E^_{n}(1) = {e + 1} is even; "
+        f"E^_{n}(1) 2^{ell} != {n}!" for n, e, ell in ((2, 1, 1), (3, 3, 1), (4, 3, 3))]
+
+
 def test_expansion_errors_are_failures_not_findings(capsys, monkeypatch):
     def broken(p, n):
         raise ExpansionFailed(f"forced at n={n}")
@@ -234,11 +262,11 @@ def test_expansion_errors_are_failures_not_findings(capsys, monkeypatch):
 
 
 def test_thm42_reads_the_orders_off_g_n(capsys, monkeypatch):
-    # G_4 one 1 + q short: extract_Ehat still divides by every factor,
-    # and check_thm42 finds the orders on the G_n it returns
-    real = divisibility.build_Gn
-    monkeypatch.setattr(divisibility, "build_Gn", lambda n: (
-        real(n).div_binomial(1, 1)[0] if n == 4 else real(n)))
+    # G_4's factor list one 1 + q short: A_4(1, q) divides by every factor
+    # left, and the list carries 1 + q once where n = 4 needs it twice
+    real = divisibility._gn_powers
+    monkeypatch.setattr(divisibility, "_gn_powers", lambda n: (
+        [2, 1] if n == 4 else real(n)))
     code, out, err = run(capsys, "verify", "thm4.2", "--max-n", "5", "--format", "csv")
     assert code == 1 and err == ""
     assert out.splitlines()[1:] == [
@@ -433,7 +461,7 @@ _VERIFY_DIGESTS = {
     "thm4.5": "c776b09958eb0be5e200c6232cd46965cd833fc88375e76ec18d8ee262c6d6fc",
     "thm4.6": "108afb2dceee4b80ab7d9a870b4f031b5b8d49e56c22b93f31149cffc1f9357a",
     "qrec": "f22eeac13a594914a1cfe3b7ac9efd112769dff1de870befadd7f57606848c50",
-    "qfact": "496bb6cafc6517e66fb1e4f1e9105ee66f9d50740e0cc0eb4d3e98a75c6f42c2",
+    "qfact": "03f2332c475e6f6deb2e7e0e0ff1acf28c081551b22f44a685359a41617921fa",
     "theta": "77fe6bafaf33680ffe0a89297a0b73872a0957b9bbc41f22826b7f847cfc5e4e",
     "gamma-col": "333ce4482a9193a13cc8443d5eb2aaf08f7d48b6225702af38fd5b90480ea539",
     "transfer": "afb210549c53a9304bcda47309e13c0227a8389d0722ade25bb08a1d46bb3019",
@@ -459,7 +487,7 @@ def test_every_exported_check_is_in_the_registry():
                if isinstance(a, ast.Attribute)}
     exported = {f for f in map(altdes.__dict__.get, altdes.__all__) if inspect.isfunction(f)
                 and inspect.signature(f).return_annotation in ("CheckResult", CheckResult)}
-    assert {altdes.check_thm42, altdes.theta_check} <= exported
+    assert {altdes.check_qj_parity, altdes.theta_check} <= exported
     assert {f.__name__ for f in exported - registered} <= adapted
 
 
@@ -526,6 +554,44 @@ def test_corrupted_gamma_row_is_fail_rows(capsys, monkeypatch, module, attr, ext
     code, out, err = run(capsys, "verify", token, "--max-n", "5", "--format", "json")
     assert code == 1 and err == ""
     assert [(r["status"], r.get("witness")) for r in json.loads(out)["results"]] == want
+
+
+_real_stat_multiset, _real_stat_vector = oracle.stat_multiset, oracle._stat_vector
+
+
+def _moved_word(n, stat, **kw):
+    # one word of S_6 moved from altmaj 0 to altmaj 1
+    ms = _real_stat_multiset(n, stat, **kw)
+    if n != 6:
+        return ms
+    return ms._replace(values={**ms.values, 0: ms.values[0] - 1, 1: ms.values[1] + 1})
+
+
+def _first_letter_smallest(W, stat):
+    # altmaj + 1 on the 5-letter words that start with their smallest letter
+    out = _real_stat_vector(W, stat)
+    return out + (W[0] == W.min(axis=0)) if W.shape[0] == 5 else out
+
+
+@pytest.mark.parametrize("module, attr, fake, token, max_n, failed", [
+    (divisibility, "alt_at_t_qpow", lambda n, c: (
+        transfer.alt_at_t_qpow(n, c) + ((n, c) == (6, 1))), "thm4.5", 6,
+     {"one-plus-q order parity n=6": ("fail", "n=6, j=1: (1+q)-order 0 < 2")}),
+    (oracle, "stat_multiset", _moved_word, "conj4.10", 6,
+     {"binomial criterion n=6": ("finding", "n=6, m=1: binomial sums unbalanced")}),
+    (oracle, "_stat_vector", _first_letter_smallest, "thm4.11", 5,
+     {f"prefix-reversal bijection n=5 m={m}": (
+         "fail", f"n=5, m={m}: shift fails at (1, 2, 3, 4, 5)") for m in (1, 2)}),
+], ids=["thm4.5", "conj4.10", "thm4.11"])
+def test_corrupted_divisibility_subject_is_a_negative_row(capsys, monkeypatch, module, attr,
+                                                          fake, token, max_n, failed):
+    monkeypatch.setattr(module, attr, fake)
+    rows = checks.run(token, max_n)
+    assert {r.name: (r.status, r.witness) for r in rows if r.status != "pass"} == failed
+    code, out, err = run(capsys, "verify", token, "--max-n", str(max_n), "--format", "json")
+    assert code == 1 and err == ""
+    assert [(r["name"], r["status"], r.get("witness")) for r in json.loads(out)["results"]] \
+        == [(r.name, r.status, r.witness) for r in rows]
 
 
 def test_theta_is_capped_by_brute_max(capsys):

@@ -1,19 +1,21 @@
 """Cyclotomic machinery and divisibility checks for the q-polynomials."""
 
 import random
+from collections import Counter
+from math import factorial
 
 import pytest
 
 from altdes import checks, divisibility
 from altdes.divisibility import (
-    Factorization,
+    _gn_powers,
     binomial_criterion,
     build_Ev,
     build_Gn,
     check_pochhammer_orders,
     check_qj_parity,
-    check_thm42,
     cyclotomic,
+    e_hat_claims,
     extract_Ehat,
     order_of_factor,
     thm411_bijection_check,
@@ -82,34 +84,47 @@ def test_extract_ehat_identity_and_verdicts():
     E = euler_numbers(13)
     for n in range(2, 13):
         f = extract_Ehat(n)
-        assert isinstance(f, Factorization)
-        assert f.g_n * f.e_hat == faa_di_bruno_altmaj(n)
-        assert f.verdicts.e_hat_palindromic
-        assert f.verdicts.constant_term_is_euler
-        assert f.e_hat[0] == E[n]
+        assert isinstance(f, IntPoly)
+        assert build_Gn(n) * f == faa_di_bruno_altmaj(n)
+        assert e_hat_claims(n, f) == {"e_hat_palindromic": None,
+                                      "constant_term_is_euler": None}
+        assert f[0] == E[n]
+    assert e_hat_claims(2, IntPoly()) == {  # the zero polynomial is not palindromic
+        "e_hat_palindromic": "reduced factor not palindromic",
+        "constant_term_is_euler": "constant term is not the zigzag number"}
 
 
 def test_extract_ehat_printed_values():
-    assert extract_Ehat(3).e_hat == IntPoly((2, -1, 2))
-    assert extract_Ehat(6).e_hat == IntPoly((61, -87, 66, -82, 129, -82, 66, -87, 61))
+    assert extract_Ehat(3) == IntPoly((2, -1, 2))
+    assert extract_Ehat(6) == IntPoly((61, -87, 66, -82, 129, -82, 66, -87, 61))
+    with pytest.raises(ValueError):
+        extract_Ehat(1)
 
 
 def test_check_thm42_and_orders():
-    for n in range(2, 17):
-        ok = check_thm42(n)
-        assert ok.ok, ok.witness
-    with pytest.raises(ValueError):
-        check_thm42(1)
     for n in range(1, 19):
         ok = check_pochhammer_orders(n)
         assert ok.ok, ok.witness
 
 
-def test_check_thm42_witness(monkeypatch):
-    # 1 + q has (1+q)-order 1, where n = 6 needs floor(6/2) = 3
-    monkeypatch.setattr(divisibility, "alt_at_t_qpow", lambda n, c: IntPoly((1, 1)))
-    cr = check_thm42(6)
-    assert (cr.ok, cr.witness) == (False, "n=6, m=1: order 1 < 3")
+def test_gn_factor_list_carries_the_orders():
+    # 1 + q^m divides 1 + q^i exactly when i = m (mod 2m); G_n has
+    # floor(n/2m) such factors, and its factor count is v_2(n!) (Legendre)
+    for n in range(1, 301):
+        powers = Counter(_gn_powers(n))
+        for m in range(1, n // 2 + 1):
+            assert sum(powers[i] for i in range(m, n + 1, 2 * m)) == n // (2 * m), (n, m)
+        assert powers.total() == (factorial(n) & -factorial(n)).bit_length() - 1, n
+
+
+def test_thm42_divides_no_g_n(monkeypatch):
+    # thm4.2 reads its orders off G_n's factor list
+    def raising(*args):
+        raise AssertionError("thm4.2 built G_n or measured an order")
+
+    monkeypatch.setattr(divisibility, "build_Gn", raising)
+    monkeypatch.setattr(divisibility, "order_of_factor", raising)
+    assert all(row.status == "pass" for row in checks.run("thm4.2", 24))
 
 
 def test_parity_checks():
