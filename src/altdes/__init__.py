@@ -23,6 +23,7 @@ from .divisibility import (
 )
 from .gamma import (
     ExpansionFailed,
+    gamma_expand,
     q_gamma_extract,
     simsun_relation_check,
     two_sided_extract,
@@ -59,8 +60,6 @@ from .polynomials import (
     BiPolyTQ,
     IntPoly,
     NotDivisible,
-    NotPalindromic,
-    gamma_expand,
     q_pochhammer,
     shape_predicates,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "IntPoly",
     "LimitExceeded",
     "NotDivisible",
-    "NotPalindromic",
     "ParityViolation",
     "StatMultiset",
     "UsageError",

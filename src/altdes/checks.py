@@ -14,9 +14,9 @@ from math import factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
 from . import divisibility, gamma, oracle, permutations, recurrences, transfer
-from .gamma import ExpansionFailed
+from .gamma import ExpansionFailed, gamma_expand
 from .oracle import DEFAULT_BRUTE_MAX
-from .polynomials import IntPoly, gamma_expand, shape_predicates
+from .polynomials import IntPoly, shape_predicates
 from .reporting import CheckResult, ResultRow, UsageError, _row
 
 

@@ -1,38 +1,79 @@
 """Gamma-type expansions: classical, q-refined, and two-sided.
 
 The classical expansion writes A_n(t) in the basis (-2t)^k (1+t)^(n-1-2k)
-(see polynomials.gamma_expand); here live its Simsun interpretation
-plus the two refinements that are still conjectural (its cd-index
-relations are checked on word counts, by prop3.4 in altdes.checks):
+(gamma_expand); here live it, its Simsun interpretation, and the two
+refinements that are still conjectural (its cd-index relations are
+checked on word counts, by prop3.4 in altdes.checks):
 
 * the q-expansion  A_n(t,q) = sum_k g_k(q) q^C(k+1,2) (-t)^k
                               prod_{i=k+1}^{n-1-k} (1 + t q^i),
 * the two-sided expansion of sum s^altdes(w^-1) t^altdes(w) in the
   basis (-st)^i (1+st)^j (s+t)^(n-1-j-2i).
 
-Both extractions are deterministic triangular peels that return the
-entries and raise ExpansionFailed unless the input is exactly its
-expansion; whether the entries are nonnegative, or divisible by powers
-of 1 + q, is for the checks of Conjectures 5.2 and 5.3 in altdes.checks
-to decide.
+All three are triangular peels that return the entries and raise
+ExpansionFailed unless the input is exactly its expansion; the classical
+and two-sided peels subtract binomial coefficients.  Whether the entries
+are nonnegative, or divisible by powers of 1 + q, is for the checks of
+Conjectures 5.2 and 5.3 in altdes.checks to decide.
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
-from .polynomials import BiPolyTQ, IntPoly, gamma_expand
+from .polynomials import BiPolyTQ, IntPoly
 from .recurrences import five_term, gamma_rec, simsun_rec
 from .reporting import AltdesError, CheckResult
 
 
 class ExpansionFailed(AltdesError, ArithmeticError):
-    """The triangular peel left a nonzero residual or hit a term that
-    is not divisible by the required q power."""
+    """A gamma-type peel met an input that is not exactly its expansion."""
+
+
+def _binomial_row(m: int, c: int) -> Iterator[int]:
+    """c C(m, i) for i = 0..m, each from the one before."""
+    for i in range(m + 1):
+        yield c
+        c = c * (m - i) // (i + 1)
 
 
 # ---------------------------------------------------------------------------
 # classical gamma vector versus Simsun polynomials
+
+def gamma_expand(f: IntPoly, n: int) -> IntPoly:
+    """Expand a palindromic polynomial of center (n-1)/2 in the basis
+    (-2t)^k (1+t)^(n-1-2k), 0 <= k <= (n-1)/2, and return the entries
+    as the polynomial sum_k a(n,k) x^k.
+
+    Step k reads c, the coefficient of t^k, and subtracts
+    c t^k (1+t)^(n-1-2k) one binomial coefficient at a time.
+
+    >>> gamma_expand(IntPoly([5, 7, 7, 5]), 4).coeffs
+    (5, 4)
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    d = n - 1
+    if f.degree > d:
+        raise ExpansionFailed(f"degree {f.degree} exceeds {d}")
+    residual = list(f.coeffs) + [0] * (d + 1 - len(f.coeffs))
+    if residual != residual[::-1]:
+        raise ExpansionFailed(f"not palindromic about {d}/2")
+    out: list[int] = []
+    for k in range(d // 2 + 1):
+        c = residual[k]
+        sign = (-2) ** k
+        a, r = divmod(c, sign)
+        if r:
+            raise ExpansionFailed(f"entry {k}: {c} not divisible by {sign}")
+        out.append(a)
+        for i, v in enumerate(_binomial_row(d - 2 * k, c), k):
+            residual[i] -= v
+    if any(residual):
+        raise ExpansionFailed("nonzero residual after the peel")
+    return IntPoly(out)
+
 
 def simsun_relation_check(n: int) -> CheckResult:
     """a_n(x) = R_{n-1}(x+1), with a_n from the derivative recursion and
@@ -91,23 +132,15 @@ def q_gamma_extract(p: BiPolyTQ, n: int) -> tuple[IntPoly, ...]:
 # ---------------------------------------------------------------------------
 # two-sided expansion
 
-def _two_sided_basis(n: int, i: int, j: int) -> BiPolyTQ:
-    """(-st)^i (1+st)^j (s+t)^(n-1-j-2i), with s in the t slot and t in
-    the q slot, so 1 + st is the binomial 1 + tq."""
-    s_plus_t = BiPolyTQ({(1, 0): 1, (0, 1): 1})
-    base = BiPolyTQ.term(i, i, (-1) ** i) * s_plus_t ** (n - 1 - j - 2 * i)
-    for _ in range(j):
-        base = base.mul_binomial(1)
-    return base
-
-
 def two_sided_extract(a: BiPolyTQ) -> dict[tuple[int, int], int]:
     """The entries {(i, j): e} of a symmetric polynomial in s, t (slots
     of the carrier) in the two-sided basis, peeling ascending powers of s.
 
     The basis element of (i, j) has no term of s-degree below i and one
     of s-degree i, (-1)^i s^i t^(n-1-i-j), so the s^i slice of the
-    residual gives every entry e[(i, j)] at once.
+    residual gives every entry e[(i, j)] at once.  With r = n-1-j-2i,
+    e times the element is c s^i t^i (1+st)^j (s+t)^r, c = (-1)^i e:
+    the peel subtracts c C(j, x) C(r, y) at s^(i+x+y) t^(i+x+r-y).
     """
     coeffs = a.coeffs
     n = 1 + max((max(k, j) for (k, j) in coeffs), default=0)
@@ -115,16 +148,17 @@ def two_sided_extract(a: BiPolyTQ) -> dict[tuple[int, int], int]:
         if coeffs.get((j, k)) != c:
             raise ExpansionFailed(f"not symmetric at exponents ({k}, {j})")
     entries: dict[tuple[int, int], int] = {}
-    residual = a
+    residual = dict(coeffs)
     for i in range((n - 1) // 2 + 1):
-        for b, c in enumerate(residual.slice_t(i)):
-            if c == 0:
-                continue
-            j = n - 1 - i - b
-            if b < i or j < 0:
+        for b in sorted(b for (k, b), c in residual.items() if k == i and c):
+            c, j, r = residual[(i, b)], n - 1 - i - b, b - i
+            if r < 0 or j < 0:
                 raise ExpansionFailed(f"term s^{i} t^{b} lies outside the basis")
-            e = entries[(i, j)] = c * (-1) ** i
-            residual = residual - e * _two_sided_basis(n, i, j)
-    if residual:
+            entries[(i, j)] = c * (-1) ** i
+            for x, cx in enumerate(_binomial_row(j, c), i):
+                for y, v in enumerate(_binomial_row(r, cx)):
+                    key = (x + y, x + r - y)
+                    residual[key] = residual.get(key, 0) - v
+    if any(residual.values()):
         raise ExpansionFailed("nonzero residual after the final peel step")
     return entries

@@ -25,15 +25,6 @@ class NotDivisible(AltdesError, ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-class NotPalindromic(AltdesError, ArithmeticError):
-    """Raised when a gamma expansion is requested for a polynomial that
-    is not palindromic about the required center."""
-
-
-class NonIntegralGamma(AltdesError, ArithmeticError):
-    """Raised when a gamma expansion would need non-integer entries."""
-
-
 class IntPoly:
     """Immutable dense univariate polynomial with int coefficients.
 
@@ -169,7 +160,16 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
-        return _power(self, n, IntPoly.one())
+        if n < 0:  # square and multiply
+            raise ValueError("negative power")
+        result, base = IntPoly.one(), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     def __call__(self, x):
         """Evaluate by Horner; works for int and Fraction arguments."""
@@ -237,20 +237,6 @@ class IntPoly:
     def pretty(self, var: str = "t") -> str:
         """Human-readable form, ascending powers: '16 + 26t + 36t^2'."""
         return _pretty((_mono(var, e), c) for e, c in enumerate(self.coeffs))
-
-
-def _power(base, n: int, one):
-    """base ** n by square and multiply; one is the unit of base's ring."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
 
 
 def _mono(var: str, exp: int) -> str:
@@ -405,40 +391,6 @@ def shape_predicates(f: IntPoly) -> Shape:
     return Shape(palindromic, unimodal, log_concave)
 
 
-def gamma_expand(f: IntPoly, n: int) -> IntPoly:
-    """Expand a palindromic polynomial of center (n-1)/2 in the basis
-    (-2t)^k (1+t)^(n-1-2k), 0 <= k <= (n-1)/2, and return the entries
-    as the polynomial sum_k a(n,k) x^k.
-
-    >>> gamma_expand(IntPoly([5, 7, 7, 5]), 4).coeffs
-    (5, 4)
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    d = n - 1
-    if f.degree > d:
-        raise NotPalindromic(f"degree {f.degree} exceeds {d}")
-    padded = f.coeffs + (0,) * (d + 1 - len(f.coeffs))
-    if padded != tuple(reversed(padded)):
-        raise NotPalindromic(f"not palindromic about {d}/2")
-    residual = f
-    power = IntPoly((1, 1)) ** d  # (1+t)^(d-2k), lowered twice per step
-    out: list[int] = []
-    for k in range(d // 2 + 1):
-        if k:
-            power = power.div_binomial(1, 1)[0].div_binomial(1, 1)[0]
-        c = residual[k]
-        sign = (-2) ** k
-        a, r = divmod(c, sign)
-        if r:
-            raise NonIntegralGamma(f"entry {k}: {c} not divisible by {sign}")
-        out.append(a)
-        residual = residual - (power * c).shift(k)
-    if residual:
-        raise NotPalindromic("nonzero residual after the peel")
-    return IntPoly(out)
-
-
 # ---------------------------------------------------------------------------
 # bivariate polynomials
 
@@ -559,29 +511,6 @@ class BiPolyTQ:
         return BiPolyTQ.from_rows(
             _combine(a, b, sub) for a, b in zip_longest(self.rows, other.rows, fillvalue=_EMPTY))
 
-    def __neg__(self) -> "BiPolyTQ":
-        return BiPolyTQ.from_rows((lo, -p) for lo, p in self.rows)
-
-    def __mul__(self, other) -> "BiPolyTQ":
-        if isinstance(other, int):
-            return BiPolyTQ.from_rows((lo, p * other) for lo, p in self.rows)
-        if not isinstance(other, BiPolyTQ):
-            return NotImplemented
-        if not self.rows or not other.rows:
-            return BiPolyTQ.zero()
-        out = [_EMPTY] * (len(self.rows) + len(other.rows) - 1)
-        for k1, (lo1, p1) in enumerate(self.rows):
-            if p1:
-                for k2, (lo2, p2) in enumerate(other.rows, k1):
-                    if p2:
-                        out[k2] = _combine(out[k2], (lo1 + lo2, p1 * p2))
-        return BiPolyTQ.from_rows(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPolyTQ":
-        return _power(self, n, BiPolyTQ.one())
-
     def mul_binomial(self, i: int) -> "BiPolyTQ":
         """Product with 1 + t q^i in one pass: slice k gains q^i times
         slice k-1.
@@ -603,11 +532,6 @@ class BiPolyTQ:
         for lo, p in self.rows:
             out[lo:lo + len(p)] = map(add, out[lo:lo + len(p)], p.coeffs)
         return IntPoly(out)
-
-    def slice_t(self, k: int) -> IntPoly:
-        """Coefficient of t^k as a polynomial in q."""
-        lo, p = self.rows[k] if 0 <= k < len(self.rows) else _EMPTY
-        return p.shift(lo)
 
     def pretty(self, tvar: str = "t", qvar: str = "q") -> str:
         return _pretty((_mono(tvar, k) + _mono(qvar, j), c) for k, j, c in self.terms())

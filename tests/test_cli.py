@@ -12,13 +12,14 @@ import re
 import subprocess
 import sys
 import textwrap
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altdes
-from altdes import checks, cli, divisibility, gamma, oracle, recurrences, transfer
+from altdes import checks, cli, divisibility, gamma, oracle, permutations, recurrences, transfer
 from altdes.cli import main, ser_bipoly, ser_poly
 from altdes.gamma import ExpansionFailed
 from altdes.polynomials import BiPolyTQ, IntPoly
@@ -281,6 +282,14 @@ def test_down_up_lengths_stop_at_max_n(capsys):
         "down-up simsun count length 2,pass,", "down-up simsun count length 4,pass,"]
 
 
+def _two_sided_element(n, i, j, e):
+    """e (-st)^i (1+st)^j (s+t)^(n-1-j-2i), s in the t slot: the terms
+    e (-1)^i C(j, x) C(r, y) s^(i+x+y) t^(i+x+r-y), r = n-1-j-2i."""
+    r = n - 1 - j - 2 * i
+    return BiPolyTQ({(i + x + y, i + x + r - y): e * (-1) ** i * comb(j, x) * comb(r, y)
+                     for x in range(j + 1) for y in range(r + 1)})
+
+
 def test_negative_two_sided_entry_is_a_finding(capsys, monkeypatch):
     # 1000 (B(1,0) - B(1,2)) is symmetric and vanishes at s = 1, so the peel
     # and its check at s = 1 pass, and the entry (1, 2) turns negative
@@ -290,7 +299,7 @@ def test_negative_two_sided_entry_is_a_finding(capsys, monkeypatch):
         a = real(n, **kw)
         if n < 5:
             return a
-        return a + 1000 * (gamma._two_sided_basis(n, 1, 0) - gamma._two_sided_basis(n, 1, 2))
+        return a + _two_sided_element(n, 1, 0, 1000) - _two_sided_element(n, 1, 2, 1000)
 
     monkeypatch.setattr(oracle, "brute_two_sided", shifted)
     code, out, err = run(capsys, "verify", "conj5.3", "--max-n", "6", "--format", "csv")
@@ -417,6 +426,10 @@ def test_value_error_in_a_check_is_a_fail_row(capsys, monkeypatch):
 def test_public_names_resolve():
     assert len(set(altdes.__all__)) == len(altdes.__all__)
     assert [name for name in altdes.__all__ if not hasattr(altdes, name)] == []
+    # and every public name the package imports is exported
+    imported = {name for name, v in vars(altdes).items()
+                if not name.startswith("_") and not inspect.ismodule(v)}
+    assert imported == set(altdes.__all__)
 
 
 def test_reports_are_deterministic(capsys):
@@ -573,6 +586,25 @@ def _first_letter_smallest(W, stat):
     return out + (W[0] == W.min(axis=0)) if W.shape[0] == 5 else out
 
 
+_real_brute_alt, _real_des3 = oracle.brute_alt_eulerian, oracle.brute_des3_first1
+_real_inserted = permutations._inserted
+
+
+def _moved_des3_word(n, **kw):
+    # from n = 4 on, one word moved from des3 value 0 to 1
+    ms = _real_des3(n, **kw)
+    if n < 4:
+        return ms
+    return ms._replace(values={**ms.values, 0: ms.values[0] - 1, 1: ms.values[1] + 1})
+
+
+def _min_insertion_twice(w, j):
+    # 123 at space 0 yields its min insertion 1432 twice, never its max 4321
+    low, high = _real_inserted(w, j)
+    return (low, low) if (w, j) == ((1, 2, 3), 0) else (low, high)
+
+
+# the subject of a divisibility token, or of an oracle or bijection token
 @pytest.mark.parametrize("module, attr, fake, token, max_n, failed", [
     (divisibility, "alt_at_t_qpow", lambda n, c: (
         transfer.alt_at_t_qpow(n, c) + ((n, c) == (6, 1))), "thm4.5", 6,
@@ -582,7 +614,17 @@ def _first_letter_smallest(W, stat):
     (oracle, "_stat_vector", _first_letter_smallest, "thm4.11", 5,
      {f"prefix-reversal bijection n=5 m={m}": (
          "fail", f"n=5, m={m}: shift fails at (1, 2, 3, 4, 5)") for m in (1, 2)}),
-], ids=["thm4.5", "conj4.10", "thm4.11"])
+    (oracle, "brute_alt_eulerian", lambda n, **kw: _real_brute_alt(n, **kw) + (n == 3),
+     "thm2.1", 4,
+     {"five-term matches oracle n=3": ("fail", "five-term recurrence disagrees at n=3")}),
+    (oracle, "brute_des3_first1", _moved_des3_word, "equidist", 6,
+     {f"alternating descents match triple-pattern class n={n}": (
+         "fail", f"distributions differ at n={n}") for n in (4, 5, 6)}),
+    (permutations, "theta", permutations.reversal, "theta", 3,
+     {"theta involution n=3": ("fail", "statistics mismatch at 123 -> 321")}),
+    (permutations, "_inserted", _min_insertion_twice, "double-count", 4,
+     {"insertion double count n=3": ("fail", "1432 constructed 3 times")}),
+], ids=["thm4.5", "conj4.10", "thm4.11", "thm2.1", "equidist", "theta", "double-count"])
 def test_corrupted_divisibility_subject_is_a_negative_row(capsys, monkeypatch, module, attr,
                                                           fake, token, max_n, failed):
     monkeypatch.setattr(module, attr, fake)

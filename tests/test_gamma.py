@@ -1,10 +1,15 @@
 """q-refined and two-sided gamma expansions."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altdes.divisibility import order_of_factor
 from altdes.gamma import (
     ExpansionFailed,
+    gamma_expand,
     q_gamma_extract,
     simsun_relation_check,
     two_sided_extract,
@@ -88,6 +93,62 @@ def test_two_sided_reconstruct():
 def test_two_sided_rejects_asymmetric():
     with pytest.raises(ExpansionFailed):
         two_sided_extract(BiPolyTQ({(0, 1): 1}))
+
+
+# "nonzero residual after the peel" of gamma_expand is a guard: every
+# basis element is palindromic about (n-1)/2, so once the palindromic
+# input's low half is peeled nothing is left
+@pytest.mark.parametrize("peel, message", [
+    (lambda: gamma_expand(P(1, 1, 1), 2), "degree 2 exceeds 1"),
+    (lambda: gamma_expand(P(1, 2), 2), "not palindromic about 1/2"),
+    (lambda: gamma_expand(P(1, 3, 1), 3), "entry 1: 1 not divisible by -2"),
+    (lambda: two_sided_extract(BiPolyTQ({(0, 1): 1})), "not symmetric at exponents (0, 1)"),
+    (lambda: two_sided_extract(BiPolyTQ({(0, 1): 1, (1, 0): 1, (2, 2): 1})),
+     "term s^1 t^2 lies outside the basis"),
+    (lambda: two_sided_extract(BiPolyTQ({(1, 1): 1})),
+     "nonzero residual after the final peel step"),
+])
+def test_peel_failure_messages(peel, message):
+    with pytest.raises(ExpansionFailed, match=f"^{re.escape(message)}$"):
+        peel()
+
+
+def _dict_mul(a, b):
+    """The product as a convolution of {(s_exp, t_exp): coeff} dicts."""
+    out = {}
+    for (k1, j1), c1 in a.items():
+        for (k2, j2), c2 in b.items():
+            key = (k1 + k2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+@st.composite
+def _two_sided_entries(draw):
+    """n <= 8 and entries {(i, j): e} of its basis, one with i = 0
+    nonzero, so that s^(n-1) occurs and the peel reads n back."""
+    n = draw(st.integers(1, 8))
+    keys = [(i, j) for i in range((n - 1) // 2 + 1) for j in range(n - 2 * i)]
+    entries = draw(st.dictionaries(st.sampled_from(keys), st.integers(-50, 50)))
+    entries[(0, draw(st.integers(0, n - 1)))] = draw(st.integers(-50, 50).filter(bool))
+    return n, entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_sided_entries())
+def test_two_sided_peel_inverts_the_expansion(case):
+    n, entries = case
+    total = {}
+    for (i, j), e in entries.items():
+        element = {(i, i): (-1) ** i * e}
+        for _ in range(j):
+            element = _dict_mul(element, {(0, 0): 1, (1, 1): 1})
+        for _ in range(n - 1 - j - 2 * i):
+            element = _dict_mul(element, {(1, 0): 1, (0, 1): 1})
+        for key, c in element.items():
+            total[key] = total.get(key, 0) + c
+    got = two_sided_extract(BiPolyTQ(total))
+    assert got == {key: e for key, e in entries.items() if e}
 
 
 def test_down_up_simsun_wrapper():

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altdes import polynomials
+from altdes.gamma import ExpansionFailed, gamma_expand
 from altdes.polynomials import (
     BiPolyTQ,
     IntPoly,
-    NonIntegralGamma,
-    NotPalindromic,
-    gamma_expand,
     one_plus_pow,
     q_pochhammer,
     shape_predicates,
@@ -139,11 +137,11 @@ def test_gamma_expand_roundtrip():
 
 
 def test_gamma_expand_failures():
-    with pytest.raises(NotPalindromic):
+    with pytest.raises(ExpansionFailed):
         gamma_expand(IntPoly((1, 2)), 2)
-    with pytest.raises(NotPalindromic):
+    with pytest.raises(ExpansionFailed):
         gamma_expand(IntPoly((1, 1, 1, 1)), 3)  # degree too high for center
-    with pytest.raises(NonIntegralGamma):
+    with pytest.raises(ExpansionFailed):
         gamma_expand(IntPoly((1, 3, 1)), 3)  # middle entry forces a half
 
 
@@ -164,15 +162,12 @@ def test_bipoly_arithmetic_by_evaluation():
         t, q = rng.randint(-3, 3), rng.randint(-3, 3)
         assert bi_eval(a + b, t, q) == bi_eval(a, t, q) + bi_eval(b, t, q)
         assert bi_eval(a - b, t, q) == bi_eval(a, t, q) - bi_eval(b, t, q)
-        assert bi_eval(a * b, t, q) == bi_eval(a, t, q) * bi_eval(b, t, q)
-        assert bi_eval(a ** 2, t, q) == bi_eval(a, t, q) ** 2
 
 
 def test_bipoly_views():
     a = BiPolyTQ({(0, 0): 1, (1, 2): 3, (2, 1): -4})
     assert IntPoly(row(1) for _, row in a.rows) == IntPoly((1, 3, -4))  # q = 1
     assert a.at_t1() == IntPoly((1, -4, 3))
-    assert a.slice_t(1) == IntPoly((0, 0, 3))
     assert a.min_t_degree() == 0
     assert BiPolyTQ({(0, 0): 0}) == BiPolyTQ.zero()
 
@@ -351,9 +346,8 @@ def _matches(p, ref):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_bi_dicts(), _bi_dicts(), st.integers(0, 5000), st.integers(0, 2),
-       st.integers(-1, 13))
-def test_bipoly_matches_dict_reference(da, db, i, e, k):
+@given(_bi_dicts(), _bi_dicts(), st.integers(0, 5000))
+def test_bipoly_matches_dict_reference(da, db, i):
     a, b = BiPolyTQ(da), BiPolyTQ(db)
     da, db = _nonzero(da), _nonzero(db)
     _matches(a, da)
@@ -361,16 +355,8 @@ def test_bipoly_matches_dict_reference(da, db, i, e, k):
     _matches(a + b, _nonzero({key: da.get(key, 0) + db.get(key, 0) for key in keys}))
     _matches(a - b, _nonzero({key: da.get(key, 0) - db.get(key, 0) for key in keys}))
     _matches(a - a, {})
-    _matches(a * -3, {key: -3 * c for key, c in da.items()})
-    _matches(a * b, _dict_mul(da, db))
-    power = {(0, 0): 1}
-    for _ in range(e):
-        power = _dict_mul(power, da)
-    _matches(a ** e, power)
     _matches(a.mul_binomial(i), _dict_mul(da, {(0, 0): 1, (1, i): 1}))
     assert a.at_t1() == IntPoly.from_terms((j, c) for (_, j), c in da.items())
-    assert a.slice_t(k) == IntPoly.from_terms(
-        (j, c) for (kk, j), c in da.items() if kk == k)
 
 
 def _exact_log_concave(cs):
