@@ -11,15 +11,18 @@ checked on word counts, by prop3.4 in altdes.checks):
   basis (-st)^i (1+st)^j (s+t)^(n-1-j-2i).
 
 All three are triangular peels that return the entries and raise
-ExpansionFailed unless the input is exactly its expansion; the classical
-and two-sided peels subtract binomial coefficients.  Whether the entries
+ExpansionFailed unless the input is exactly its expansion; each
+subtracts plain coefficients (binomial ones, or for the q-expansion
+q-binomial ones on the count's slice layout).  Whether the entries
 are nonnegative, or divisible by powers of 1 + q, is for the checks of
 Conjectures 5.2 and 5.3 in altdes.checks to decide.
 """
 
 from __future__ import annotations
 
+from itertools import starmap, zip_longest
 from math import comb
+from operator import sub
 from typing import Iterator
 
 from .polynomials import BiPolyTQ, IntPoly
@@ -91,40 +94,44 @@ def simsun_relation_check(n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # q-refined gamma vectors
 
-def _q_basis_element(n: int, k: int, g: IntPoly) -> BiPolyTQ:
-    """g(q) q^C(k+1,2) (-t)^k prod_{i=k+1}^{n-1-k} (1 + t q^i)."""
-    base = BiPolyTQ.from_rows([(0, IntPoly())] * k + [(comb(k + 1, 2), g * (-1) ** k)])
-    for i in range(k + 1, n - k):
-        base = base.mul_binomial(i)
-    return base
-
-
 def q_gamma_extract(p: BiPolyTQ, n: int) -> tuple[IntPoly, ...]:
     """The entries (g_0(q), ..., g_((n-1)//2)(q)) of A_n(t,q) in the
-    q-gamma basis, zero entries included, peeled ascending in the t
-    degree.
+    q-gamma basis, zero entries included, peeled ascending in t.
 
-    At step k the residual must start at t^k and its t^k slice must be
-    divisible by q^C(k+1,2); otherwise ExpansionFailed.  Integrality is
-    automatic.
+    The residual is one coefficient list per power of t, slice K from
+    q^C(K+1,2) as in altdes.transfer: C(k+1,2) + jk + j + C(j,2) is
+    C(k+j+1,2), so no basis element reaches below a slice's base, and
+    on this layout the t^j part of prod_{i=k+1}^{n-1-k} (1 + t q^i) is
+    the q-binomial [r choose j]_q, r = n-1-2k.  Step k reads
+    g_k = (-1)^k slice k and subtracts slice k times each [r choose j]_q
+    from slice k+j, stepping j by one product with 1 - q^(r-j) and one
+    exact division by 1 - q^(j+1).  A term below the base of slice
+    k <= (n-1)//2, or a residual after the last step, raises
+    ExpansionFailed.
+
+    >>> a3 = BiPolyTQ({(0, 0): 2, (1, 1): 1, (1, 2): 1, (2, 3): 2})
+    >>> [g.coeffs for g in q_gamma_extract(a3, 3)]
+    [(2,), (1, 1)]
     """
-    residual = p
-    gammas: list[IntPoly] = []
-    for k in range((n - 1) // 2 + 1):
-        low = residual.min_t_degree()
-        if not residual or low > k:
-            gammas.append(IntPoly())
-            continue
-        if low < k:
-            raise ExpansionFailed(f"residual has t-degree {low} below {k}")
-        lo, slice_k = residual.rows[k]
+    if n < 1:
+        raise ValueError("n must be positive")
+    m = (n - 1) // 2
+    residual = [[] for _ in range(max(n, len(p.rows)))]
+    for k, (lo, s) in enumerate(p.rows):
         shift = comb(k + 1, 2)
-        if lo < shift:
-            raise ExpansionFailed(f"t^{k} slice has q-valuation {lo} < {shift}")
-        g = (slice_k * (-1) ** k).shift(lo - shift)
-        gammas.append(g)
-        residual = residual - _q_basis_element(n, k, g)
-    if residual:
+        if s and lo < shift:
+            raise ExpansionFailed(f"t^{k} slice has q-valuation {lo} < {shift}" if k <= m
+                                  else "nonzero residual after the final peel step")
+        residual[k] = [0] * (lo - shift) + list(s.coeffs)
+    gammas: list[IntPoly] = []
+    for k in range(m + 1):
+        row, r = IntPoly(residual[k]), n - 1 - 2 * k
+        gammas.append(row * (-1) ** k)
+        for j in range(r + 1):  # row is slice k times [r choose j]_q
+            residual[k + j] = list(starmap(sub, zip_longest(residual[k + j], row, fillvalue=0)))
+            if j < r:
+                row = row.mul_binomial(r - j, -1).div_binomial(j + 1, -1)[0]
+    if any(map(any, residual)):
         raise ExpansionFailed("nonzero residual after the final peel step")
     return tuple(gammas)
 

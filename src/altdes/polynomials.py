@@ -3,9 +3,9 @@
 Two carriers, both with arbitrary-precision integer coefficients:
 
 * ``IntPoly``      dense univariate polynomials,
-* ``BiPolyTQ``     bivariate polynomials, one run of q-coefficients per
-                   power of t (slots named t and q, reused as (s, t) for
-                   two-sided statistics).
+* ``BiPolyTQ``     bivariate values with no arithmetic, one run of
+                   q-coefficients per power of t (slots named t and q,
+                   reused as (s, t) for two-sided statistics).
 
 Floating point appears once, as a certified filter in front of the
 exact log-concavity test of ``shape_predicates``; every verdict is exact.
@@ -13,7 +13,7 @@ exact log-concavity test of ``shape_predicates``; every verdict is exact.
 
 from __future__ import annotations
 
-from itertools import repeat, zip_longest
+from itertools import repeat
 from math import log, nan
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -394,32 +394,17 @@ def shape_predicates(f: IntPoly) -> Shape:
 # ---------------------------------------------------------------------------
 # bivariate polynomials
 
-_EMPTY = (0, IntPoly())
-
-
 def _slice(lo: int, p: IntPoly) -> tuple[int, IntPoly]:
     """The slice q^lo p(q), with p's zero low coefficients moved into lo."""
     if not p:
-        return _EMPTY
+        return 0, p
     v = p.valuation()
     return (lo + v, IntPoly(p.coeffs[v:])) if v else (lo, p)
 
 
-def _combine(a: tuple[int, IntPoly], b: tuple[int, IntPoly], op=add) -> tuple[int, IntPoly]:
-    """op (add or sub) of two slices, aligned at the lower offset."""
-    (la, pa), (lb, pb) = a, b
-    if not pb:
-        return a
-    if not pa:
-        return b if op is add else (lb, -pb)
-    lo = min(la, lb)
-    x, y = (0,) * (la - lo) + pa.coeffs, (0,) * (lb - lo) + pb.coeffs
-    n = max(len(x), len(y))
-    return _slice(lo, IntPoly(map(op, x + (0,) * (n - len(x)), y + (0,) * (n - len(y)))))
-
-
 class BiPolyTQ:
-    """Immutable bivariate polynomial, one q-slice per power of t.
+    """Immutable bivariate polynomial, one q-slice per power of t; a
+    value with views and no arithmetic, which callers do on coefficients.
 
     The two slots are called t and q.  For two-sided descent
     polynomials the same carrier is used with slots read as (s, t).
@@ -431,20 +416,16 @@ class BiPolyTQ:
 
     __slots__ = ("rows",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] = ()):
-        by_t: dict[int, dict[int, int]] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for (k, j), c in items:
+    def __init__(self, coeffs: Mapping[tuple[int, int], int]):
+        by_t: dict[int, list[tuple[int, int]]] = {}
+        for (k, j), c in coeffs.items():
             if c == 0:
                 continue
             if k < 0 or j < 0:
                 raise ValueError(f"bad exponent pair ({k}, {j})")
-            by_t.setdefault(k, {})[j] = c
-        rows = [_EMPTY] * (max(by_t, default=-1) + 1)
-        for k, js in by_t.items():
-            lo = min(js)
-            rows[k] = (lo, IntPoly.from_terms((j - lo, c) for j, c in js.items()))
-        object.__setattr__(self, "rows", tuple(rows))
+            by_t.setdefault(k, []).append((j, c))
+        rows = ((0, IntPoly.from_terms(by_t.get(k, ()))) for k in range(max(by_t, default=-1) + 1))
+        object.__setattr__(self, "rows", BiPolyTQ.from_rows(rows).rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPolyTQ is immutable")
@@ -468,16 +449,8 @@ class BiPolyTQ:
         return obj
 
     @classmethod
-    def zero(cls) -> "BiPolyTQ":
-        return cls.from_rows(())
-
-    @classmethod
     def one(cls) -> "BiPolyTQ":
         return cls.from_rows([(0, IntPoly.one())])
-
-    @classmethod
-    def term(cls, k: int, j: int, c: int = 1) -> "BiPolyTQ":
-        return cls({(k, j): c})
 
     @property
     def coeffs(self) -> dict[tuple[int, int], int]:
@@ -498,33 +471,6 @@ class BiPolyTQ:
 
     def __repr__(self) -> str:
         return f"BiPolyTQ({self.coeffs!r})"
-
-    def __add__(self, other: "BiPolyTQ") -> "BiPolyTQ":
-        if not isinstance(other, BiPolyTQ):
-            return NotImplemented
-        return BiPolyTQ.from_rows(
-            _combine(a, b) for a, b in zip_longest(self.rows, other.rows, fillvalue=_EMPTY))
-
-    def __sub__(self, other: "BiPolyTQ") -> "BiPolyTQ":
-        if not isinstance(other, BiPolyTQ):
-            return NotImplemented
-        return BiPolyTQ.from_rows(
-            _combine(a, b, sub) for a, b in zip_longest(self.rows, other.rows, fillvalue=_EMPTY))
-
-    def mul_binomial(self, i: int) -> "BiPolyTQ":
-        """Product with 1 + t q^i in one pass: slice k gains q^i times
-        slice k-1.
-
-        >>> BiPolyTQ.one().mul_binomial(2).terms()
-        [(0, 0, 1), (1, 2, 1)]
-        """
-        if i < 0:
-            raise ValueError("power must be nonnegative")
-        lifted = [_EMPTY] + [(lo + i, p) for lo, p in self.rows]
-        return BiPolyTQ.from_rows(map(_combine, self.rows + (_EMPTY,), lifted))
-
-    def min_t_degree(self) -> int:
-        return next((k for k, (_, p) in enumerate(self.rows) if p), -1)
 
     def at_t1(self) -> IntPoly:
         """Set t = 1, leaving a polynomial in q."""

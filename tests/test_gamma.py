@@ -60,10 +60,15 @@ def test_q_gamma_reconstruct_and_q1():
 
 
 def test_q_gamma_rejects_bad_input():
-    with pytest.raises(ExpansionFailed):
+    residual = "^nonzero residual after the final peel step$"
+    with pytest.raises(ExpansionFailed, match=residual):
         q_gamma_extract(BiPolyTQ({(0, 0): 1, (1, 0): 3}), 2)
-    with pytest.raises(ExpansionFailed):
+    with pytest.raises(ExpansionFailed, match=residual):
         q_gamma_extract(BiPolyTQ({(3, 0): 1}), 2)  # t-degree out of range
+    for n in (0, -1):
+        for p in (BiPolyTQ({}), BiPolyTQ.one()):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                q_gamma_extract(p, n)
 
 
 def test_two_sided_small_entries():
@@ -107,6 +112,10 @@ def test_two_sided_rejects_asymmetric():
      "term s^1 t^2 lies outside the basis"),
     (lambda: two_sided_extract(BiPolyTQ({(1, 1): 1})),
      "nonzero residual after the final peel step"),
+    pytest.param(lambda: q_gamma_extract(BiPolyTQ({(0, 0): 2, (1, 0): 1}), 3),
+                 "t^1 slice has q-valuation 0 < 1", id="q-valuation"),
+    pytest.param(lambda: q_gamma_extract(BiPolyTQ({(3, 0): 1}), 2),
+                 "nonzero residual after the final peel step", id="q-residual"),
 ])
 def test_peel_failure_messages(peel, message):
     with pytest.raises(ExpansionFailed, match=f"^{re.escape(message)}$"):
@@ -114,7 +123,7 @@ def test_peel_failure_messages(peel, message):
 
 
 def _dict_mul(a, b):
-    """The product as a convolution of {(s_exp, t_exp): coeff} dicts."""
+    """The product as a convolution of {exponent pair: coeff} dicts."""
     out = {}
     for (k1, j1), c1 in a.items():
         for (k2, j2), c2 in b.items():
@@ -149,6 +158,29 @@ def test_two_sided_peel_inverts_the_expansion(case):
             total[key] = total.get(key, 0) + c
     got = two_sided_extract(BiPolyTQ(total))
     assert got == {key: e for key, e in entries.items() if e}
+
+
+@st.composite
+def _q_gamma_entries(draw):
+    """n <= 8 and signed entries g_0(q), ..., g_((n-1)//2)(q)."""
+    n = draw(st.integers(1, 8))
+    entries = draw(st.lists(st.lists(st.integers(-50, 50), max_size=5),
+                            min_size=(n - 1) // 2 + 1, max_size=(n - 1) // 2 + 1))
+    return n, [IntPoly(g) for g in entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_gamma_entries())
+def test_q_gamma_peel_inverts_the_expansion(case):
+    n, entries = case
+    total = {}
+    for k, g in enumerate(entries):
+        element = {(k, k * (k + 1) // 2 + j): (-1) ** k * c for j, c in enumerate(g.coeffs)}
+        for i in range(k + 1, n - k):
+            element = _dict_mul(element, {(0, 0): 1, (1, i): 1})
+        for key, c in element.items():
+            total[key] = total.get(key, 0) + c
+    assert q_gamma_extract(BiPolyTQ(total), n) == tuple(entries)
 
 
 def test_down_up_simsun_wrapper():

@@ -145,31 +145,11 @@ def test_gamma_expand_failures():
         gamma_expand(IntPoly((1, 3, 1)), 3)  # middle entry forces a half
 
 
-def bi_eval(p, t, q):
-    return sum(c * t ** k * q ** j for k, j, c in p.terms())
-
-
-def rand_bipoly(max_t=5, max_q=6):
-    d = {}
-    for _ in range(rng.randint(0, 10)):
-        d[(rng.randint(0, max_t), rng.randint(0, max_q))] = rng.randint(-9, 9)
-    return BiPolyTQ(d)
-
-
-def test_bipoly_arithmetic_by_evaluation():
-    for _ in range(200):
-        a, b = rand_bipoly(), rand_bipoly()
-        t, q = rng.randint(-3, 3), rng.randint(-3, 3)
-        assert bi_eval(a + b, t, q) == bi_eval(a, t, q) + bi_eval(b, t, q)
-        assert bi_eval(a - b, t, q) == bi_eval(a, t, q) - bi_eval(b, t, q)
-
-
 def test_bipoly_views():
     a = BiPolyTQ({(0, 0): 1, (1, 2): 3, (2, 1): -4})
     assert IntPoly(row(1) for _, row in a.rows) == IntPoly((1, 3, -4))  # q = 1
     assert a.at_t1() == IntPoly((1, -4, 3))
-    assert a.min_t_degree() == 0
-    assert BiPolyTQ({(0, 0): 0}) == BiPolyTQ.zero()
+    assert BiPolyTQ({(0, 0): 0}) == BiPolyTQ({})
 
 
 def test_bipoly_pretty():
@@ -297,7 +277,6 @@ def test_bipoly_term_key_round_trip(d):
     assert p.coeffs == nonzero
     assert p.terms() == sorted((k, j, c) for (k, j), c in nonzero.items())
     assert BiPolyTQ(p.coeffs) == p
-    assert BiPolyTQ([((k, j), c) for k, j, c in p.terms()]) == p
 
 
 def test_bipoly_rejects_keys_outside_the_encoding():
@@ -306,22 +285,7 @@ def test_bipoly_rejects_keys_outside_the_encoding():
             BiPolyTQ({key: 1})
 
 
-def _nonzero(d):
-    return {key: c for key, c in d.items() if c}
-
-
-def _dict_mul(a, b):
-    """The product as a convolution of {(t_exp, q_exp): coeff} dicts."""
-    out = {}
-    for (k1, j1), c1 in a.items():
-        for (k2, j2), c2 in b.items():
-            key = (k1 + k2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return _nonzero(out)
-
-
-# 70-bit coefficients keep the 5000-long Kronecker products cheap; the
-# univariate tests above cover the coefficient sizes
+# the univariate tests above cover the coefficient sizes
 _bi_coeff = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
 
 
@@ -337,26 +301,17 @@ def _bi_dicts(draw):
     return d
 
 
-def _matches(p, ref):
-    """p has the terms of the dict ref, and its rows are normalized."""
+@settings(max_examples=40, deadline=None)
+@given(_bi_dicts())
+def test_bipoly_matches_dict_reference(d):
+    # p has the terms of the dict, and its rows are normalized
+    p = BiPolyTQ(d)
+    ref = {key: c for key, c in d.items() if c}
     assert p.coeffs == ref
     assert p == BiPolyTQ(ref)
     assert not p.rows or p.rows[-1][1]
     assert all(s[0] != 0 if s else lo == 0 for lo, s in p.rows)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_bi_dicts(), _bi_dicts(), st.integers(0, 5000))
-def test_bipoly_matches_dict_reference(da, db, i):
-    a, b = BiPolyTQ(da), BiPolyTQ(db)
-    da, db = _nonzero(da), _nonzero(db)
-    _matches(a, da)
-    keys = da.keys() | db.keys()
-    _matches(a + b, _nonzero({key: da.get(key, 0) + db.get(key, 0) for key in keys}))
-    _matches(a - b, _nonzero({key: da.get(key, 0) - db.get(key, 0) for key in keys}))
-    _matches(a - a, {})
-    _matches(a.mul_binomial(i), _dict_mul(da, {(0, 0): 1, (1, i): 1}))
-    assert a.at_t1() == IntPoly.from_terms((j, c) for (_, j), c in da.items())
+    assert p.at_t1() == IntPoly.from_terms((j, c) for (_, j), c in ref.items())
 
 
 def _exact_log_concave(cs):

@@ -269,7 +269,9 @@ def test_parity_violation_in_a_quadratic_step_is_fail_rows(monkeypatch, capsys):
 def test_tq_step_parity_check_names_the_odd_term():
     # the step's own check, on rows A_0..A_5 with t^2 q^5 added to A_5
     rows = [BiPolyTQ.one(), *tq_rows(5)]
-    rows[5] = rows[5] + BiPolyTQ.term(2, 5)
+    coeffs = rows[5].coeffs
+    coeffs[(2, 5)] = coeffs.get((2, 5), 0) + 1
+    rows[5] = BiPolyTQ(coeffs)
     with pytest.raises(ParityViolation, match=r"^odd total at n=6, t\^2 q\^5$"):
         recurrences._tq_step(rows)
 
