@@ -75,7 +75,6 @@ from .recurrences import (
     simsun_rec,
 )
 from .reporting import AltdesError, CheckResult, UsageError
-from .transfer import alt_at_t_qpow
 
 __version__ = "0.1.0"
 
@@ -91,7 +90,6 @@ __all__ = [
     "ParityViolation",
     "StatMultiset",
     "UsageError",
-    "alt_at_t_qpow",
     "alt_stats",
     "binomial_criterion",
     "brute_alt_eulerian",

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import divisibility, gamma, oracle, permutations, recurrences, transfer
 from .gamma import ExpansionFailed, gamma_expand
 from .oracle import DEFAULT_BRUTE_MAX
-from .polynomials import IntPoly, shape_predicates
+from .polynomials import BiPolyTQ, IntPoly, shape_predicates
 from .reporting import CheckResult, ResultRow, UsageError, _row
 
 
@@ -76,10 +76,12 @@ def _verdict(problems: list[str]) -> CheckResult:
     return CheckResult(not problems, "; ".join(problems) or None)
 
 
-def _over_j(check: Callable[[int, int], CheckResult], js: range) -> Callable[..., CheckResult]:
-    """The check that check(n, j) holds for each j in js, failing with every witness."""
-    def run(n: int) -> CheckResult:
-        results = [(j, check(n, j)) for j in js]
+def _over_j(check: Callable[..., CheckResult], js: range) -> Callable[..., CheckResult]:
+    """The check that check(n, j, row) holds for each j in js on the
+    case's one row, failing with every witness."""
+    def run(n: int, rows: Callable) -> CheckResult:
+        row = rows()
+        results = [(j, check(n, j, row)) for j in js]
         return _verdict([cr.witness or f"j={j}" for j, cr in results if not cr.ok])
     return run
 
@@ -104,12 +106,13 @@ def _vs_count(name: str, recurrence: str, rows: Callable[[int], Iterator]) -> _C
     return _Check(name, check, _upto(rows=rows))
 
 
-def _alt_upto(maxn: int) -> Iterator[list[IntPoly]]:
-    """A_0..A_n for n = 1..maxn, one list grown by one five-term pass."""
-    rows = [IntPoly.one()]
-    for row in recurrences.five_term_rows(maxn):
-        rows.append(row)
-        yield rows
+def _prefixes(rows: Iterator, one) -> Iterator[list]:
+    """A_0..A_n for n = 1, 2, ..., one list, A_0 = one, grown along the
+    pass rows of A_1, A_2, ..."""
+    prefix = [one]
+    for row in rows:
+        prefix.append(row)
+        yield prefix
 
 
 def _gamma_nonneg(n: int, rows: Callable) -> CheckResult:
@@ -226,7 +229,7 @@ def _reversal_cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
 
 def _derivative_route(n: int, rows: Callable) -> CheckResult:
     altmaj, tq = rows()
-    ok = altmaj == tq.at_t1()
+    ok = altmaj == tq.at_t_qpow()
     return CheckResult(ok, None if ok else f"major-index polynomials disagree at n={n}")
 
 
@@ -252,7 +255,7 @@ def _two_sided(n: int, brute_max: int, jobs: int) -> CheckResult:
     # the peel raises unless A is exactly its expansion
     A = oracle.brute_two_sided(n, brute_max=brute_max, jobs=jobs)
     entries = gamma.two_sided_extract(A)
-    if A.at_t1() != recurrences.five_term(n):
+    if A.at_t_qpow() != recurrences.five_term(n):
         raise ExpansionFailed("value at s=1 is not A_n(t)")
     ok = all(e >= 0 for e in entries.values())
     return CheckResult(ok, None if ok else "negative expansion entry")
@@ -290,8 +293,8 @@ def _equidist(n: int, brute_max: int, jobs: int) -> CheckResult:
     return CheckResult(ok, None if ok else f"distributions differ at n={n}")
 
 
-_PARITY = _Check("one-plus-q order parity n={n}",
-                 _over_j(lambda n, j: divisibility.check_qj_parity(n, j), range(5)))
+_PARITY = _Check("one-plus-q order parity n={n}", _over_j(divisibility.check_qj_parity, range(5)),
+                 _upto(rows=lambda n: transfer.tq_rows(n)))
 _BRUTE = _upto(brute=True, enumerates=True)
 
 # token -> (default max n, checks)
@@ -300,7 +303,8 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
                                "brute_alt_eulerian", "five-term"),)),
     "eq1": (10, (_Check("convolution identity n={n}",
                         lambda n, rows: recurrences.chebikin_check(n, rows()),
-                        _upto(rows=_alt_upto)),)),
+                        _upto(rows=lambda n: _prefixes(recurrences.five_term_rows(n),
+                                                       IntPoly.one()))),)),
     "thm3.1": (12, (_Check("palindromic unimodal gamma-nonnegative n={n}", _gamma_nonneg,
                            _upto(rows=lambda n: recurrences.five_term_rows(n))),)),
     "thm3.2": (12, (_Check("gamma vector vs simsun polynomial n={n}",
@@ -315,10 +319,11 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
         enumerates=True, rows=lambda n: zip(recurrences.simsun_rows(n, "derivative"),
                                             recurrences.simsun_rows(n, "quadratic")))),)),
     "thm4.2": (16, (_Check("factorization n={n}", _factorization,
-                           _upto(start=2, rows=lambda n: transfer.qpow_rows(n, 0))),)),
+                           _upto(start=2, rows=lambda n: transfer.qpow_rows(n))),)),
     "thm4.5": (14, (_PARITY,)),
     "thm4.6": (14, (_PARITY, _Check("substituted recursion n={n}", _over_j(
-        lambda n, j: recurrences.specialized_recursion_check(n, j), range(1, 5))))),
+        recurrences.specialized_recursion_check, range(1, 5)), _upto(rows=lambda n: islice(
+            _prefixes(transfer.tq_rows(n + 1), BiPolyTQ.one()), 1, None))))),
     "thm4.11": (9, (_Check("prefix-reversal bijection n={n} m={m}",
                            divisibility.thm411_bijection_check, _reversal_cases),)),
     "eq2": (10, (_Check("generating function through order {order}",
@@ -346,7 +351,7 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
         _Check("Foata factors k={k}", _foata,
                lambda maxn, *_: [{"k": k} for k in range(1, (maxn - 1) // 2 + 1)]),
         _Check("E^_n(1) is the odd part of n! n={n}", _odd_part,
-               _upto(start=2, rows=lambda n: transfer.qpow_rows(n, 0))))),
+               _upto(start=2, rows=lambda n: transfer.qpow_rows(n))))),
     "theta": (8, (_Check("theta involution n={n}", permutations.theta_check,
                          _upto(brute=True)),)),
     "gamma-col": (12, (_Check("gamma column identity n={n}", _gamma_column),)),
@@ -354,7 +359,7 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
         _vs_count("five-term recurrence matches pattern count n={n}", "five_term",
                   lambda n: zip(recurrences.five_term_rows(n), transfer.t_rows(n))),
         _vs_count("derivative route matches pattern count n={n}", "faa_di_bruno_altmaj",
-                  lambda n: zip(recurrences.faa_di_bruno_rows(n), transfer.qpow_rows(n, 0))),
+                  lambda n: zip(recurrences.faa_di_bruno_rows(n), transfer.qpow_rows(n))),
         _vs_count("quadratic recurrence matches pattern count n={n}", "quadratic_tq",
                   lambda n: zip(recurrences.quadratic_tq_rows(n), transfer.tq_rows(n))))),
 }

@@ -106,7 +106,7 @@ def _cmd_factor(args: argparse.Namespace) -> Report:
     if n < 2:
         raise UsageError("--n must be at least 2")
     try:
-        e_hat = divisibility.extract_Ehat(n)
+        e_hat = divisibility.extract_Ehat(n, transfer._last(transfer.qpow_rows(n), None))
     except ArithmeticError as exc:
         return Report("factor", {"n": n},
                       [_row("e_hat", False, witness=str(exc))])

@@ -23,6 +23,7 @@ from typing import Mapping
 from . import oracle
 from .oracle import StatMultiset
 from .polynomials import (
+    BiPolyTQ,
     IntPoly,
     NotDivisible,
     one_plus_pow,
@@ -31,7 +32,6 @@ from .polynomials import (
 )
 from .recurrences import euler_numbers
 from .reporting import CheckResult
-from .transfer import alt_at_t_qpow
 
 
 def _mobius(n: int) -> int:
@@ -128,16 +128,16 @@ def order_of_factor(f: IntPoly, m: int) -> int:
         order += 1
 
 
-def extract_Ehat(n: int, altmaj: IntPoly | None = None) -> IntPoly:
-    """The cofactor E^_n of G_n in the altmaj polynomial A_n(1, q), or
-    in altmaj when given, divided out one factor 1 + q^i at a time.
+def extract_Ehat(n: int, altmaj: IntPoly) -> IntPoly:
+    """The cofactor E^_n of G_n in altmaj, the altmaj polynomial
+    A_n(1, q), divided out one factor 1 + q^i at a time.
 
     NotDivisible from a division would falsify the factorization
     claim; it propagates so callers can record the finding.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    e_hat = alt_at_t_qpow(n, 0) if altmaj is None else altmaj
+    e_hat = altmaj
     for i in _gn_powers(n):  # one linear division per factor of G_n
         e_hat, exact = e_hat.div_binomial(i, 1)
         if not exact:
@@ -155,11 +155,11 @@ def e_hat_claims(n: int, e_hat: IntPoly) -> dict[str, str | None]:
             else "constant term is not the zigzag number"}
 
 
-def check_qj_parity(n: int, j: int) -> CheckResult:
-    """(1+q)-divisibility of the t -> q^j specialization: exponent
+def check_qj_parity(n: int, j: int, alt: BiPolyTQ) -> CheckResult:
+    """(1+q)-divisibility of alt = A_n(t, q) at t = q^j: exponent
     floor(n/2), dropping to floor((n-1)/2) when n is even and j odd."""
     expected = (n - 1) // 2 if (n % 2 == 0 and j % 2 == 1) else n // 2
-    got = order_of_factor(alt_at_t_qpow(n, j), 1)
+    got = order_of_factor(alt.at_t_qpow(j), 1)
     if got < expected:
         return CheckResult.failed(f"n={n}, j={j}: (1+q)-order {got} < {expected}")
     return CheckResult.passed()

@@ -472,11 +472,18 @@ class BiPolyTQ:
     def __repr__(self) -> str:
         return f"BiPolyTQ({self.coeffs!r})"
 
-    def at_t1(self) -> IntPoly:
-        """Set t = 1, leaving a polynomial in q."""
-        out = [0] * max((lo + len(p) for lo, p in self.rows), default=0)
-        for lo, p in self.rows:
-            out[lo:lo + len(p)] = map(add, out[lo:lo + len(p)], p.coeffs)
+    def at_t_qpow(self, c: int = 0) -> IntPoly:
+        """Set t = q^c, moving slice k up ck powers of q; c = 0 sets t = 1.
+
+        >>> BiPolyTQ({(0, 0): 2, (1, 1): 1, (1, 2): 1, (2, 3): 2}).at_t_qpow(1).coeffs
+        (2, 0, 1, 1, 0, 2)
+        """
+        if c < 0:
+            raise ValueError("power must be nonnegative")
+        rows = [(lo + c * k, p.coeffs) for k, (lo, p) in enumerate(self.rows)]
+        out = [0] * max((lo + len(p) for lo, p in rows), default=0)
+        for lo, p in rows:
+            out[lo:lo + len(p)] = map(add, out[lo:lo + len(p)], p)
         return IntPoly(out)
 
     def pretty(self, tvar: str = "t", qvar: str = "q") -> str:

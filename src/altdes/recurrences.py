@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .polynomials import BiPolyTQ, IntPoly, pack_coeffs, unpack_coeffs
 from .reporting import AltdesError, CheckResult
-from .transfer import _bipoly, _last, alt_at_t_qpow
+from .transfer import _bipoly, _last
 
 
 class ParityViolation(AltdesError, ArithmeticError):
@@ -204,22 +204,24 @@ def quadratic_tq(n: int) -> BiPolyTQ:
     return _last(quadratic_tq_rows(n), BiPolyTQ.one())
 
 
-def specialized_recursion_check(n: int, j: int) -> CheckResult:
+def specialized_recursion_check(n: int, j: int, alt: list[BiPolyTQ]) -> CheckResult:
     """The quadratic recursion survives the substitution t -> q^j:
 
         2 A_{n+1}(q^j, q) = (1+q^(j+1)) A_n(q^(j+1), q)
           + (1+q^(n+j)) A_n(q^j, q)
           + sum_i (1+q^(2i+2j+1)) C(n,i) A_i(q^j,q) A_{n-i}(q^(i+j+1),q),
 
-    on rows of the pattern count, which does not use the recursion.  The
-    sides are compared packed: pack_coeffs refuses negative coefficients,
-    so none exceeds its side's value at q = 1, which the digits hold.
+    on alt[m] = A_m(t, q) for m <= n + 1, rows of the pattern count,
+    which does not use the recursion.  The sides are compared packed:
+    pack_coeffs refuses negative coefficients, so none exceeds its
+    side's value at q = 1, which the digits hold.
     """
-    row, one = alt_at_t_qpow, IntPoly.one()
+    one = IntPoly.one()
     # (C(n, i), m, a, b) for each term C(n, i) (1 + q^m) a b of the right side
-    terms = [(1, j + 1, row(n, j + 1), one), (1, n + j, row(n, j), one)] + [
-        (comb(n, i), 2 * i + 2 * j + 1, row(i, j), row(n - i, i + j + 1)) for i in range(1, n)]
-    lhs = row(n + 1, j)
+    terms = [(1, j + 1, alt[n].at_t_qpow(j + 1), one), (1, n + j, alt[n].at_t_qpow(j), one)] + [
+        (comb(n, i), 2 * i + 2 * j + 1, alt[i].at_t_qpow(j), alt[n - i].at_t_qpow(i + j + 1))
+        for i in range(1, n)]
+    lhs = alt[n + 1].at_t_qpow(j)
     bound = 2 * max(sum(lhs), sum(c * sum(a) * sum(b) for c, _, a, b in terms))
     width = bound.bit_length() // 8 + 1
     rhs = 0

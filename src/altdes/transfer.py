@@ -22,16 +22,16 @@ sums of those differences, started at f_{i+1}(0) = W_desc(i) A_i.
 Values are packed integers, one digit of `bits` bits per power of the
 variable, and every digit is a count of at most n! patterns, so no sum
 carries between digits and a weight x^e is a shift by e digits.  The
-univariate forms weight position i by q^(i+c), or by t alone; the
+univariate forms weight position i by q^i, or by t alone; the
 bivariate form keeps one integer per power t^k, its window based at
 q^(k(k+1)/2), the least altmaj of k alternating descents, so that
-multiplying by t q^i moves slice k to slice k+1 shifted by i-k-1 digits.
+multiplying by t q^i moves slice k to slice k+1 shifted by i-k-1 digits;
+BiPolyTQ.at_t_qpow(c) reads A_n(q^c, q) off that form's row.
 A pass updates its row in place, so it holds one step at a time.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 from math import factorial
 from typing import Callable, Iterable, Iterator
@@ -116,25 +116,25 @@ def t_rows(n: int) -> Iterator[IntPoly]:
     return (_poly(x, bits) for x in _univariate(n, lambda i: 1, bits))
 
 
-def qpow_rows(n: int, c: int) -> Iterator[IntPoly]:
-    """A_1(q^c, q), ..., A_n(q^c, q): weight q^(i+c) per alternating
-    descent at position i.  c = 0 gives A_m(1, q).
+def qpow_rows(n: int) -> Iterator[IntPoly]:
+    """A_1(1, q), ..., A_n(1, q): weight q^i per alternating descent at i.
 
-    The pass holds one packed integer per rank, about n^2/2 + cn digits
-    of _bits(n) bits each, so about n^4 log n bits: `verify thm4.2` (c = 0)
-    peaks at 102-104 MB RSS at --max-n 120 and 301-303 MB at 160.
+    The pass holds one packed integer per rank, about n^2/2 digits of
+    _bits(n) bits each, so about n^4 log n bits: `verify thm4.2` peaks at
+    102-104 MB RSS at --max-n 120 and 301-303 MB at 160.
 
-    >>> [p.coeffs for p in qpow_rows(3, 0)]
+    >>> [p.coeffs for p in qpow_rows(3)]
     [(1,), (1, 1), (2, 1, 1, 2)]
     """
-    if c < 0:
-        raise ValueError("power must be nonnegative")
     bits = _bits(n)
-    return (_poly(x, bits) for x in _univariate(n, lambda i: i + c, bits))
+    return (_poly(x, bits) for x in _univariate(n, lambda i: i, bits))
 
 
 def tq_rows(n: int) -> Iterator[BiPolyTQ]:
-    """A_1(t, q), ..., A_n(t, q)."""
+    """A_1(t, q), ..., A_n(t, q).  The pass holds about n^2 packed integers,
+    one per power t^k and rank, that of t^k a q-window of up to k(n-k)
+    digits of _bits(n) bits, so about n^5 log n bits: `verify thm4.5` peaks
+    at 96 MB RSS at --max-n 60 and 382 MB at 80."""
     bits = _bits(n)
     return (_bipoly(totals, bits) for totals in _bivariate(n, bits))
 
@@ -147,18 +147,3 @@ def alt_tq(n: int) -> BiPolyTQ:
     """
     bits = _bits(n)
     return _bipoly(_last(_bivariate(n, bits), [1]), bits)
-
-
-@lru_cache(maxsize=4096)
-def alt_at_t_qpow(n: int, c: int) -> IntPoly:
-    """A_n(q^c, q) as a polynomial in q; c = 0 gives A_n(1, q).  The
-    last 4096 answers are kept for the process; each call makes one pass
-    of the size that qpow_rows(n, c) states.
-
-    >>> alt_at_t_qpow(3, 1).coeffs
-    (2, 0, 1, 1, 0, 2)
-    """
-    if c < 0:
-        raise ValueError("power must be nonnegative")
-    bits = _bits(n)
-    return _poly(_last(_univariate(n, lambda i: i + c, bits), 1), bits)

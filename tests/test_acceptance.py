@@ -16,6 +16,7 @@ from altdes.oracle import brute_two_sided, down_up_simsun_count
 from altdes.polynomials import IntPoly, one_plus_pow
 from altdes.recurrences import (euler_numbers, faa_di_bruno_altmaj, five_term, gamma_rec,
                                 quadratic_tq)
+from altdes.transfer import qpow_rows
 from test_cli import parse_poly
 
 RESULTS = []
@@ -91,8 +92,9 @@ def test_criterion_02_factorization_table(tmp_path):
             got = parse_poly(values["g_n"]) * expected
             assert got == faa_di_bruno_altmaj(n), f"n={n} product"
         E = euler_numbers(20)
+        alt = list(qpow_rows(20))
         for n in range(2, 21):
-            f = extract_Ehat(n)
+            f = extract_Ehat(n, alt[n - 1])
             assert e_hat_claims(n, f) == dict.fromkeys(
                 ("e_hat_palindromic", "constant_term_is_euler")), f"n={n}"
             assert f[0] == E[n], f"n={n}"

@@ -206,10 +206,9 @@ def test_parity_violation_in_a_walk_is_fail_rows(capsys, monkeypatch):
 
 def test_false_factorization_is_a_fail_row(capsys, monkeypatch):
     # A_n(1, q) + 1 is not divisible by 1 + q, so no G_n divides it; factor
-    # reads A_n(1, q) alone, thm4.2 every row from one pass of the count
-    altmaj, rows = divisibility.alt_at_t_qpow, transfer.qpow_rows
-    monkeypatch.setattr(divisibility, "alt_at_t_qpow", lambda n, c: altmaj(n, c) + 1)
-    monkeypatch.setattr(transfer, "qpow_rows", lambda n, c: (p + 1 for p in rows(n, c)))
+    # reads the last row of one pass of the count, thm4.2 every row of one
+    rows = transfer.qpow_rows
+    monkeypatch.setattr(transfer, "qpow_rows", lambda n: (p + 1 for p in rows(n)))
     code, out, err = run(capsys, "factor", "--n", "6", "--format", "json")
     assert code == 1 and err == ""
     assert json.loads(out)["results"] == [{
@@ -225,10 +224,9 @@ def test_false_factorization_is_a_fail_row(capsys, monkeypatch):
 def test_corrupted_e_hat_is_fail_rows(capsys, monkeypatch):
     # A_n(1, q) + G_n = G_n (E^_n + 1): every division by G_n is exact, the
     # constant term is E_n + 1, and E^_n + 1 is palindromic only at n = 2
-    altmaj, rows, g = divisibility.alt_at_t_qpow, transfer.qpow_rows, divisibility.build_Gn
-    monkeypatch.setattr(divisibility, "alt_at_t_qpow", lambda n, c: altmaj(n, c) + g(n))
-    monkeypatch.setattr(transfer, "qpow_rows", lambda n, c: (
-        p + g(m) for m, p in enumerate(rows(n, c), 1)))
+    rows, g = transfer.qpow_rows, divisibility.build_Gn
+    monkeypatch.setattr(transfer, "qpow_rows", lambda n: (
+        p + g(m) for m, p in enumerate(rows(n), 1)))
     code, out, err = run(capsys, "verify", "thm4.2", "--max-n", "6", "--format", "csv")
     assert code == 1 and err == ""
     assert out.splitlines()[1:] == (
@@ -608,6 +606,7 @@ def _first_letter_smallest(W, stat):
 
 _real_brute_alt, _real_des3 = oracle.brute_alt_eulerian, oracle.brute_des3_first1
 _real_inserted = permutations._inserted
+_real_tq_rows = transfer.tq_rows
 
 
 def _moved_des3_word(n, **kw):
@@ -626,9 +625,11 @@ def _min_insertion_twice(w, j):
 
 # the subject of a divisibility token, or of an oracle or bijection token
 @pytest.mark.parametrize("module, attr, fake, token, max_n, failed", [
-    (divisibility, "alt_at_t_qpow", lambda n, c: (
-        transfer.alt_at_t_qpow(n, c) + ((n, c) == (6, 1))), "thm4.5", 6,
-     {"one-plus-q order parity n=6": ("fail", "n=6, j=1: (1+q)-order 0 < 2")}),
+    # A_6(t, q) + 1: every A_6(q^j, q) gains 1, so every j fails at n = 6
+    (transfer, "tq_rows", lambda n: (_plus(p, {(0, 0): 1}) if m == 6 else p
+                                     for m, p in enumerate(_real_tq_rows(n), 1)), "thm4.5", 6,
+     {"one-plus-q order parity n=6": ("fail", "; ".join(
+         f"n=6, j={j}: (1+q)-order 0 < {2 if j % 2 else 3}" for j in range(5)))}),
     (oracle, "stat_multiset", _moved_word, "conj4.10", 6,
      {"binomial criterion n=6": ("finding", "n=6, m=1: binomial sums unbalanced")}),
     (oracle, "_stat_vector", _first_letter_smallest, "thm4.11", 5,

@@ -22,12 +22,13 @@ from altdes.divisibility import (
     verify_conj410,
 )
 from altdes.oracle import stat_multiset
-from altdes.polynomials import IntPoly, one_plus_pow, q_pochhammer
+from altdes.polynomials import BiPolyTQ, IntPoly, one_plus_pow, q_pochhammer
 from altdes.recurrences import (
     euler_numbers,
     faa_di_bruno_altmaj,
     specialized_recursion_check,
 )
+from altdes.transfer import qpow_rows, tq_rows
 
 rng = random.Random(99)
 
@@ -82,8 +83,9 @@ def test_order_of_factor():
 
 def test_extract_ehat_identity_and_verdicts():
     E = euler_numbers(13)
+    alt = list(qpow_rows(12))
     for n in range(2, 13):
-        f = extract_Ehat(n)
+        f = extract_Ehat(n, alt[n - 1])
         assert isinstance(f, IntPoly)
         assert build_Gn(n) * f == faa_di_bruno_altmaj(n)
         assert e_hat_claims(n, f) == {"e_hat_palindromic": None,
@@ -95,10 +97,11 @@ def test_extract_ehat_identity_and_verdicts():
 
 
 def test_extract_ehat_printed_values():
-    assert extract_Ehat(3) == IntPoly((2, -1, 2))
-    assert extract_Ehat(6) == IntPoly((61, -87, 66, -82, 129, -82, 66, -87, 61))
+    alt = list(qpow_rows(6))
+    assert extract_Ehat(3, alt[2]) == IntPoly((2, -1, 2))
+    assert extract_Ehat(6, alt[5]) == IntPoly((61, -87, 66, -82, 129, -82, 66, -87, 61))
     with pytest.raises(ValueError):
-        extract_Ehat(1)
+        extract_Ehat(1, alt[0])
 
 
 def test_check_thm42_and_orders():
@@ -128,12 +131,13 @@ def test_thm42_divides_no_g_n(monkeypatch):
 
 
 def test_parity_checks():
+    alt = [BiPolyTQ.one(), *tq_rows(11)]  # one pass
     for n in range(1, 11):
         for j in range(5):
-            ok = check_qj_parity(n, j)
+            ok = check_qj_parity(n, j, alt[n])
             assert ok.ok, ok.witness
             if j:
-                ok2 = specialized_recursion_check(n, j)
+                ok2 = specialized_recursion_check(n, j, alt)
                 assert ok2.ok, ok2.witness
 
 

@@ -92,7 +92,7 @@ def test_two_sided_reconstruct():
         got = two_sided_extract(a)
         assert all(e >= 0 for e in got.values())
         # setting one side to 1 recovers the one-sided polynomial
-        assert a.at_t1() == five_term(n)
+        assert a.at_t_qpow() == five_term(n)
 
 
 def test_two_sided_rejects_asymmetric():

@@ -84,7 +84,7 @@ def test_polynomial_wrappers_agree():
         assert brute_alt_eulerian(n) == stat_multiset(n, "altdes").polynomial()
         q = brute_qalt(n)
         assert IntPoly(row(1) for _, row in q.rows) == brute_alt_eulerian(n)  # q = 1
-        assert q.at_t1() == stat_multiset(n, "altmaj").polynomial()
+        assert q.at_t_qpow() == stat_multiset(n, "altmaj").polynomial()
 
 
 def test_qalt_matches_scalar():

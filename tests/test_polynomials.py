@@ -148,7 +148,7 @@ def test_gamma_expand_failures():
 def test_bipoly_views():
     a = BiPolyTQ({(0, 0): 1, (1, 2): 3, (2, 1): -4})
     assert IntPoly(row(1) for _, row in a.rows) == IntPoly((1, 3, -4))  # q = 1
-    assert a.at_t1() == IntPoly((1, -4, 3))
+    assert a.at_t_qpow() == IntPoly((1, -4, 3))
     assert BiPolyTQ({(0, 0): 0}) == BiPolyTQ({})
 
 
@@ -311,7 +311,7 @@ def test_bipoly_matches_dict_reference(d):
     assert p == BiPolyTQ(ref)
     assert not p.rows or p.rows[-1][1]
     assert all(s[0] != 0 if s else lo == 0 for lo, s in p.rows)
-    assert p.at_t1() == IntPoly.from_terms((j, c) for (_, j), c in ref.items())
+    assert p.at_t_qpow() == IntPoly.from_terms((j, c) for (_, j), c in ref.items())
 
 
 def _exact_log_concave(cs):

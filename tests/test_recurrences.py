@@ -30,7 +30,7 @@ from altdes.recurrences import (
     simsun_rows,
     specialized_recursion_check,
 )
-from altdes.transfer import alt_at_t_qpow, qpow_rows, t_rows, tq_rows
+from altdes.transfer import qpow_rows, t_rows, tq_rows
 
 GOLDEN = {
     1: (1,),
@@ -156,23 +156,16 @@ def test_quadratic_tq_marginals():
     for n in range(1, 14):
         p = quadratic_tq(n)
         assert IntPoly(row(1) for _, row in p.rows) == five_term(n)  # q = 1
-        assert p.at_t1()(1) == math.factorial(n)
+        assert p.at_t_qpow()(1) == math.factorial(n)
         # top alternating-major index is the full triangular number
         assert max(j for _, j, _ in p.terms()) == n * (n - 1) // 2
 
 
-def test_alt_at_t_qpow_is_substitution():
-    for n in range(1, 9):
-        p = quadratic_tq(n)
-        for j in range(0, 4):
-            at_t_qpow = IntPoly.from_terms((k * j + e, c) for k, e, c in p.terms())
-            assert alt_at_t_qpow(n, j) == at_t_qpow  # t -> q^j, term by term
-
-
 def test_specialized_recursion():
+    alt = [BiPolyTQ.one(), *tq_rows(11)]  # one pass
     for n in range(1, 11):
         for j in range(1, 4):
-            ok = specialized_recursion_check(n, j)
+            ok = specialized_recursion_check(n, j, alt)
             assert ok.ok, ok.witness
 
 
@@ -227,7 +220,7 @@ def test_negative_sizes_are_rejected(check):
 
 def test_faa_di_bruno_matches_pattern_count():
     # one pass of the count gives every row up to 60
-    for n, row in enumerate(qpow_rows(60, 0), 1):
+    for n, row in enumerate(qpow_rows(60), 1):
         assert faa_di_bruno_altmaj(n) == row, n
 
 
@@ -327,7 +320,7 @@ def test_wrong_euler_number_is_a_fail_row(monkeypatch, capsys):
 
 def test_faa_di_bruno_matches_recursion():
     for n in range(1, 13):
-        assert faa_di_bruno_altmaj(n) == quadratic_tq(n).at_t1()
+        assert faa_di_bruno_altmaj(n) == quadratic_tq(n).at_t_qpow()
     with pytest.raises(ValueError):
         faa_di_bruno_altmaj(0)
 
@@ -367,11 +360,6 @@ def dict_loop_tq(n):
 def test_quadratic_tq_matches_dict_loop():
     for n in range(0, 15):
         assert quadratic_tq(n) == dict_loop_tq(n), n
-    for n in range(0, 15):
-        p = quadratic_tq(n)
-        for j in range(4):
-            at_t_qpow = IntPoly.from_terms((k * j + e, c) for k, e, c in p.terms())
-            assert alt_at_t_qpow(n, j) == at_t_qpow  # t -> q^j, term by term
 
 
 def test_walked_checks_publish_no_five_term_row(capsys):
@@ -398,7 +386,7 @@ def test_faa_di_bruno_rows_ignore_call_order(order):
     for seq in (order, sorted(order), sorted(order, reverse=True)):
         assert [faa_di_bruno_altmaj(n) for n in seq] == [expected[n] for n in seq]
     for n in order:
-        assert expected[n] == quadratic_tq(n).at_t1()
+        assert expected[n] == quadratic_tq(n).at_t_qpow()
 
 
 def test_recurrence_tables_are_thread_safe():
