@@ -45,7 +45,7 @@ def _upto(*, start: int = 1, step: int = 1, brute: bool = False,
     cases share one run rows(maxn), looked up when they are listed: run
     reads its cases once each and in order, so case n takes row n with
     rows(), and no row is computed twice."""
-    def cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
+    def cases(maxn: int, brute_max: int, jobs: int, passes: dict) -> list[dict]:
         top = min(maxn, brute_max) if brute else maxn
         given = {"brute_max": brute_max, "jobs": jobs} if enumerates else {}
         if rows is not None:
@@ -57,17 +57,19 @@ def _upto(*, start: int = 1, step: int = 1, brute: bool = False,
 class _Check(NamedTuple):
     """One family of rows of a verify token.
 
-    cases(maxn, brute_max, jobs) lists the cases as keyword dicts, name
-    is formatted with each case's fields, and run(**case) returns the
-    case's CheckResult.  A failure is a finding when the property is a
-    conjecture; an ArithmeticError or ValueError raised by run is always
-    a failure, with the error message as its witness, except a usage
-    error, which ends the command.
+    cases(maxn, brute_max, jobs, passes) lists the cases as keyword
+    dicts; passes is a dict that lives for one run, in which families
+    that read one pass keep it.  name is formatted with each case's
+    fields, and run(**case) returns the case's CheckResult.  A failure
+    is a finding when the property is a conjecture; an ArithmeticError
+    or ValueError raised by run is always a failure, with the error
+    message as its witness, except a usage error, which ends the
+    command.
     """
 
     name: str
     run: Callable[..., CheckResult]
-    cases: Callable[[int, int, int], list[dict]] = _upto()
+    cases: Callable[[int, int, int, dict], list[dict]] = _upto()
     finding: bool = False
 
 
@@ -115,6 +117,47 @@ def _prefixes(rows: Iterator, one) -> Iterator[list]:
         yield prefix
 
 
+class _Substituted:
+    """A row A_m(t, q) of thm4.6 that makes each substitution A_m(q^c, q)
+    once.  It keeps c <= 4, which the parity rows and every later
+    recursion case read, and the four largest c above 4: the recursion
+    case (n, j) reads c = n - m + j + 1 for j = 1..4, in rising order,
+    so a c below those four is not read again."""
+
+    __slots__ = ("row", "memo")
+
+    def __init__(self, row: BiPolyTQ):
+        self.row, self.memo = row, {}
+
+    def at_t_qpow(self, c: int = 0) -> IntPoly:
+        poly = self.memo.get(c)
+        if poly is None:
+            poly = self.memo[c] = self.row.at_t_qpow(c)
+            for old in [k for k in self.memo if 4 < k < c - 3]:
+                del self.memo[old]
+        return poly
+
+
+def _substituted(pick: Callable[[Callable[[int], list], int], object]):
+    """Cases n = 1..maxn, case n reading pick(upto, n), where upto(m) is
+    the list A_0, ..., A_k (k >= m) of one transfer.tq_rows(maxn + 1)
+    pass per run, shared by the families that read it.  Each row is
+    computed when first read and kept as a _Substituted, so the families
+    read one pass and substitute each t = q^c into each row once."""
+    def cases(maxn: int, brute_max: int, jobs: int, passes: dict) -> list[dict]:
+        if _substituted not in passes:
+            read, alt = _reader(transfer.tq_rows(maxn + 1)), [_Substituted(BiPolyTQ.one())]
+
+            def upto(m: int) -> list:
+                while len(alt) <= m:
+                    alt.append(_Substituted(read()))
+                return alt
+            passes[_substituted] = upto
+        upto = passes[_substituted]
+        return [{"n": n, "rows": lambda n=n: pick(upto, n)} for n in range(1, maxn + 1)]
+    return cases
+
+
 def _gamma_nonneg(n: int, rows: Callable) -> CheckResult:
     f = rows()
     sh = shape_predicates(f)
@@ -133,7 +176,7 @@ def _minus_one(n: int, rows: Callable) -> CheckResult:
     return CheckResult(ok, None if ok else f"five_term({n})(-1) != E_{n}")
 
 
-def _down_up_lengths(maxn: int, brute_max: int, jobs: int) -> list[dict]:
+def _down_up_lengths(maxn: int, brute_max: int, *_) -> list[dict]:
     return [{"length": k, "brute_max": brute_max}
             for k in (2, 4, 6) if k <= min(maxn, brute_max)]
 
@@ -222,7 +265,7 @@ def _odd_part(n: int, rows: Callable) -> CheckResult:
     return _verdict(bad)
 
 
-def _reversal_cases(maxn: int, brute_max: int, jobs: int) -> list[dict]:
+def _reversal_cases(maxn: int, brute_max: int, *_) -> list[dict]:
     return [{"n": n, "m": m, "brute_max": brute_max}
             for n in range(2, min(maxn, brute_max) + 1) for m in range(1, n // 2 + 1)]
 
@@ -321,9 +364,11 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
     "thm4.2": (16, (_Check("factorization n={n}", _factorization,
                            _upto(start=2, rows=lambda n: transfer.qpow_rows(n))),)),
     "thm4.5": (14, (_PARITY,)),
-    "thm4.6": (14, (_PARITY, _Check("substituted recursion n={n}", _over_j(
-        recurrences.specialized_recursion_check, range(1, 5)), _upto(rows=lambda n: islice(
-            _prefixes(transfer.tq_rows(n + 1), BiPolyTQ.one()), 1, None))))),
+    "thm4.6": (14, (
+        _PARITY._replace(cases=_substituted(lambda upto, n: upto(n)[n])),
+        _Check("substituted recursion n={n}", _over_j(recurrences.specialized_recursion_check,
+                                                       range(1, 5)),
+               _substituted(lambda upto, n: upto(n + 1))))),
     "thm4.11": (9, (_Check("prefix-reversal bijection n={n} m={m}",
                            divisibility.thm411_bijection_check, _reversal_cases),)),
     "eq2": (10, (_Check("generating function through order {order}",
@@ -377,8 +422,9 @@ def run(token: str, max_n: int | None = None, *, brute_max: int = DEFAULT_BRUTE_
     if maxn < 1:
         raise UsageError("--max-n must be at least 1")
     rows = []
+    passes: dict = {}  # the passes this run's families share
     for check in suite:
-        for case in check.cases(maxn, brute_max, jobs):
+        for case in check.cases(maxn, brute_max, jobs, passes):
             name = check.name.format_map(case)
             try:
                 cr = check.run(**case)

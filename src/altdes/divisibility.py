@@ -235,9 +235,11 @@ def thm411_bijection_check(
     if not np.array_equal(perm[perm], np.arange(n)):
         return CheckResult.failed(f"n={n}, m={m}: prefix reversal not an involution")
     class_sizes = np.zeros(mod, dtype=np.int64)
+    # int16: altmaj <= n(n-1)/2 = 120, since _guard stops n at 16
+    altmaj = oracle._set_stats(n)["altmaj"].astype(np.int16)
     for P in oracle.iter_perm_arrays(n):
-        am = oracle._stat_vector(P.T, "altmaj")
-        am2 = oracle._stat_vector(P.T[perm], "altmaj")
+        am = oracle._stat_vector(P.T, altmaj)
+        am2 = oracle._stat_vector(P.T[perm], altmaj)
         off = (am2 - am - m) % mod
         if off.any():
             row = int(np.flatnonzero(off)[0])

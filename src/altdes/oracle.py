@@ -6,15 +6,17 @@ column in lexicographic order; blocks up to S_9 are cached (about
 3.7 MB, published under a lock).  Every enumeration streams S_n in
 blocks of at most 9! words.  Above n = 9 the (n-1)!/9! blocks of
 S_{n-1} are the tasks, and the parallelism seam: they are dealt in
-strided slices to at most min(jobs, tasks, cpu count) processes, forked
-after S_9 and its descent codes are built so that workers inherit them,
-one call and one returned histogram per worker.  A slice allocates its
-(n, 9!) block once and reuses it for every task.  A task's block of
-S_{n-1} is built straight into rows 1.. of it: S_9 is copied in and
-relabelled in place under each letter the task fixes in front of it.
-Each first letter v in turn is then placed in front of the block in
-place: after relabelling the block onto 1..n-1 for v = 0, going from
-v - 1 to v changes one letter per word, v in the tail becoming v - 1.
+strided slices to at most min(jobs, tasks, cpu count) processes, this
+one included.  Slice 0 is tallied here; each other slice runs in a
+child made by os.fork after S_9 and its descent codes are built, so the
+child inherits them, and sends its one histogram back down a pipe.  A
+slice allocates its (n, 9!) block once and reuses it for every task.  A
+task's block of S_{n-1} is built straight into rows 1.. of it: S_9 is
+copied in and relabelled in place under each letter the task fixes in
+front of it.  Each first letter v in turn is then placed in front of
+the block in place: after relabelling the block onto 1..n-1 for v = 0,
+going from v - 1 to v changes one letter per word, v in the tail
+becoming v - 1.
 
 Each word becomes the code sum_i [w_i > w_{i+1}] << i of its descent
 set.  Above n = 9 a task codes its block of S_{n-1} once: the last 9
@@ -34,9 +36,10 @@ histogram is tallied once per n and kept, read-only, in a cache
 published under a lock: one entry per n of 2^(n-1) int64 bins.  _guard
 stops n at 16, where the uint16 codes of w^-1 would lose a letter, so
 an entry has at most 2^15 bins and the cache never exceeds 512 KB,
-under 20 KB for n <= 11.  The two-sided tally uses the codes of w and
-of w^-1, and des3, not a function of the descent set, has its own
-kernel; both read the same reused block stream.  Simsun words are
+under 20 KB for n <= 11.  The two-sided tally codes w and w^-1, and
+des3, not a function of the descent set, has its own kernel; both read
+the same reused block stream 64K columns at a time, in rows of 64K
+entries allocated once per slice.  Simsun words are
 generated by inserting each new largest letter where it makes no double
 descent.  The words of length 9 are made whole (E_10 = 50 521 columns,
 about 0.45 MB); above that each length is streamed from the blocks of
@@ -91,13 +94,6 @@ class _Numpy:
 
 
 np = _Numpy()
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use, so
-    commands that never fork do not load multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
 
 
 DEFAULT_BRUTE_MAX = 11
@@ -254,7 +250,7 @@ def _simsun_blocks(n: int) -> Iterator[np.ndarray]:
                else [_simsun_columns(n - 1)])
     for W in shorter:
         for p in range(n):
-            src = W[:, W[p] < W[p + 1]] if p < n - 2 else W
+            src = W.compress(W[p] < W[p + 1], axis=1) if p < n - 2 else W
             block = np.empty((n, src.shape[1]), dtype=np.int8)
             block[:p] = src[:p]
             block[p] = n - 1
@@ -271,25 +267,44 @@ def _simsun_columns(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # descent-set kernel: every statistic but des3 is read off the descent set
 
-def _descent_codes(W: np.ndarray) -> np.ndarray:
-    """Descent set of every column of W as sum_i [w_i > w_{i+1}] << i.
-    16 bits suffice: _guard stops n at 16."""
-    code = np.zeros(W.shape[1], dtype=np.uint16)
-    for i in range(W.shape[0] - 1):
-        code += (W[i] > W[i + 1]) * np.uint16(1 << i)
+def _or_descents(code: np.ndarray, W: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """code <- (code << (m - 1)) | the descent-set code of each column of
+    the m rows W, in place, comparing into flag, a uint8 row."""
+    is_descent = flag.view(np.bool_)
+    for i in reversed(range(W.shape[0] - 1)):
+        np.left_shift(code, 1, out=code)
+        np.greater(W[i], W[i + 1], out=is_descent)
+        np.bitwise_or(code, flag, out=code)
     return code
 
 
-def _inverse_codes(W: np.ndarray) -> np.ndarray:
-    """Descent-set codes of the inverses of the columns of W: i is a
-    descent of w^-1 iff the letter i+1 stands before the letter i in w."""
-    seen = np.zeros(W.shape[1], dtype=np.uint16)
-    code = np.zeros(W.shape[1], dtype=np.uint16)
+def _descent_codes(W: np.ndarray, code: np.ndarray | None = None,
+                   flag: np.ndarray | None = None) -> np.ndarray:
+    """Descent set of every column of W as sum_i [w_i > w_{i+1}] << i,
+    written into code, a uint16 row, comparing into flag, a uint8 row;
+    both are made when not given.  16 bits suffice: _guard stops n at 16."""
+    if code is None:
+        code = np.empty(W.shape[1], dtype=np.uint16)
+        flag = np.empty(W.shape[1], dtype=np.uint8)
+    code.fill(0)
+    return _or_descents(code, W, flag)
+
+
+def _inverse_codes(W: np.ndarray, code: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Descent-set codes of the inverses of the columns of W, written into
+    code, a uint16 row: i is a descent of w^-1 iff the letter i+1 stands
+    before the letter i in w.  scratch is a (3, width) uint16 array: the
+    letters seen so far as bits, the current letter's bit, and a term."""
+    seen, bit, term = scratch
+    code.fill(0)
+    seen.fill(0)
     for row in W:
         # letters are nonnegative, so the unsafe int8 -> uint16 cast is exact
-        bit = np.left_shift(np.uint16(1), row, dtype=np.uint16, casting="unsafe")
-        code |= (seen >> 1) & bit
-        seen |= bit
+        np.left_shift(1, row, out=bit, dtype=np.uint16, casting="unsafe")
+        np.right_shift(seen, 1, out=term)
+        np.bitwise_and(term, bit, out=term)
+        np.bitwise_or(code, term, out=code)
+        np.bitwise_or(seen, bit, out=seen)
     return code
 
 
@@ -304,50 +319,99 @@ def _set_stats(n: int) -> dict[str, np.ndarray]:
             "altdes": alt.sum(1), "altmaj": alt @ (pos + 1)}
 
 
-def _stat_vector(W: np.ndarray, stat: str) -> np.ndarray:
-    """Per-column value of a descent-set statistic over the words of W, as
-    int16: no value exceeds n(n-1)/2 = 120, since _guard stops n at 16."""
-    return _set_stats(W.shape[0])[stat].astype(np.int16)[_descent_codes(W)]
+def _stat_vector(W: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-column value of a descent-set statistic over the words of W,
+    given values, its table by descent-set code (a _set_stats entry)."""
+    return values[_descent_codes(W)]
 
 
 def _descent_hist(W: np.ndarray) -> np.ndarray:
     return np.bincount(_descent_codes(W), minlength=1 << (W.shape[0] - 1))
 
 
-def _two_sided_hist(W: np.ndarray) -> np.ndarray:
-    """Histogram of altdes(w^-1) * n + altdes(w) over the columns of W."""
-    n = W.shape[0]
+# columns per kernel call: bincount copies its input to intp, and a fixed
+# chunk keeps that copy at 512 KB, and a kernel's rows at 64K entries,
+# whatever the block size
+_CHUNK = 1 << 16
+
+
+def _chunks(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The blocks, _CHUNK columns at a time, as views."""
+    for W in blocks:
+        for s in range(0, W.shape[1], _CHUNK):
+            yield W[:, s : s + _CHUNK]
+
+
+def _two_sided_task(n: int, tasks: range) -> np.ndarray:
+    """Histogram of altdes(w^-1) * n + altdes(w) over a slice of the tasks
+    of S_n, a chunk of columns at a time, in four uint16 rows of _CHUNK
+    allocated once per slice: the codes of w^-1 and the three scratch
+    rows of _inverse_codes, which then hold the codes of w, the
+    comparisons behind them, and the key."""
+    inverse = np.empty(_CHUNK, dtype=np.uint16)
+    scratch = np.empty((3, _CHUNK), dtype=np.uint16)
     altdes = _set_stats(n)["altdes"].astype(np.uint16)
-    key = altdes[_inverse_codes(W)] * n + altdes[_descent_codes(W)]
-    return np.bincount(key, minlength=n * n)
+    high = altdes * np.uint16(n)
+    H = np.zeros(n * n, dtype=np.int64)
+    for W in _chunks(_blocks(n, tasks)):
+        m = W.shape[1]
+        inv, rows = inverse[:m], scratch[:, :m]
+        code, flag, key = rows
+        _inverse_codes(W, inv, rows)
+        _descent_codes(W, code, flag.view(np.uint8)[:m])
+        # mode="clip" writes straight into out; every code is in range
+        np.take(high, inv, out=key, mode="clip")
+        np.take(altdes, code, out=flag, mode="clip")
+        np.add(key, flag, out=key)
+        H += np.bincount(key, minlength=H.size)
+    return H
 
 
-def _des3_hist(W: np.ndarray) -> np.ndarray:
-    count = np.zeros(W.shape[1], dtype=np.uint8)
-    for a, b, c in zip(W, W[1:], W[2:]):
-        ab = a > b
-        bc = b > c
-        count += (ab & bc) | ((ab ^ bc) & (a < c))
-    return np.bincount(count, minlength=W.shape[0])
+def _des3_hist(chunks: Iterator[np.ndarray], m: int) -> np.ndarray:
+    """des3 histogram of chunks of at most _CHUNK m-letter words, in rows
+    allocated once.  Position i is a 3-descent iff w_i w_{i+1} w_{i+2}
+    has the pattern 132, 213 or 321, the odd permutations of three
+    letters: iff [w_i > w_{i+1}] ^ [w_{i+1} > w_{i+2}] ^ [w_i > w_{i+2}].
+    Each descent [w_i > w_{i+1}] serves two triples."""
+    H = np.zeros(m, dtype=np.int64)
+    count = np.empty(_CHUNK, dtype=np.uint8)
+    rows = np.empty((3, _CHUNK), dtype=np.bool_)
+    for W in chunks:
+        k = W.shape[1]
+        c = count[:k]
+        prev, cur, odd = rows[:, :k]
+        c.fill(0)
+        if m > 2:
+            np.greater(W[0], W[1], out=prev)
+        for i in range(m - 2):
+            np.greater(W[i + 1], W[i + 2], out=cur)
+            np.greater(W[i], W[i + 2], out=odd)
+            np.bitwise_xor(odd, prev, out=odd)
+            np.bitwise_xor(odd, cur, out=odd)
+            np.add(c, odd, out=c)
+            prev, cur = cur, prev
+        H += np.bincount(c, minlength=m)
+    return H
 
 
-def _run(kernel, n: int, tasks: range) -> np.ndarray:
-    """A slice of the tasks of S_n tallied block by block: the sum of
-    kernel over their blocks."""
-    return sum(map(kernel, _blocks(n, tasks)))
+def _des3_task(n: int, tasks: range) -> np.ndarray:
+    """des3 histogram over a slice of the tasks of S_n."""
+    return _des3_hist(_chunks(_blocks(n, tasks)), n)
 
 
 def _des3_first1_task(n: int, tasks: range) -> np.ndarray:
     """des3 histogram of the words 0.(w+1), w running over a slice of the
-    tasks of S_n, each written into one buffer reused across the slice."""
-    P = np.empty((n + 1, factorial(min(n, _BLOCK_CACHE_MAX))), dtype=np.int8)
+    tasks of S_n, each chunk written into one buffer reused across the
+    slice."""
+    P = np.empty((n + 1, _CHUNK), dtype=np.int8)
     P[0] = 0
 
-    def kernel(W: np.ndarray) -> np.ndarray:
-        np.add(W, 1, out=P[1:])
-        return _des3_hist(P)
+    def words() -> Iterator[np.ndarray]:
+        for W in _chunks(_blocks(n, tasks)):
+            np.add(W, 1, out=P[1:, : W.shape[1]])
+            yield P[:, : W.shape[1]]
 
-    return _run(kernel, n, tasks)
+    return _des3_hist(words(), n + 1)
 
 
 def _base_codes() -> np.ndarray:
@@ -364,11 +428,6 @@ def _base_codes() -> np.ndarray:
                 codes.flags.writeable = False
                 _CODE_CACHE[_BLOCK_CACHE_MAX] = codes
     return codes
-
-
-# keys per bincount call: bincount copies its input to intp, and a fixed
-# chunk keeps that copy at 512 KB whatever the block size
-_CHUNK = 1 << 16
 
 
 def _key_dtype(n: int):
@@ -406,10 +465,7 @@ def _descent_task(n: int, tasks: range) -> np.ndarray:
     for idx in tasks:
         _rest(idx, W[1:])
         np.copyto(key, _base_codes())
-        for i in reversed(range(k)):
-            np.left_shift(key, 1, out=key)
-            np.greater(W[i + 1], W[i + 2], out=is_descent)
-            np.bitwise_or(key, flag, out=key)
+        _or_descents(key, W[1 : k + 2], flag)
         ones.fill(0)
         for _ in _letters(W):
             np.greater(W[0], W[1], out=is_descent)
@@ -427,20 +483,90 @@ def _descent_task(n: int, tasks: range) -> np.ndarray:
 
 
 def _merge(task, n: int, jobs: int) -> np.ndarray:
-    """Sum task(n, tasks) over the tasks of S_n, on at most
-    min(jobs, partitions, cpu count) worker processes.  Each worker takes
-    one strided slice, range(w, partitions, workers), in one call, so it
-    allocates one workspace and returns one histogram.  task is a
-    module-level function, or a partial of one, so the pool can pickle
-    it."""
+    """Sum task(n, tasks) over the tasks of S_n on at most
+    min(jobs, partitions, cpu count) processes, this one included.
+    Process w takes the strided slice range(w, partitions, workers) in
+    one call, so it allocates one workspace and makes one histogram.
+    Slice 0 is tallied here and every other slice in a child made by
+    os.fork after S_K and its codes are built: the child inherits them
+    and takes no lock, so a lock that another thread held at the fork
+    cannot stop it.  Where os.fork is missing, this one process tallies
+    every slice."""
     parts = _n_partitions(n)
     workers = min(jobs, parts, os.cpu_count() or 1)
     run = partial(task, n)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return run(range(parts))
-    _base_codes()  # build S_K and its codes once here; forked workers inherit them
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, [range(w, parts, workers) for w in range(workers)]))
+    _base_codes()  # build S_K and its codes once here; forked children inherit them
+    return _forked_sum(run, [range(w, parts, workers) for w in range(workers)])
+
+
+def _forked_sum(run, slices: list[range]) -> np.ndarray:
+    """run(slices[0]) in this process plus run(s) for each later slice s
+    in a child made by os.fork.  An exception a child raised is raised
+    here with its type and message, and a child that exits without
+    sending its result makes this raise, never return a partial sum.
+    Every child is reaped before this returns or raises; the read ends
+    are closed first, so a child still writing a result larger than the
+    pipe buffer gets a broken pipe and exits."""
+    children: list = []  # (pid, read end of its pipe)
+    try:
+        for tasks in slices[1:]:
+            children.append(_fork(run, tasks))
+        total = run(slices[0])
+        for _, pipe in children:
+            total = total + _receive(pipe)
+        return total
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _fork(run, tasks: range):
+    """Fork a child that pickles (True, run(tasks)), or (False, the
+    exception run raised), into a pipe and leaves by os._exit, never
+    unwinding into its caller's stack; return its pid and the pipe's
+    read end."""
+    import pickle  # here, so that commands that never fork do not load it
+
+    r, w = os.pipe()
+    pipe = open(r, "rb")
+    try:
+        pid = os.fork()
+    except OSError:
+        pipe.close()
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            pipe.close()
+            try:
+                result = (True, run(tasks))
+            except Exception as exc:  # the parent raises it
+                result = (False, exc)
+            with open(w, "wb") as out:
+                pickle.dump(result, out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, pipe
+
+
+def _receive(pipe) -> np.ndarray:
+    """The result a child sent down pipe; its exception is raised here."""
+    import pickle
+
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise RuntimeError("an enumeration worker exited without sending its tally") from exc
+    if not ok:
+        raise value
+    return value
 
 
 _HIST_CACHE: dict[int, np.ndarray] = {}  # n -> descent-set histogram of S_n
@@ -497,7 +623,7 @@ def stat_multiset(
     if n == 0:
         return StatMultiset(0, stat, {0: 1})
     if stat == "des3":
-        keys, hist = range(n), _merge(partial(_run, _des3_hist), n, jobs)
+        keys, hist = range(n), _merge(_des3_task, n, jobs)
     else:
         keys, hist = _set_stats(n)[stat].tolist(), _descent_histogram(n, jobs)
     return StatMultiset(n, stat, _read_off(keys, hist))
@@ -531,7 +657,7 @@ def brute_two_sided(
     _guard(n, brute_max)
     if n == 0:
         return BiPolyTQ.one()
-    hist = _merge(partial(_run, _two_sided_hist), n, jobs)
+    hist = _merge(_two_sided_task, n, jobs)
     return BiPolyTQ(_read_off(((k // n, k % n) for k in range(n * n)), hist))
 
 

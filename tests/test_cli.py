@@ -745,6 +745,9 @@ def test_numpy_is_imported_only_to_enumerate():
         assert oracle.stat_multiset(5, "des").values == {0: 1, 1: 26, 2: 66, 3: 26, 4: 1}
         assert "numpy" in sys.modules and oracle.np is sys.modules["numpy"]
         assert "OPENBLAS_NUM_THREADS" not in os.environ  # the loader restores it
+        oracle.os.cpu_count = lambda: 2
+        assert oracle.brute_alt_eulerian(11, jobs=2)(1) == 39916800  # forks a child
+        assert not [m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))]
     """)
     src = os.path.dirname(os.path.dirname(altdes.__file__))
     env = {**os.environ, "PYTHONPATH": src}

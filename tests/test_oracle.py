@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -188,20 +189,11 @@ def test_jobs_do_not_change_results():
 def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
     requested = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def in_process(run, slices):
+        requested.append(len(slices))
+        return sum(map(run, slices))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(oracle, "_forked_sum", in_process)
     expected = brute_alt_eulerian(11)
     cpus = os.cpu_count() or 1
     requested.clear()
@@ -210,7 +202,7 @@ def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
     requested.clear()
     assert uncached(brute_alt_eulerian, 11, jobs=10**6) == expected
-    assert requested == [10]  # one worker per 9!-word block of S_10, no more
+    assert requested == [10]  # one process per 9!-word block of S_10, no more
     des3 = brute_des3_first1(11)
     requested.clear()
     assert brute_des3_first1(11, jobs=10**6).values == des3.values
@@ -218,7 +210,77 @@ def test_jobs_are_clamped_to_partitions_and_cpus(monkeypatch):
     cd = uncached(brute_cd_index, 11)
     requested.clear()
     assert uncached(brute_cd_index, 11, jobs=2) == cd
-    assert requested == [2]  # S_10 is one task, so S_11 is the first to pool
+    assert requested == [2]  # S_10 is one task, so S_11 is the first to fork
+    monkeypatch.delattr(oracle.os, "fork")
+    requested.clear()
+    assert uncached(brute_alt_eulerian, 11, jobs=2) == expected
+    assert requested == []  # no fork, one process
+
+
+def _slice_task(behave):
+    """A task for _merge that sums its task indexes into one bin, except
+    on the slices for which behave(first task) returns something else."""
+    import numpy as np
+
+    def task(n, tasks):
+        got = behave(tasks.start)
+        return np.array([sum(tasks)]) if got is None else got
+    return task
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [ValueError("bad slice"), LimitExceeded("n = 99 exceeds")])
+def test_a_child_error_reaches_the_caller(monkeypatch, error):
+    def behave(start):
+        if start == 2:
+            raise error
+
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    with pytest.raises(type(error), match=str(error)):
+        oracle._merge(_slice_task(behave), 11, 3)
+    _no_child_left()
+    assert oracle._merge(_slice_task(lambda start: None), 11, 3).tolist() == [45]
+    _no_child_left()
+
+
+def test_a_failing_parent_slice_reaps_a_blocked_child(monkeypatch):
+    import numpy as np
+    import signal
+
+    def behave(start):
+        if start == 0:
+            time.sleep(0.2)  # the child is blocked on the full pipe by now
+            raise ValueError("parent slice")
+        return np.zeros(1 << 16, dtype=np.int64)  # 512 KB, past the pipe buffer
+
+    def too_slow(*_):
+        raise TimeoutError("_merge hangs on a blocked child")
+
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ValueError, match="parent slice"):
+            oracle._merge(_slice_task(behave), 11, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    _no_child_left()
+
+
+def test_a_child_that_dies_without_sending_is_an_error(monkeypatch):
+    def behave(start):
+        if start == 1:
+            os._exit(3)
+
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    with pytest.raises(RuntimeError, match="without sending"):
+        oracle._merge(_slice_task(behave), 11, 3)
+    _no_child_left()
 
 
 def nth_permutation(n, rank):
@@ -334,11 +396,12 @@ def test_task_tally_matches_the_block_tally():
 
 class _RecordingNumpy:
     """numpy as the oracle sees it, recording the size of every array of
-    at least 9! bytes that a numpy call makes (an out= argument is not
-    made, and a view owns no data)."""
+    at least `least` bytes (9! by default) that a numpy call makes (an
+    out= argument is not made, and a view owns no data)."""
 
-    def __init__(self, np):
+    def __init__(self, np, least=math.factorial(9)):
         self.np = np
+        self.least = least
         self.made = []
 
     def __getattr__(self, name):
@@ -349,7 +412,7 @@ class _RecordingNumpy:
         def call(*args, **kwargs):
             got = attr(*args, **kwargs)
             if (isinstance(got, self.np.ndarray) and got.flags.owndata
-                    and got.nbytes >= math.factorial(9)
+                    and got.nbytes >= self.least
                     and all(got is not a for a in (*args, *kwargs.values()))):
                 self.made.append(got.nbytes)
             return got
@@ -371,6 +434,25 @@ def test_descent_tally_reuses_one_workspace_per_slice(monkeypatch):
         made[n] = recording.made
     # the block, the key, the counter and the bool row, however many tasks
     assert len(made[12]) == len(made[11]) <= 4
+
+
+@pytest.mark.parametrize("task, buffers", [
+    (oracle._two_sided_task, 3),  # block, codes of w^-1, scratch rows
+    (oracle._des3_task, 3),  # block, counter, bool rows
+    (oracle._des3_first1_task, 4),  # and the shifted chunk
+])
+def test_kernels_reuse_one_workspace_per_slice(monkeypatch, task, buffers):
+    import numpy as np
+
+    made = {}
+    for n in (10, 11):  # 1 and 10 tasks in one serial slice
+        recording = _RecordingNumpy(np, least=oracle._CHUNK)  # a uint8 row of a chunk
+        monkeypatch.setattr(oracle, "np", recording)
+        hist = oracle._merge(task, n, 1)
+        monkeypatch.undo()
+        assert hist.sum() == math.factorial(n)
+        made[n] = recording.made
+    assert len(made[11]) == len(made[10]) == buffers
 
 
 def test_key_width_holds_every_key():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import altdes
-from altdes import cli, transfer
+from altdes import checks, cli, transfer
 from altdes.oracle import brute_alt_eulerian, brute_qalt, stat_multiset
 from altdes.polynomials import BiPolyTQ, IntPoly
 from altdes.recurrences import faa_di_bruno_altmaj, five_term, quadratic_tq
@@ -91,3 +91,23 @@ def test_wrong_row_is_a_substituted_recursion_fail_row(capsys, monkeypatch):
     assert [line for line in capsys.readouterr().out.splitlines() if ",fail," in line] == [
         f'substituted recursion n={n},fail,"' + "; ".join(f"n={n}, j={j}" for j in range(1, 5))
         + '"' for n in (2, 3)]
+
+
+def test_thm46_reads_one_pass_and_substitutes_each_row_once(monkeypatch):
+    passes, made = [], []
+    real_rows, real_at = transfer.tq_rows, BiPolyTQ.at_t_qpow
+
+    def counting(n):
+        passes.append(n)
+        return real_rows(n)
+
+    def recording(self, c=0):
+        made.append((self, c))  # keeps self alive, so its id stays its own
+        return real_at(self, c)
+
+    monkeypatch.setattr(transfer, "tq_rows", counting)
+    monkeypatch.setattr(BiPolyTQ, "at_t_qpow", recording)
+    assert all(r.status == "pass" for r in checks.run("thm4.6", 12))
+    assert passes == [13]  # both families read one pass
+    subs = [(id(row), c) for row, c in made]
+    assert len(subs) == len(set(subs))  # each t = q^c once per row
