@@ -37,14 +37,19 @@ published under a lock: one entry per n of 2^(n-1) int64 bins.  _guard
 stops n at 16, where the uint16 codes of w^-1 would lose a letter, so
 an entry has at most 2^15 bins and the cache never exceeds 512 KB,
 under 20 KB for n <= 11.  The two-sided tally codes w and w^-1, and
-des3, not a function of the descent set, has its own kernel; both read
-the same reused block stream 64K columns at a time, in rows of 64K
-entries allocated once per slice.  Simsun words are
+des3, not a function of the descent set, has its own kernel, which also
+counts it on the words of S_{n+1} that start with their least letter:
+w -> 0.(w+1) is a bijection onto them from S_n, and adds a 3-descent
+iff w_1 > w_2, so the kernel walks S_n and starts each count at that
+bit.  Both read the same reused block stream 64K columns at a time, in
+rows of 64K entries allocated once per slice.  Simsun words are
 generated by inserting each new largest letter where it makes no double
-descent.  The words of length 9 are made whole (E_10 = 50 521 columns,
-about 0.45 MB); above that each length is streamed from the blocks of
-the one below, one block at a time, so a Simsun enumeration holds one
-block of at most 50 521 words per length and is tallied block by block.
+descent, one block of at most E_10 = 50 521 words (about 0.45 MB) per
+length at a time.  One descent-set histogram of the Simsun words of a
+length gives des, the down-up bin and phi.  phi at n counts the Simsun
+words of length n that end in n; appending n is a bijection onto them
+from the words of length n - 1, and the ascent it adds keeps each
+descent-set code, so phi at n is read off the tally of length n - 1.
 Counts are int64 and leave as Python ints; the test-suite's pure-Python
 definitional loops must agree with all of it.
 
@@ -120,7 +125,7 @@ _BLOCK_CACHE: dict[int, np.ndarray] = {}
 # the largest cached block, the block size of every enumeration and the
 # longest Simsun words made whole
 _BLOCK_CACHE_MAX = 9
-_CODE_CACHE: dict[int, np.ndarray] = {}  # K -> descent-set codes of S_K
+_CODE_CACHE: np.ndarray | None = None  # descent-set codes of S_K, once built
 _BLOCK_LOCK = threading.Lock()
 
 
@@ -329,6 +334,11 @@ def _descent_hist(W: np.ndarray) -> np.ndarray:
     return np.bincount(_descent_codes(W), minlength=1 << (W.shape[0] - 1))
 
 
+def _simsun_hist(n: int) -> np.ndarray:
+    """Descent-set histogram of the Simsun words of length n >= 1."""
+    return sum(map(_descent_hist, _simsun_blocks(n)))
+
+
 # columns per kernel call: bincount copies its input to intp, and a fixed
 # chunk keeps that copy at 512 KB, and a kernel's rows at 64K entries,
 # whatever the block size
@@ -367,22 +377,27 @@ def _two_sided_task(n: int, tasks: range) -> np.ndarray:
     return H
 
 
-def _des3_hist(chunks: Iterator[np.ndarray], m: int) -> np.ndarray:
+def _des3_hist(chunks: Iterator[np.ndarray], m: int, lead: bool = False) -> np.ndarray:
     """des3 histogram of chunks of at most _CHUNK m-letter words, in rows
     allocated once.  Position i is a 3-descent iff w_i w_{i+1} w_{i+2}
     has the pattern 132, 213 or 321, the odd permutations of three
     letters: iff [w_i > w_{i+1}] ^ [w_{i+1} > w_{i+2}] ^ [w_i > w_{i+2}].
-    Each descent [w_i > w_{i+1}] serves two triples."""
-    H = np.zeros(m, dtype=np.int64)
+    Each descent [w_i > w_{i+1}] serves two triples.  With lead, each
+    word w stands for 0.(w+1), whose leading triple is a 3-descent iff
+    w_1 > w_2: each count starts at that bit, over m + 1 bins."""
+    H = np.zeros(m + lead, dtype=np.int64)
     count = np.empty(_CHUNK, dtype=np.uint8)
     rows = np.empty((3, _CHUNK), dtype=np.bool_)
     for W in chunks:
         k = W.shape[1]
         c = count[:k]
         prev, cur, odd = rows[:, :k]
-        c.fill(0)
-        if m > 2:
+        if m > 1:
             np.greater(W[0], W[1], out=prev)
+        if lead and m > 1:
+            np.copyto(c, prev)
+        else:
+            c.fill(0)
         for i in range(m - 2):
             np.greater(W[i + 1], W[i + 2], out=cur)
             np.greater(W[i], W[i + 2], out=odd)
@@ -390,44 +405,29 @@ def _des3_hist(chunks: Iterator[np.ndarray], m: int) -> np.ndarray:
             np.bitwise_xor(odd, cur, out=odd)
             np.add(c, odd, out=c)
             prev, cur = cur, prev
-        H += np.bincount(c, minlength=m)
+        H += np.bincount(c, minlength=H.size)
     return H
 
 
-def _des3_task(n: int, tasks: range) -> np.ndarray:
-    """des3 histogram over a slice of the tasks of S_n."""
-    return _des3_hist(_chunks(_blocks(n, tasks)), n)
-
-
-def _des3_first1_task(n: int, tasks: range) -> np.ndarray:
-    """des3 histogram of the words 0.(w+1), w running over a slice of the
-    tasks of S_n, each chunk written into one buffer reused across the
-    slice."""
-    P = np.empty((n + 1, _CHUNK), dtype=np.int8)
-    P[0] = 0
-
-    def words() -> Iterator[np.ndarray]:
-        for W in _chunks(_blocks(n, tasks)):
-            np.add(W, 1, out=P[1:, : W.shape[1]])
-            yield P[:, : W.shape[1]]
-
-    return _des3_hist(words(), n + 1)
+def _des3_task(n: int, tasks: range, lead: bool = False) -> np.ndarray:
+    """des3 histogram of the words w of a slice of the tasks of S_n, or
+    with lead of the words 0.(w+1)."""
+    return _des3_hist(_chunks(_blocks(n, tasks)), n, lead)
 
 
 def _base_codes() -> np.ndarray:
     """The descent-set codes of the columns of S_K (K = _BLOCK_CACHE_MAX),
     cached read-only (uint16, K! entries, about 0.7 MB) and built once,
     under _BLOCK_LOCK."""
-    codes = _CODE_CACHE.get(_BLOCK_CACHE_MAX)
-    if codes is None:
+    global _CODE_CACHE
+    if _CODE_CACHE is None:
         S = _columns(_BLOCK_CACHE_MAX)  # takes _BLOCK_LOCK itself
         with _BLOCK_LOCK:
-            codes = _CODE_CACHE.get(_BLOCK_CACHE_MAX)
-            if codes is None:
+            if _CODE_CACHE is None:
                 codes = _descent_codes(S)
                 codes.flags.writeable = False
-                _CODE_CACHE[_BLOCK_CACHE_MAX] = codes
-    return codes
+                _CODE_CACHE = codes
+    return _CODE_CACHE
 
 
 def _key_dtype(n: int):
@@ -673,8 +673,7 @@ def brute_simsun(n: int, *, brute_max: int | None = None, jobs: int = 1) -> IntP
     _guard(n, brute_max)
     if n == 0:
         return IntPoly.one()
-    hist = sum(map(_descent_hist, _simsun_blocks(n)))
-    des = _read_off(_set_stats(n)["des"].tolist(), hist)
+    des = _read_off(_set_stats(n)["des"].tolist(), _simsun_hist(n))
     return IntPoly([des.get(d, 0) for d in range(n)])
 
 
@@ -698,19 +697,20 @@ def _ab_words(n: int, hist: np.ndarray, flip: int = 0) -> dict[str, int]:
 def brute_cd_index(n: int, *, brute_max: int | None = None, jobs: int = 1) -> CdIndex:
     """Tally the three word counts of CdIndex: psi and psi_hat off the
     descent-set histogram of S_n (tallied by jobs workers), read directly
-    and with the odd (0-based) positions flipped; phi off the descent sets
-    of the generated Simsun words that end in their largest letter, in
-    one process.
+    and with the odd (0-based) positions flipped; phi, in one process, off
+    the descent-set histogram of the Simsun words of length n - 1, which
+    appending n maps one-to-one onto those of length n that end in n,
+    adding an ascent and so keeping each descent-set code.
 
     >>> brute_cd_index(3).phi
     {'cc': 1, 'd': 1}
     """
     _guard(n, brute_max)
-    if n == 0:
+    if n <= 1:
         return CdIndex({"": 1}, {"": 1}, {"": 1})
     hist = _descent_histogram(n, jobs)
     odd = sum(1 << i for i in range(1, n - 1, 2))
-    phi = _ab_words(n, sum(_descent_hist(S[:, S[-1] == n - 1]) for S in _simsun_blocks(n)))
+    phi = _ab_words(n, _simsun_hist(n - 1))
     return CdIndex({ab_to_cd(u): c for u, c in phi.items()},
                    _ab_words(n, hist), _ab_words(n, hist, odd))
 
@@ -718,11 +718,11 @@ def brute_cd_index(n: int, *, brute_max: int | None = None, jobs: int = 1) -> Cd
 def brute_des3_first1(n: int, *, brute_max: int | None = None,
                       jobs: int = 1) -> StatMultiset:
     """Distribution of 3-descents over permutations of S_{n+1} whose
-    first letter is 1 (the comparison class for altdes on S_n)."""
+    first letter is 1 (the comparison class for altdes on S_n), tallied
+    over S_n: w -> 1.(w+1) is a bijection from S_n onto that class, and
+    des3(1.(w+1)) = des3(w) + [w_1 > w_2]."""
     _guard(n, brute_max)
-    if n == 0:
-        return StatMultiset(0, "des3", {0: 1})
-    hist = _merge(_des3_first1_task, n, jobs)
+    hist = _merge(partial(_des3_task, lead=True), n, jobs)
     return StatMultiset(n + 1, "des3", _read_off(range(n + 1), hist))
 
 
@@ -733,5 +733,4 @@ def down_up_simsun_count(n: int, *, brute_max: int | None = None) -> int:
     if n <= 1:
         return 1
     down_up = sum(1 << i for i in range(0, n - 1, 2))
-    return sum(int(np.count_nonzero(_descent_codes(S) == down_up))
-               for S in _simsun_blocks(n))
+    return int(_simsun_hist(n)[down_up])

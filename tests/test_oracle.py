@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -24,9 +25,11 @@ from altdes.oracle import (
     iter_perm_arrays,
     stat_multiset,
 )
-from altdes.permutations import alt_stats, cd_word, classic_stats, inverse, is_down_up, is_simsun
+from altdes.permutations import (
+    ab_to_cd, alt_stats, cd_word, classic_stats, inverse, is_down_up, is_simsun,
+)
 from altdes.polynomials import BiPolyTQ, IntPoly
-from altdes.recurrences import five_term, simsun_rec
+from altdes.recurrences import euler_numbers, five_term, simsun_rec
 
 
 def scalar_hist(n, key):
@@ -153,7 +156,7 @@ def test_cd_index_matches_scalar():
 
 
 def test_des3_first1_matches_scalar():
-    for n in range(1, 7):
+    for n in range(0, 7):
         expected = {}
         for w in itertools.permutations(range(2, n + 2)):
             v = classic_stats((1,) + w).des3
@@ -171,6 +174,81 @@ def test_down_up_simsun_count_scalar():
             if is_simsun(w) and is_down_up(w)
         )
         assert down_up_simsun_count(n) == expected
+
+
+# references on the lengths that stream in blocks: each walks the words
+# the oracle reaches through a bijection, filtering them from the Simsun
+# words of length n or writing out 0.(w+1)
+
+def _phi_by_filter(n):
+    """phi off the Simsun words of length n that end in their largest letter."""
+    hist = sum(oracle._descent_hist(S[:, S[-1] == n - 1]) for S in oracle._simsun_blocks(n))
+    return {ab_to_cd(u): c for u, c in oracle._ab_words(n, hist).items()}
+
+
+def _down_up_by_filter(n):
+    """The Simsun words of length n whose descent-set code is the down-up one."""
+    down_up = sum(1 << i for i in range(0, n - 1, 2))
+    return sum(int((oracle._descent_codes(S) == down_up).sum())
+               for S in oracle._simsun_blocks(n))
+
+
+def _des3_prepend0_task(n, tasks):
+    """des3 histogram of the (n + 1)-letter words 0.(w+1), each chunk of a
+    slice of the tasks of S_n copied below a row of zeros."""
+    import numpy as np
+
+    P = np.empty((n + 1, oracle._CHUNK), dtype=np.int8)
+    P[0] = 0
+
+    def words():
+        for W in oracle._chunks(oracle._blocks(n, tasks)):
+            np.add(W, 1, out=P[1:, : W.shape[1]])
+            yield P[:, : W.shape[1]]
+
+    return oracle._des3_hist(words(), n + 1)
+
+
+def test_phi_matches_the_filter_walk_on_streamed_lengths():
+    for n in (10, 11):
+        assert brute_cd_index(n).phi == _phi_by_filter(n), n
+
+
+def test_down_up_count_matches_the_filter_walk_on_streamed_lengths():
+    for n in (10, 11, 12):
+        assert down_up_simsun_count(n, brute_max=12) == _down_up_by_filter(n), n
+
+
+def test_des3_first1_matches_the_prepended_kernel():
+    for n in (9, 10):
+        expected = oracle._merge(_des3_prepend0_task, n, 1).tolist()
+        assert brute_des3_first1(n).values == {v: c for v, c in enumerate(expected) if c}
+
+
+def test_each_simsun_reader_tallies_one_length_once(monkeypatch):
+    tallies, tallied = [], []
+    simsun_hist, descent_hist = oracle._simsun_hist, oracle._descent_hist
+
+    def one_tally(n):
+        tallies.append(n)
+        return simsun_hist(n)
+
+    def one_block(W):
+        tallied.append(W.shape)
+        return descent_hist(W)
+
+    monkeypatch.setattr(oracle, "_simsun_hist", one_tally)
+    monkeypatch.setattr(oracle, "_descent_hist", one_block)
+    e = euler_numbers(11)
+    for call, n in ((lambda: brute_cd_index(10), 9), (lambda: brute_simsun(10), 10),
+                    (lambda: down_up_simsun_count(10), 10)):
+        tallies.clear()
+        tallied.clear()
+        call()
+        assert tallies == [n]
+        # psi's S_10 goes through _descent_task, so only Simsun blocks come here
+        assert {m for m, _ in tallied} == {n}
+        assert sum(k for _, k in tallied) == e[n + 1]  # each Simsun word once
 
 
 def test_jobs_do_not_change_results():
@@ -439,7 +517,7 @@ def test_descent_tally_reuses_one_workspace_per_slice(monkeypatch):
 @pytest.mark.parametrize("task, buffers", [
     (oracle._two_sided_task, 3),  # block, codes of w^-1, scratch rows
     (oracle._des3_task, 3),  # block, counter, bool rows
-    (oracle._des3_first1_task, 4),  # and the shifted chunk
+    pytest.param(partial(oracle._des3_task, lead=True), 3, id="_des3_task_lead-3"),
 ])
 def test_kernels_reuse_one_workspace_per_slice(monkeypatch, task, buffers):
     import numpy as np
@@ -474,7 +552,7 @@ def test_code_cache_is_read_only_and_built_once(monkeypatch):
         return codes_of(W)
 
     monkeypatch.setattr(oracle, "_descent_codes", counting)
-    monkeypatch.setattr(oracle, "_CODE_CACHE", {})
+    monkeypatch.setattr(oracle, "_CODE_CACHE", None)
     results = []
     threads = [threading.Thread(target=lambda: results.append(oracle._base_codes()))
                for _ in range(8)]
@@ -490,7 +568,7 @@ def test_code_cache_is_read_only_and_built_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     f = math.factorial(9)
     assert built == [(9, f)]
-    codes = oracle._CODE_CACHE[9]
+    codes = oracle._CODE_CACHE
     assert len(results) == 8 and all(c is codes for c in results)
     assert codes.shape == (f,) and codes.dtype == "uint16"
     assert not codes.flags.writeable
