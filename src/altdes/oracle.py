@@ -10,48 +10,63 @@ strided slices to at most min(jobs, tasks, cpu count) processes, this
 one included.  Slice 0 is tallied here; each other slice runs in a
 child made by os.fork after S_9 and its descent codes are built, so the
 child inherits them, and sends its one histogram back down a pipe.  A
-slice allocates its (n, 9!) block once and reuses it for every task.  A
-task's block of S_{n-1} is built straight into rows 1.. of it: S_9 is
-copied in and relabelled in place under each letter the task fixes in
-front of it.  Each first letter v in turn is then placed in front of
-the block in place: after relabelling the block onto 1..n-1 for v = 0,
-going from v - 1 to v changes one letter per word, v in the tail
-becoming v - 1.
+slice allocates its (n-1, 9!) block once and reuses it for every task:
+S_9 is copied in and relabelled in place under each letter the task
+fixes in front of it.
 
-Each word becomes the code sum_i [w_i > w_{i+1}] << i of its descent
-set.  Above n = 9 a task codes its block of S_{n-1} once: the last 9
-rows of the block relabel S_9 in column order, so their part of the
-code is read from the codes of S_9, cached read-only (uint16, about
-0.7 MB) and built once under the same lock.  As each first letter is
-placed in front of the block, a uint8 counter per column counts the
-letters that make position 0 a descent, and the key
-code * (n + 1) + counter is formed in place, in the narrowest unsigned
-dtype that holds it (uint16 to n = 13), and binned in chunks of 64K
-keys, so no block-sized intp array is made.  The key, the counter and
-one bool row are slice buffers too, so a slice's allocations do not
-grow with its task count.  des, maj, altdes, altmaj and the ab-indexes
-psi and psi_hat are read off one histogram of codes (the alternating
-descent set is the descent set XOR the even-position mask).  That
-histogram is tallied once per n and kept, read-only, in a cache
+The words of a task are v.rest' for each first letter v < n, rest
+being the task's block of S_{n-1} and rest' rest relabelled onto the
+letters other than v.  (v, rest) -> v.rest' is a bijection onto S_n,
+and it keeps every comparison inside rest, so a task kernel codes its
+block once and adds the n first letters by arithmetic on those codes
+and on rows 0 and 1 of the block.  rest is still materialized and only
+the first letter is never written, a bijection on words like those
+behind phi and des3 on S_{n+1} below; the first letter changes only what
+starts at position 0, and v > rest'_j iff rest_j < v.  The three
+identities:
+
+  descent:   code(v.rest') = code(rest) << 1 | [rest_0 < v], so of the n
+             first letters, n - 1 - rest_0 add a descent at 0;
+  two-sided: in code((v.rest')^-1) the bits below v - 1 are those of
+             rest^-1, bit v - 1 is set, bit v clear, and each bit above
+             v is the bit of rest^-1 one lower (its bit v - 1 is dropped);
+  des3:      des3(v.rest') = des3(rest) + ([rest_0 < v] ^ [rest_0 > rest_1]
+             ^ [rest_1 < v]).
+
+A word's code is sum_i [w_i > w_{i+1}] << i, its descent set.  The last
+9 rows of a task's block relabel S_9 in column order, so their part of
+the code is read from the codes of S_9, cached read-only (uint16, about
+0.7 MB) and built once under the same lock.  The descent task keys each
+column by code(rest) * (n - 1) + rest_0, in place, in the narrowest
+unsigned dtype that holds it (uint16 to n = 14), bins the keys in chunks
+of 64K, so no block-sized intp array is made, and spreads each bin over
+the two parities of position 0 at the end.  des, maj, altdes, altmaj and
+the ab-indexes psi and psi_hat are read off that one histogram of codes
+(the alternating descent set is the descent set XOR the even-position
+mask).  It is tallied once per n and kept, read-only, in a cache
 published under a lock: one entry per n of 2^(n-1) int64 bins.  _guard
 stops n at 16, where the uint16 codes of w^-1 would lose a letter, so
 an entry has at most 2^15 bins and the cache never exceeds 512 KB,
-under 20 KB for n <= 11.  The two-sided tally codes w and w^-1, and
-des3, not a function of the descent set, has its own kernel, which also
-counts it on the words of S_{n+1} that start with their least letter:
-w -> 0.(w+1) is a bijection onto them from S_n, and adds a 3-descent
-iff w_1 > w_2, so the kernel walks S_n and starts each count at that
-bit.  Both read the same reused block stream 64K columns at a time, in
-rows of 64K entries allocated once per slice.  Simsun words are
-generated by inserting each new largest letter where it makes no double
-descent, one block of at most E_10 = 50 521 words (about 0.45 MB) per
-length at a time.  One descent-set histogram of the Simsun words of a
-length gives des, the down-up bin and phi.  phi at n counts the Simsun
-words of length n that end in n; appending n is a bijection onto them
-from the words of length n - 1, and the ascent it adds keeps each
-descent-set code, so phi at n is read off the tally of length n - 1.
-Counts are int64 and leave as Python ints; the test-suite's pure-Python
-definitional loops must agree with all of it.
+under 20 KB for n <= 11.  The two-sided task codes rest and rest^-1 once
+per chunk of 64K columns and bins each first letter's pair of altdes
+values.  des3, not a function of the descent set, has its own task,
+which keys each column by (des3(rest), rest_0, rest_1) and spreads the
+keys over the first letters through a table, with no loop over them.
+It also counts des3 on the words of S_{n+1} that start with their least
+letter: w -> 0.(w+1) is a bijection onto them from S_n, and adds a
+3-descent iff w_1 > w_2, which for w = v.rest' is [rest_0 < v].  Up to
+n = 9 the kernels tally the cached S_n whole.  The chunk rows are
+allocated once per slice.  iter_perm_arrays, which yields whole words,
+places each first letter in front of the block in place instead.
+Simsun words are generated by inserting each new largest letter where
+it makes no double descent, one block of at most E_10 = 50 521 words
+(about 0.45 MB) per length at a time.  One descent-set histogram of the
+Simsun words of a length gives des, the down-up bin and phi.  phi at n
+counts the Simsun words of length n that end in n; appending n is a
+bijection onto them from the words of length n - 1, and the ascent it
+adds keeps each descent-set code, so phi at n is read off the tally of
+length n - 1.  Counts are int64 and leave as Python ints; the
+test-suite's pure-Python definitional loops must agree with all of it.
 
 numpy is imported on the first enumeration, with OpenBLAS's thread pool
 capped at one thread for the import unless the user set
@@ -206,35 +221,25 @@ def _letters(W: np.ndarray) -> Iterator[None]:
         yield
 
 
-def _blocks(n: int, tasks: range) -> Iterator[np.ndarray]:
-    """The tasks of S_n, block by block.  While S_n is cached it is one
-    block (and tasks is range(1)).  Else one (n, K!) buffer serves the
-    whole slice: for each task idx, block idx of S_{n-1} is built in its
-    rows 1.. and each first letter v in turn is placed in front of it, in
-    place, so a block is overwritten when the next is made.  Column j of
-    the block with first letter v is the word of lexicographic rank
-    v (n-1)! + idx K! + j."""
-    if n <= _BLOCK_CACHE_MAX:
-        yield _columns(n)
-        return
-    W = np.empty((n, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
-    for idx in tasks:
-        _rest(idx, W[1:])
-        for _ in _letters(W):
-            yield W
-
-
 def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
     """Yield S_n as read-only 0-based int8 arrays with one word per row,
     in the order of the block stream: all of S_n at once for n <= 9;
     else, for each task b < (n-1)!/9! and then each first letter v < n,
     a block of 9! rows whose row j is the word of lexicographic rank
-    v (n-1)! + b 9! + j.  A block is overwritten when the next one is
-    made, so copy what must outlive it."""
-    for W in _blocks(n, range(_n_partitions(n))):
-        rows = W.T
-        rows.flags.writeable = False
-        yield rows
+    v (n-1)! + b 9! + j.  One (n, 9!) buffer serves the whole stream: for
+    each task, block b of S_{n-1} is built in its rows 1.. and each first
+    letter is placed in front of it in place, so a block is overwritten
+    when the next one is made; copy what must outlive it."""
+    if n <= _BLOCK_CACHE_MAX:
+        yield _columns(n).T
+        return
+    W = np.empty((n, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
+    rows = W.T
+    rows.flags.writeable = False
+    for idx in range(_n_partitions(n)):
+        _rest(idx, W[1:])
+        for _ in _letters(W):
+            yield rows
 
 
 def _simsun_blocks(n: int) -> Iterator[np.ndarray]:
@@ -345,74 +350,10 @@ def _simsun_hist(n: int) -> np.ndarray:
 _CHUNK = 1 << 16
 
 
-def _chunks(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The blocks, _CHUNK columns at a time, as views."""
-    for W in blocks:
-        for s in range(0, W.shape[1], _CHUNK):
-            yield W[:, s : s + _CHUNK]
-
-
-def _two_sided_task(n: int, tasks: range) -> np.ndarray:
-    """Histogram of altdes(w^-1) * n + altdes(w) over a slice of the tasks
-    of S_n, a chunk of columns at a time, in four uint16 rows of _CHUNK
-    allocated once per slice: the codes of w^-1 and the three scratch
-    rows of _inverse_codes, which then hold the codes of w, the
-    comparisons behind them, and the key."""
-    inverse = np.empty(_CHUNK, dtype=np.uint16)
-    scratch = np.empty((3, _CHUNK), dtype=np.uint16)
-    altdes = _set_stats(n)["altdes"].astype(np.uint16)
-    high = altdes * np.uint16(n)
-    H = np.zeros(n * n, dtype=np.int64)
-    for W in _chunks(_blocks(n, tasks)):
-        m = W.shape[1]
-        inv, rows = inverse[:m], scratch[:, :m]
-        code, flag, key = rows
-        _inverse_codes(W, inv, rows)
-        _descent_codes(W, code, flag.view(np.uint8)[:m])
-        # mode="clip" writes straight into out; every code is in range
-        np.take(high, inv, out=key, mode="clip")
-        np.take(altdes, code, out=flag, mode="clip")
-        np.add(key, flag, out=key)
-        H += np.bincount(key, minlength=H.size)
-    return H
-
-
-def _des3_hist(chunks: Iterator[np.ndarray], m: int, lead: bool = False) -> np.ndarray:
-    """des3 histogram of chunks of at most _CHUNK m-letter words, in rows
-    allocated once.  Position i is a 3-descent iff w_i w_{i+1} w_{i+2}
-    has the pattern 132, 213 or 321, the odd permutations of three
-    letters: iff [w_i > w_{i+1}] ^ [w_{i+1} > w_{i+2}] ^ [w_i > w_{i+2}].
-    Each descent [w_i > w_{i+1}] serves two triples.  With lead, each
-    word w stands for 0.(w+1), whose leading triple is a 3-descent iff
-    w_1 > w_2: each count starts at that bit, over m + 1 bins."""
-    H = np.zeros(m + lead, dtype=np.int64)
-    count = np.empty(_CHUNK, dtype=np.uint8)
-    rows = np.empty((3, _CHUNK), dtype=np.bool_)
-    for W in chunks:
-        k = W.shape[1]
-        c = count[:k]
-        prev, cur, odd = rows[:, :k]
-        if m > 1:
-            np.greater(W[0], W[1], out=prev)
-        if lead and m > 1:
-            np.copyto(c, prev)
-        else:
-            c.fill(0)
-        for i in range(m - 2):
-            np.greater(W[i + 1], W[i + 2], out=cur)
-            np.greater(W[i], W[i + 2], out=odd)
-            np.bitwise_xor(odd, prev, out=odd)
-            np.bitwise_xor(odd, cur, out=odd)
-            np.add(c, odd, out=c)
-            prev, cur = cur, prev
-        H += np.bincount(c, minlength=H.size)
-    return H
-
-
-def _des3_task(n: int, tasks: range, lead: bool = False) -> np.ndarray:
-    """des3 histogram of the words w of a slice of the tasks of S_n, or
-    with lead of the words 0.(w+1)."""
-    return _des3_hist(_chunks(_blocks(n, tasks)), n, lead)
+def _chunks(W: np.ndarray) -> Iterator[np.ndarray]:
+    """The block W, _CHUNK columns at a time, as views."""
+    for s in range(0, W.shape[1], _CHUNK):
+        yield W[:, s : s + _CHUNK]
 
 
 def _base_codes() -> np.ndarray:
@@ -430,11 +371,165 @@ def _base_codes() -> np.ndarray:
     return _CODE_CACHE
 
 
+# ---------------------------------------------------------------------------
+# task kernels: above n = K a task's words are v.rest' for each first
+# letter v, rest its block of S_{n-1} (see the module docstring)
+
+def _two_sided_task(n: int, tasks: range) -> np.ndarray:
+    """Histogram of altdes(w^-1) * n + altdes(w) over a slice of the tasks
+    of S_n, a chunk of columns at a time.
+
+    Above n = K each chunk of rest is coded once, both ways, from its
+    rows, so the kernel builds no cached codes of S_K.  For each
+    first letter v, code(w) = code(rest) << 1 | [rest_0 < v], and in
+    code(w^-1) the bits below v - 1 are those of rest^-1, bit v - 1 is set
+    (v stands before v - 1), bit v is clear (and before v + 1), and each
+    bit above v is the bit of rest^-1 one lower; bit v - 1 of rest^-1,
+    which compared the letters that became v - 1 and v + 1, is dropped.
+    The workspace is allocated once per slice: the block, two uint16
+    rows of _CHUNK for the codes of rest^-1 and altdes of the words with
+    no descent at 0, and three more that are _inverse_codes's scratch and
+    then hold the codes of w^-1, the key and the comparison with v."""
+    altdes = _set_stats(n)["altdes"].astype(np.uint16)
+    high = altdes * np.uint16(n)
+    H = np.zeros(n * n, dtype=np.int64)
+    if n <= _BLOCK_CACHE_MAX:
+        inverse = np.empty(_CHUNK, dtype=np.uint16)
+        scratch = np.empty((3, _CHUNK), dtype=np.uint16)
+        for W in _chunks(_columns(n)):
+            m = W.shape[1]
+            inv, rows = inverse[:m], scratch[:, :m]
+            code, flag, key = rows
+            _inverse_codes(W, inv, rows)
+            _descent_codes(W, code, flag.view(np.uint8)[:m])
+            # mode="clip" writes straight into out; every code is in range
+            np.take(high, inv, out=key, mode="clip")
+            np.take(altdes, code, out=flag, mode="clip")
+            np.add(key, flag, out=key)
+            H += np.bincount(key, minlength=H.size)
+        return H
+    f = factorial(_BLOCK_CACHE_MAX)
+    R = np.empty((n - 1, f), dtype=np.int8)
+    codes = np.empty((2, _CHUNK), dtype=np.uint16)
+    scratch = np.empty((3, _CHUNK), dtype=np.uint16)
+    for idx in tasks:
+        _rest(idx, R)
+        for s in range(0, f, _CHUNK):
+            W = R[:, s : s + _CHUNK]
+            m = W.shape[1]
+            (inv, alt), rows = codes[:, :m], scratch[:, :m]
+            word, key, flag = rows
+            below = flag.view(np.bool_)[:m]
+            _inverse_codes(W, inv, rows)
+            _descent_codes(W, word, flag.view(np.uint8)[:m])
+            np.left_shift(word, 1, out=word)
+            np.take(altdes, word, out=alt, mode="clip")
+            for v in range(n):
+                np.right_shift(inv, v, out=word)
+                np.left_shift(word, v + 1, out=word)
+                if v:
+                    np.bitwise_and(inv, (1 << (v - 1)) - 1, out=key)
+                    np.bitwise_or(word, key, out=word)
+                    np.bitwise_or(word, 1 << (v - 1), out=word)
+                np.take(high, word, out=key, mode="clip")
+                np.add(key, alt, out=key)
+                np.less(W[0], v, out=below)
+                np.add(key, below, out=key)
+                H += np.bincount(key, minlength=H.size)
+    return H
+
+
+def _des3_counts(W: np.ndarray, count: np.ndarray, rows: np.ndarray,
+                 lead: bool = False) -> np.ndarray:
+    """des3 of each column of the m rows W, written into count, an
+    unsigned row, comparing into rows, three bool rows.  Position i is a
+    3-descent iff w_i w_{i+1} w_{i+2} has the pattern 132, 213 or 321,
+    the odd permutations of three letters: iff
+    [w_i > w_{i+1}] ^ [w_{i+1} > w_{i+2}] ^ [w_i > w_{i+2}].  Each
+    descent [w_i > w_{i+1}] serves two triples.  With lead, each word w
+    stands for 0.(w+1), whose leading triple is a 3-descent iff
+    w_1 > w_2: each count starts at that bit."""
+    m = W.shape[0]
+    prev, cur, odd = rows
+    if m > 1:
+        np.greater(W[0], W[1], out=prev)
+    if lead and m > 1:
+        np.copyto(count, prev)
+    else:
+        count.fill(0)
+    for i in range(m - 2):
+        np.greater(W[i + 1], W[i + 2], out=cur)
+        np.greater(W[i], W[i + 2], out=odd)
+        np.bitwise_xor(odd, prev, out=odd)
+        np.bitwise_xor(odd, cur, out=odd)
+        np.add(count, odd, out=count)
+        prev, cur = cur, prev
+    return count
+
+
+def _des3_hist(chunks: Iterator[np.ndarray], m: int, lead: bool = False) -> np.ndarray:
+    """des3 histogram of chunks of at most _CHUNK m-letter words, in rows
+    allocated once, over m + lead bins (see _des3_counts)."""
+    H = np.zeros(m + lead, dtype=np.int64)
+    count = np.empty(_CHUNK, dtype=np.uint8)
+    rows = np.empty((3, _CHUNK), dtype=np.bool_)
+    for W in chunks:
+        k = W.shape[1]
+        H += np.bincount(_des3_counts(W, count[:k], rows[:, :k], lead), minlength=H.size)
+    return H
+
+
+def _first_triples(n: int, lead: bool) -> np.ndarray:
+    """T[r0 (n-1) + r1, g]: how many first letters v < n give v.rest' g
+    more 3-descents than rest, for a rest with rest_0 = r0, rest_1 = r1.
+    The leading triple v rest'_0 rest'_1 is a 3-descent iff
+    [rest_0 < v] ^ [rest_0 > rest_1] ^ [rest_1 < v]; with lead the word
+    stands for 0.(w+1), which adds [rest_0 < v].  Rows with r0 = r1 are
+    never read."""
+    r = np.arange(n - 1)
+    r0, r1, v = r[:, None, None], r[None, :, None], np.arange(n)
+    first = r0 < v
+    gain = (first ^ (r0 > r1) ^ (r1 < v)).astype(np.intp) + lead * first
+    return (gain[..., None] == np.arange(3)).sum(axis=2).reshape(-1, 3)
+
+
+def _des3_task(n: int, tasks: range, lead: bool = False) -> np.ndarray:
+    """des3 histogram of the words w of a slice of the tasks of S_n, or
+    with lead of the words 0.(w+1).
+
+    Above n = K no word with its first letter is formed: relabelling keeps
+    des3(rest') = des3(rest), so each chunk of rest is keyed once by
+    (des3(rest), rest_0, rest_1), in a uint16 row that first holds the
+    count, and _first_triples spreads each key over the n first letters.
+    The workspace is the block, the key and three bool rows of _CHUNK."""
+    if n <= _BLOCK_CACHE_MAX:
+        return _des3_hist(_chunks(_columns(n)), n, lead)
+    f = factorial(_BLOCK_CACHE_MAX)
+    R = np.empty((n - 1, f), dtype=np.int8)
+    key = np.empty(_CHUNK, dtype=np.uint16)
+    rows = np.empty((3, _CHUNK), dtype=np.bool_)
+    H = np.zeros((n - 2) * (n - 1) ** 2, dtype=np.int64)  # des3(rest) <= n - 3
+    for idx in tasks:
+        _rest(idx, R)
+        for W in _chunks(R):
+            k = W.shape[1]
+            c = _des3_counts(W, key[:k], rows[:, :k])
+            for row in W[:2]:
+                np.multiply(c, n - 1, out=c)
+                np.add(c, row.view(np.uint8), out=c)
+            H += np.bincount(c, minlength=H.size)
+    spread = H.reshape(n - 2, -1) @ _first_triples(n, lead)
+    hist = np.zeros(n + lead, dtype=np.int64)
+    for g in range(3):
+        hist[g : g + n - 2] += spread[:, g]
+    return hist
+
+
 def _key_dtype(n: int):
     """The narrowest unsigned dtype that holds every key
-    code * (n + 1) + count of the descent task, which is below
-    (n + 1) 2^(n-1): uint16 up to n = 13, uint32 up to _guard's 16."""
-    return np.uint16 if (n + 1) << (n - 1) <= 1 << 16 else np.uint32
+    code * (n - 1) + rest_0 of the descent task, which is below
+    (n - 1) 2^(n-2): uint16 up to n = 14, uint32 up to _guard's 16."""
+    return np.uint16 if (n - 1) << (n - 2) <= 1 << 16 else np.uint32
 
 
 def _descent_task(n: int, tasks: range) -> np.ndarray:
@@ -442,43 +537,36 @@ def _descent_task(n: int, tasks: range) -> np.ndarray:
     histogram.
 
     Above n = K the slice allocates its buffers once and reuses them for
-    every task: the (n, K!) block, the key, a uint8 counter and a bool
-    row.  Each task's block of S_{n-1} is built in the block's rows 1..
-    and coded once: its last K rows relabel S_K in S_K's column order, so
-    a column's code is the cached code of S_K shifted past the
-    k = n - 1 - K rows above them, plus the descents among those rows.
-    As each first letter v is placed in front of it in place, the word
-    v.rest'_j has code (code(rest_j) << 1) | [W_0 > W_1], so the counter
-    counts, per column, the letters that make position 0 a descent.  The
-    key code * (n + 1) + count is formed in place and binned in chunks;
-    the bins of all n letters are split by parity at the end."""
+    every task: the (n - 1, K!) block, the key and a bool row.  Each
+    task's block rest is built and coded once: its last K rows relabel
+    S_K in S_K's column order, so a column's code is the cached code of
+    S_K shifted past the n - 1 - K rows above them, plus the descents
+    among those rows.  The word v.rest' has code
+    (code(rest) << 1) | [rest_0 < v], so of the n first letters
+    rest_0 + 1 add no descent at 0 and n - 1 - rest_0 add one: the key
+    code(rest) * (n - 1) + rest_0 is formed in place and binned in chunks,
+    and the bins are spread over both parities at the end, with no loop
+    over the letters."""
     if n <= _BLOCK_CACHE_MAX:
         return _descent_hist(_columns(n))
     f = factorial(_BLOCK_CACHE_MAX)
-    k = n - 1 - _BLOCK_CACHE_MAX
-    W = np.empty((n, f), dtype=np.int8)
+    R = np.empty((n - 1, f), dtype=np.int8)
     key = np.empty(f, dtype=_key_dtype(n))
-    ones = np.empty(f, dtype=np.uint8)
     flag = np.empty(f, dtype=np.uint8)
-    is_descent = flag.view(np.bool_)
-    H = np.zeros((n + 1) << (n - 2), dtype=np.int64)
+    H = np.zeros((n - 1) << (n - 2), dtype=np.int64)
     for idx in tasks:
-        _rest(idx, W[1:])
+        _rest(idx, R)
         np.copyto(key, _base_codes())
-        _or_descents(key, W[1 : k + 2], flag)
-        ones.fill(0)
-        for _ in _letters(W):
-            np.greater(W[0], W[1], out=is_descent)
-            np.add(ones, flag, out=ones)
-        np.multiply(key, n + 1, out=key)
-        np.add(key, ones, out=key)
+        _or_descents(key, R[: n - _BLOCK_CACHE_MAX], flag)
+        np.multiply(key, n - 1, out=key)
+        np.add(key, R[0].view(np.uint8), out=key)  # letters are nonnegative
         for s in range(0, f, _CHUNK):
             H += np.bincount(key[s : s + _CHUNK], minlength=H.size)
-    H = H.reshape(-1, n + 1)
-    o = np.arange(n + 1)
+    H = H.reshape(-1, n - 1)
+    r = np.arange(n - 1)
     hist = np.empty(1 << (n - 1), dtype=np.int64)
-    hist[1::2] = H @ o
-    hist[0::2] = H @ (n - o)
+    hist[0::2] = H @ (r + 1)
+    hist[1::2] = H @ (n - 1 - r)
     return hist
 
 

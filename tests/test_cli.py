@@ -379,6 +379,25 @@ def test_thm21_stops_at_brute_max(capsys):
     assert all(r["status"] == "pass" for r in rows)
 
 
+def test_corrupted_descent_task_is_a_thm21_fail_row(capsys, monkeypatch):
+    # one bin of the S_10 tally, which the task path makes, counts one more
+    real = oracle._descent_task
+
+    def corrupted(n, tasks):
+        hist = real(n, tasks)
+        if n == 10:
+            hist[0] += 1
+        return hist
+
+    monkeypatch.setattr(oracle, "_descent_task", corrupted)
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    code, out, err = run(capsys, "verify", "thm2.1", "--max-n", "10")
+    assert code == 1 and err == ""
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL    five-term matches oracle n=10  [five-term recurrence disagrees at n=10]",
+        "9/10 passed, 1 failed"]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "eq2", "--max-n", "6",

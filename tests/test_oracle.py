@@ -8,7 +8,7 @@ import os
 import sys
 import threading
 import time
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -193,18 +193,19 @@ def _down_up_by_filter(n):
                for S in oracle._simsun_blocks(n))
 
 
-def _des3_prepend0_task(n, tasks):
-    """des3 histogram of the (n + 1)-letter words 0.(w+1), each chunk of a
-    slice of the tasks of S_n copied below a row of zeros."""
+def _des3_prepend0(n):
+    """des3 histogram of the (n + 1)-letter words 0.(w+1), each chunk of
+    the materialized words of S_n copied below a row of zeros."""
     import numpy as np
 
     P = np.empty((n + 1, oracle._CHUNK), dtype=np.int8)
     P[0] = 0
 
     def words():
-        for W in oracle._chunks(oracle._blocks(n, tasks)):
-            np.add(W, 1, out=P[1:, : W.shape[1]])
-            yield P[:, : W.shape[1]]
+        for rows in iter_perm_arrays(n):
+            for W in oracle._chunks(rows.T):
+                np.add(W, 1, out=P[1:, : W.shape[1]])
+                yield P[:, : W.shape[1]]
 
     return oracle._des3_hist(words(), n + 1)
 
@@ -221,7 +222,7 @@ def test_down_up_count_matches_the_filter_walk_on_streamed_lengths():
 
 def test_des3_first1_matches_the_prepended_kernel():
     for n in (9, 10):
-        expected = oracle._merge(_des3_prepend0_task, n, 1).tolist()
+        expected = _des3_prepend0(n).tolist()
         assert brute_des3_first1(n).values == {v: c for v, c in enumerate(expected) if c}
 
 
@@ -460,16 +461,39 @@ def test_descent_histogram_is_tallied_once_per_n(monkeypatch):
     assert sorted(tallied) == [(11, idx) for idx in range(10)]  # each task once
 
 
-def test_task_tally_matches_the_block_tally():
+@cache
+def _word_tallies(n):
+    """Each task kernel's histogram of S_n, tallied by the whole-word
+    coders over the materialized words of iter_perm_arrays."""
     import numpy as np
 
-    for n in (10, 11):
-        expected = sum(np.bincount(oracle._descent_codes(rows.T), minlength=1 << (n - 1))
-                       for rows in iter_perm_arrays(n))
-        for jobs in (1, 2):
-            hist = oracle._merge(oracle._descent_task, n, jobs)
-            assert hist.dtype == np.int64
-            assert np.array_equal(hist, expected), (n, jobs)
+    altdes = oracle._set_stats(n)["altdes"]
+    tallies = {"descent": 0, "two_sided": 0, "des3": 0}
+    for rows in iter_perm_arrays(n):
+        W = rows.T
+        code = oracle._descent_codes(W)
+        inverse = oracle._inverse_codes(W, np.empty_like(code),
+                                        np.empty((3, code.size), dtype=np.uint16))
+        tallies["descent"] += np.bincount(code, minlength=1 << (n - 1))
+        tallies["two_sided"] += np.bincount(altdes[inverse] * n + altdes[code], minlength=n * n)
+        tallies["des3"] += oracle._des3_hist(oracle._chunks(W), n)
+    tallies["des3_lead"] = _des3_prepend0(n)
+    return tallies
+
+
+_TASKS = {"descent": oracle._descent_task, "two_sided": oracle._two_sided_task,
+          "des3": oracle._des3_task, "des3_lead": partial(oracle._des3_task, lead=True)}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("kernel", _TASKS)
+def test_task_tally_matches_the_block_tally(kernel, n, jobs):
+    import numpy as np
+
+    hist = oracle._merge(_TASKS[kernel], n, jobs)
+    assert hist.dtype == np.int64
+    assert np.array_equal(hist, _word_tallies(n)[kernel])
 
 
 class _RecordingNumpy:
@@ -510,13 +534,13 @@ def test_descent_tally_reuses_one_workspace_per_slice(monkeypatch):
         monkeypatch.undo()
         assert hist.sum() == math.factorial(n)
         made[n] = recording.made
-    # the block, the key, the counter and the bool row, however many tasks
-    assert len(made[12]) == len(made[11]) <= 4
+    # the block, the key and the bool row, however many tasks
+    assert len(made[12]) == len(made[11]) <= 3
 
 
 @pytest.mark.parametrize("task, buffers", [
-    (oracle._two_sided_task, 3),  # block, codes of w^-1, scratch rows
-    (oracle._des3_task, 3),  # block, counter, bool rows
+    (oracle._two_sided_task, 3),  # block, codes of rest^-1 and altdes, scratch rows
+    (oracle._des3_task, 3),  # block, key, bool rows
     pytest.param(partial(oracle._des3_task, lead=True), 3, id="_des3_task_lead-3"),
 ])
 def test_kernels_reuse_one_workspace_per_slice(monkeypatch, task, buffers):
@@ -536,11 +560,11 @@ def test_kernels_reuse_one_workspace_per_slice(monkeypatch, task, buffers):
 def test_key_width_holds_every_key():
     import numpy as np
 
-    # the largest key is code * (n + 1) + n, code < 2^(n-1)
-    for n, width in ((13, np.uint16), (14, np.uint32), (16, np.uint32)):
+    # the largest key is code * (n - 1) + n - 2, code < 2^(n-2)
+    for n, width in ((14, np.uint16), (15, np.uint32), (16, np.uint32)):
         assert oracle._key_dtype(n) == width
-        assert ((1 << (n - 1)) - 1) * (n + 1) + n <= np.iinfo(width).max
-    assert 15 * (1 << 13) > 1 << 16  # n = 14 would wrap in uint16
+        assert ((1 << (n - 2)) - 1) * (n - 1) + n - 2 <= np.iinfo(width).max
+    assert 14 * (1 << 13) > 1 << 16  # n = 15 would wrap in uint16
 
 
 def test_code_cache_is_read_only_and_built_once(monkeypatch):
@@ -671,7 +695,7 @@ def test_guard_stops_at_the_code_width(monkeypatch):
         raise AssertionError("enumerated past the guard")
 
     monkeypatch.setattr(oracle, "_merge", enumerate_nothing)
-    monkeypatch.setattr(oracle, "_blocks", enumerate_nothing)
+    monkeypatch.setattr(oracle, "_rest", enumerate_nothing)
     assert oracle._guard(16, 20) == 20
     with pytest.raises(LimitExceeded):
         oracle._guard(17, 20)
