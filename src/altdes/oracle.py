@@ -484,8 +484,8 @@ def _first_triples(n: int, lead: bool) -> np.ndarray:
     more 3-descents than rest, for a rest with rest_0 = r0, rest_1 = r1.
     The leading triple v rest'_0 rest'_1 is a 3-descent iff
     [rest_0 < v] ^ [rest_0 > rest_1] ^ [rest_1 < v]; with lead the word
-    stands for 0.(w+1), which adds [rest_0 < v].  Rows with r0 = r1 are
-    never read."""
+    stands for 0.(w+1), which adds [rest_0 < v].  Rows with r0 = r1
+    meet only empty bins."""
     r = np.arange(n - 1)
     r0, r1, v = r[:, None, None], r[None, :, None], np.arange(n)
     first = r0 < v
