@@ -225,7 +225,7 @@ def thm411_bijection_check(
     shifts altmaj by m mod 2m; consequently the altmaj residue classes
     l and l+m (mod 2m) are equinumerous.  The witness of a failed shift
     is the first failing word in the block order of
-    oracle.iter_perm_arrays, which is lexicographic only for n <= 9."""
+    oracle.iter_perm_arrays, which is lexicographic only for n <= 10."""
     if m < 1 or 2 * m > n:
         raise ValueError("need 1 <= 2m <= n")
     oracle._guard(n, brute_max)

@@ -3,16 +3,17 @@
 Every histogram here is a tally over materialized words, never read from
 a recurrence.  S_k is an int8 array of shape (k, k!), one word per
 column in lexicographic order; blocks up to S_9 are cached (about
-3.7 MB, published under a lock).  Every enumeration streams S_n in
-blocks of at most 9! words.  Above n = 9 the (n-1)!/9! blocks of
-S_{n-1} are the tasks, and the parallelism seam: they are dealt in
-strided slices to at most min(jobs, tasks, cpu count) processes, this
-one included.  Slice 0 is tallied here; each other slice runs in a
-child made by os.fork after S_9 and its descent codes are built, so the
-child inherits them, and sends its one histogram back down a pipe.  A
-slice allocates its (n-1, 9!) block once and reuses it for every task:
-S_9 is copied in and relabelled in place under each letter the task
-fixes in front of it.
+3.7 MB, published under a lock).  Every enumeration of S_n (n >= 2)
+reads one stream, _rests, of its tasks' blocks of S_{n-1}.  Up to
+n = 10, S_n has one task, whose block is the cached S_{n-1}; above it
+the (n-1)!/9! blocks of 9! words are the tasks, and the parallelism
+seam: they are dealt in strided slices to at most min(jobs, tasks, cpu
+count) processes, this one included.  Slice 0 is tallied here; each
+other slice runs in a child made by os.fork after S_9 and its descent
+codes are built, so the child inherits them, and sends its one
+histogram back down a pipe.  A slice allocates its (n-1, 9!) block once
+and reuses it for every task: S_9 is copied in and relabelled in place
+under each letter the task fixes in front of it.
 
 The words of a task are v.rest' for each first letter v < n, rest
 being the task's block of S_{n-1} and rest' rest relabelled onto the
@@ -33,14 +34,15 @@ identities:
   des3:      des3(v.rest') = des3(rest) + ([rest_0 < v] ^ [rest_0 > rest_1]
              ^ [rest_1 < v]).
 
-A word's code is sum_i [w_i > w_{i+1}] << i, its descent set.  The last
-9 rows of a task's block relabel S_9 in column order, so their part of
-the code is read from the codes of S_9, cached read-only (uint16, about
-0.7 MB) and built once under the same lock.  The descent task keys each
-column by code(rest) * (n - 1) + rest_0, in place, in the narrowest
-unsigned dtype that holds it (uint16 to n = 14), bins the keys in chunks
-of 64K, so no block-sized intp array is made, and spreads each bin over
-the two parities of position 0 at the end.  des, maj, altdes, altmaj and
+A word's code is sum_i [w_i > w_{i+1}] << i, its descent set.  From
+n = 10 on, the last 9 rows of a task's block relabel S_9 in column
+order, so their part of the code is read from the codes of S_9, cached
+read-only (uint16, about 0.7 MB) and built once under the same lock.
+The descent task keys each column by code(rest) * (n - 1) + rest_0, in
+place, in the narrowest unsigned dtype that holds it (uint16 to
+n = 14), bins the keys in chunks of 64K, so no block-sized intp array
+is made, and spreads each bin over the two parities of position 0 at
+the end.  des, maj, altdes, altmaj and
 the ab-indexes psi and psi_hat are read off that one histogram of codes
 (the alternating descent set is the descent set XOR the even-position
 mask).  It is tallied once per n and kept, read-only, in a cache
@@ -54,10 +56,9 @@ which keys each column by (des3(rest), rest_0, rest_1) and spreads the
 keys over the first letters through a table, with no loop over them.
 It also counts des3 on the words of S_{n+1} that start with their least
 letter: w -> 0.(w+1) is a bijection onto them from S_n, and adds a
-3-descent iff w_1 > w_2, which for w = v.rest' is [rest_0 < v].  Up to
-n = 9 the kernels tally the cached S_n whole.  The chunk rows are
-allocated once per slice.  iter_perm_arrays, which yields whole words,
-places each first letter in front of the block in place instead.
+3-descent iff w_1 > w_2, which for w = v.rest' is [rest_0 < v].  The
+chunk rows are allocated once per slice.  iter_perm_arrays, which yields
+whole words, places each first letter in front of the block in place.
 Simsun words are generated by inserting each new largest letter where
 it makes no double descent, one block of at most E_10 = 50 521 words
 (about 0.45 MB) per length at a time.  One descent-set histogram of the
@@ -178,29 +179,43 @@ def _columns(k: int) -> np.ndarray:
 
 def _n_partitions(n: int) -> int:
     """Tasks of S_n: one per K!-word block of S_{n-1} (K = _BLOCK_CACHE_MAX),
-    or a single task while S_n itself is cached."""
+    or a single task, S_{n-1} whole, while S_{n-1} is cached."""
     if n <= _BLOCK_CACHE_MAX:
         return 1
     return factorial(n - 1) // factorial(_BLOCK_CACHE_MAX)
 
 
-def _rest(idx: int, out: np.ndarray) -> None:
-    """Write block idx of S_m (m = len(out) >= K) into out, an (m, K!)
-    int8 array: the K! words of lexicographic ranks idx K! to
-    (idx + 1) K! - 1.  Its first m - K letters are fixed by idx, read as
-    first letter and block of S_{m-1}, that block's first letter and
-    block of S_{m-2}, and so on down to S_K.  So S_K is copied into the
-    last K rows and relabelled in place under each fixed letter in turn,
-    the innermost first, with the row that letter will fill as scratch."""
+def _rest(idx: int, out: np.ndarray) -> np.ndarray:
+    """Write block idx of S_m (m = len(out)) into out, an (m, f) int8
+    array, f = min(m, K)!: the words of lexicographic ranks idx f to
+    (idx + 1) f - 1.  Above K its first m - K letters are fixed by idx,
+    read as first letter and block of S_{m-1}, that block's first letter
+    and block of S_{m-2}, and so on down to S_K.  So S_K is copied into
+    the last K rows and relabelled in place under each fixed letter in
+    turn, the innermost first, with the row that letter will fill as
+    scratch; return out."""
     m = out.shape[0]
     letters = []
     for i in range(m - _BLOCK_CACHE_MAX):
         v, idx = divmod(idx, _n_partitions(m - i))
         letters.append(v)
-    np.copyto(out[len(letters):], _columns(_BLOCK_CACHE_MAX))
+    np.copyto(out[len(letters):], _columns(min(m, _BLOCK_CACHE_MAX)))
     for i in reversed(range(len(letters))):
         _relabel(out[i + 1 :], letters[i], out[i])
         out[i] = letters[i]
+    return out
+
+
+def _rests(n: int, tasks: range, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """An iterator over the blocks of S_{n-1} of the tasks in tasks
+    (n >= 1).  Up to n = K + 1, S_n has one task, whose block is the
+    cached S_{n-1} itself; with out, or above K + 1, _rest writes each
+    block into out, or into one (n - 1, K!) buffer per slice, in turn."""
+    if out is None and n - 1 <= _BLOCK_CACHE_MAX:
+        return (_columns(n - 1) for _ in tasks)
+    if out is None:
+        out = np.empty((n - 1, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
+    return (_rest(idx, out) for idx in tasks)
 
 
 def _letters(W: np.ndarray) -> Iterator[None]:
@@ -223,21 +238,19 @@ def _letters(W: np.ndarray) -> Iterator[None]:
 
 def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
     """Yield S_n as read-only 0-based int8 arrays with one word per row,
-    in the order of the block stream: all of S_n at once for n <= 9;
-    else, for each task b < (n-1)!/9! and then each first letter v < n,
-    a block of 9! rows whose row j is the word of lexicographic rank
-    v (n-1)! + b 9! + j.  One (n, 9!) buffer serves the whole stream: for
-    each task, block b of S_{n-1} is built in its rows 1.. and each first
-    letter is placed in front of it in place, so a block is overwritten
-    when the next one is made; copy what must outlive it."""
-    if n <= _BLOCK_CACHE_MAX:
-        yield _columns(n).T
+    in the order of the block stream: for each task b and then each first
+    letter v < n, a block of f = (n-1)!/_n_partitions(n) rows whose row j
+    is the word of lexicographic rank v (n-1)! + b f + j (lexicographic
+    up to n = 10, where S_n has one task).  One (n, f) buffer serves the
+    stream: each task's block of S_{n-1} is written into rows 1.. and each
+    first letter placed in front in place; copy what must outlive it."""
+    if n == 0:
+        yield _columns(0).T
         return
-    W = np.empty((n, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
+    W = np.empty((n, factorial(n - 1) // _n_partitions(n)), dtype=np.int8)
     rows = W.T
     rows.flags.writeable = False
-    for idx in range(_n_partitions(n)):
-        _rest(idx, W[1:])
+    for _ in _rests(n, range(_n_partitions(n)), W[1:]):
         for _ in _letters(W):
             yield rows
 
@@ -371,51 +384,44 @@ def _base_codes() -> np.ndarray:
     return _CODE_CACHE
 
 
+def _rest_codes(R: np.ndarray, code: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """code <- the descent-set codes of R, a block of S_m from _rests,
+    comparing into flag, a uint8 row.  From m = K on, R's last K rows
+    relabel S_K in column order: their part of each code is read from
+    the cached codes of S_K, and only the rows above are compared."""
+    top = R.shape[0] - _BLOCK_CACHE_MAX
+    if top < 0:
+        return _descent_codes(R, code, flag)
+    np.copyto(code, _base_codes())
+    return _or_descents(code, R[: top + 1], flag)
+
+
 # ---------------------------------------------------------------------------
-# task kernels: above n = K a task's words are v.rest' for each first
-# letter v, rest its block of S_{n-1} (see the module docstring)
+# task kernels: a task's words are v.rest' for each first letter v, rest
+# its block of S_{n-1} from _rests (see the module docstring)
 
 def _two_sided_task(n: int, tasks: range) -> np.ndarray:
     """Histogram of altdes(w^-1) * n + altdes(w) over a slice of the tasks
-    of S_n, a chunk of columns at a time.
+    of S_n (n >= 2), a chunk of columns at a time.
 
-    Above n = K each chunk of rest is coded once, both ways, from its
-    rows, so the kernel builds no cached codes of S_K.  For each
-    first letter v, code(w) = code(rest) << 1 | [rest_0 < v], and in
-    code(w^-1) the bits below v - 1 are those of rest^-1, bit v - 1 is set
-    (v stands before v - 1), bit v is clear (and before v + 1), and each
-    bit above v is the bit of rest^-1 one lower; bit v - 1 of rest^-1,
-    which compared the letters that became v - 1 and v + 1, is dropped.
-    The workspace is allocated once per slice: the block, two uint16
-    rows of _CHUNK for the codes of rest^-1 and altdes of the words with
-    no descent at 0, and three more that are _inverse_codes's scratch and
-    then hold the codes of w^-1, the key and the comparison with v."""
+    Each chunk of rest is coded once, both ways, from its rows, so the
+    kernel builds no cached codes of S_K.  For each first letter v,
+    code(w) = code(rest) << 1 | [rest_0 < v], and in code(w^-1) the bits
+    below v - 1 are those of rest^-1, bit v - 1 is set (v stands before
+    v - 1), bit v is clear (and before v + 1), and each bit above v is
+    the bit of rest^-1 one lower; bit v - 1 of rest^-1, which compared
+    the letters that became v - 1 and v + 1, is dropped.  The workspace
+    is allocated once per slice: two uint16 rows of _CHUNK for the codes
+    of rest^-1 and altdes of the words with no descent at 0, and three
+    more that are _inverse_codes's scratch and then hold the codes of
+    w^-1, the key and the comparison with v."""
     altdes = _set_stats(n)["altdes"].astype(np.uint16)
     high = altdes * np.uint16(n)
     H = np.zeros(n * n, dtype=np.int64)
-    if n <= _BLOCK_CACHE_MAX:
-        inverse = np.empty(_CHUNK, dtype=np.uint16)
-        scratch = np.empty((3, _CHUNK), dtype=np.uint16)
-        for W in _chunks(_columns(n)):
-            m = W.shape[1]
-            inv, rows = inverse[:m], scratch[:, :m]
-            code, flag, key = rows
-            _inverse_codes(W, inv, rows)
-            _descent_codes(W, code, flag.view(np.uint8)[:m])
-            # mode="clip" writes straight into out; every code is in range
-            np.take(high, inv, out=key, mode="clip")
-            np.take(altdes, code, out=flag, mode="clip")
-            np.add(key, flag, out=key)
-            H += np.bincount(key, minlength=H.size)
-        return H
-    f = factorial(_BLOCK_CACHE_MAX)
-    R = np.empty((n - 1, f), dtype=np.int8)
     codes = np.empty((2, _CHUNK), dtype=np.uint16)
     scratch = np.empty((3, _CHUNK), dtype=np.uint16)
-    for idx in tasks:
-        _rest(idx, R)
-        for s in range(0, f, _CHUNK):
-            W = R[:, s : s + _CHUNK]
+    for R in _rests(n, tasks):
+        for W in _chunks(R):
             m = W.shape[1]
             (inv, alt), rows = codes[:, :m], scratch[:, :m]
             word, key, flag = rows
@@ -423,6 +429,7 @@ def _two_sided_task(n: int, tasks: range) -> np.ndarray:
             _inverse_codes(W, inv, rows)
             _descent_codes(W, word, flag.view(np.uint8)[:m])
             np.left_shift(word, 1, out=word)
+            # mode="clip" writes straight into out; every code is in range
             np.take(altdes, word, out=alt, mode="clip")
             for v in range(n):
                 np.right_shift(inv, v, out=word)
@@ -497,20 +504,18 @@ def _des3_task(n: int, tasks: range, lead: bool = False) -> np.ndarray:
     """des3 histogram of the words w of a slice of the tasks of S_n, or
     with lead of the words 0.(w+1).
 
-    Above n = K no word with its first letter is formed: relabelling keeps
-    des3(rest') = des3(rest), so each chunk of rest is keyed once by
-    (des3(rest), rest_0, rest_1), in a uint16 row that first holds the
-    count, and _first_triples spreads each key over the n first letters.
-    The workspace is the block, the key and three bool rows of _CHUNK."""
-    if n <= _BLOCK_CACHE_MAX:
+    From n = 3, where words have a triple, no word with its first letter
+    is formed: relabelling keeps des3(rest') = des3(rest), so each chunk
+    of rest is keyed once by (des3(rest), rest_0, rest_1), in a uint16
+    row that first holds the count, and _first_triples spreads each key
+    over the n first letters.  The workspace is the key and three bool
+    rows of _CHUNK, and the block when it is built."""
+    if n < 3:
         return _des3_hist(_chunks(_columns(n)), n, lead)
-    f = factorial(_BLOCK_CACHE_MAX)
-    R = np.empty((n - 1, f), dtype=np.int8)
     key = np.empty(_CHUNK, dtype=np.uint16)
     rows = np.empty((3, _CHUNK), dtype=np.bool_)
     H = np.zeros((n - 2) * (n - 1) ** 2, dtype=np.int64)  # des3(rest) <= n - 3
-    for idx in tasks:
-        _rest(idx, R)
+    for R in _rests(n, tasks):
         for W in _chunks(R):
             k = W.shape[1]
             c = _des3_counts(W, key[:k], rows[:, :k])
@@ -536,28 +541,22 @@ def _descent_task(n: int, tasks: range) -> np.ndarray:
     """A slice of the tasks of S_n (n >= 1) tallied into one descent-set
     histogram.
 
-    Above n = K the slice allocates its buffers once and reuses them for
-    every task: the (n - 1, K!) block, the key and a bool row.  Each
-    task's block rest is built and coded once: its last K rows relabel
-    S_K in S_K's column order, so a column's code is the cached code of
-    S_K shifted past the n - 1 - K rows above them, plus the descents
-    among those rows.  The word v.rest' has code
-    (code(rest) << 1) | [rest_0 < v], so of the n first letters
+    The slice allocates its buffers once and reuses them for every task:
+    the key, a bool row and, above n = K + 1, the (n - 1, K!) block.
+    Each task's block rest is coded once (_rest_codes).  The word v.rest'
+    has code (code(rest) << 1) | [rest_0 < v], so of the n first letters
     rest_0 + 1 add no descent at 0 and n - 1 - rest_0 add one: the key
     code(rest) * (n - 1) + rest_0 is formed in place and binned in chunks,
     and the bins are spread over both parities at the end, with no loop
     over the letters."""
-    if n <= _BLOCK_CACHE_MAX:
-        return _descent_hist(_columns(n))
-    f = factorial(_BLOCK_CACHE_MAX)
-    R = np.empty((n - 1, f), dtype=np.int8)
+    if n == 1:
+        return np.ones(1, dtype=np.int64)
+    f = factorial(n - 1) // _n_partitions(n)
     key = np.empty(f, dtype=_key_dtype(n))
     flag = np.empty(f, dtype=np.uint8)
     H = np.zeros((n - 1) << (n - 2), dtype=np.int64)
-    for idx in tasks:
-        _rest(idx, R)
-        np.copyto(key, _base_codes())
-        _or_descents(key, R[: n - _BLOCK_CACHE_MAX], flag)
+    for R in _rests(n, tasks):
+        _rest_codes(R, key, flag)
         np.multiply(key, n - 1, out=key)
         np.add(key, R[0].view(np.uint8), out=key)  # letters are nonnegative
         for s in range(0, f, _CHUNK):
@@ -743,7 +742,7 @@ def brute_two_sided(
 ) -> BiPolyTQ:
     """sum over S_n of s^altdes(w^-1) t^altdes(w), slots read as (s, t)."""
     _guard(n, brute_max)
-    if n == 0:
+    if n <= 1:
         return BiPolyTQ.one()
     hist = _merge(_two_sided_task, n, jobs)
     return BiPolyTQ(_read_off(((k // n, k % n) for k in range(n * n)), hist))

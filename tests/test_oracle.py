@@ -47,6 +47,12 @@ def uncached(fn, *args, **kwargs):
 
 
 def test_iter_perm_arrays_covers_sn():
+    for n, words in ((0, [[]]), (1, [[0]])):
+        blocks = list(iter_perm_arrays(n))
+        assert len(blocks) == 1
+        assert blocks[0].shape == (1, n) and blocks[0].dtype == "int8"
+        assert not blocks[0].flags.writeable
+        assert blocks[0].tolist() == words
     for n in range(1, 8):
         seen = set()
         total = 0
@@ -391,8 +397,8 @@ def test_column_builder_is_lexicographic():
 
 
 def test_stream_blocks_follow_their_documented_rank():
-    f = math.factorial(9)
-    for n in (10, 11):
+    for n in (5, 9, 10, 11):
+        f = math.factorial(min(n - 1, 9))  # up to n = 10, S_{n-1} is one task's block
         blocks = 0
         for i, rows in enumerate(iter_perm_arrays(n)):
             b, v = divmod(i, n)  # task outer, first letter inner
@@ -416,16 +422,18 @@ def test_simsun_insertion_matches_filter():
 
 
 def test_block_cache_is_thread_safe():
-    expected = (brute_qalt(9), brute_simsun(9))
+    # S_10's one task reads S_9, so brute_qalt(10) builds S_0..S_9; the
+    # Simsun words grow from S_0 and S_1
+    expected = (brute_qalt(10), brute_simsun(10))
     results = []
 
     def work():
-        results.append((brute_qalt(9), brute_simsun(9)))
+        results.append((brute_qalt(10), brute_simsun(10)))
 
     threads = [threading.Thread(target=work) for _ in range(4)]
     old = sys.getswitchinterval()
     oracle._BLOCK_CACHE.clear()
-    oracle._HIST_CACHE.clear()  # else brute_qalt(9) reads S_9 off its histogram
+    oracle._HIST_CACHE.clear()  # else brute_qalt(10) reads S_10 off its histogram
     sys.setswitchinterval(1e-6)
     try:
         for t in threads:
@@ -486,7 +494,7 @@ _TASKS = {"descent": oracle._descent_task, "two_sided": oracle._two_sided_task,
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("n", [3, 9, 10, 11])
 @pytest.mark.parametrize("kernel", _TASKS)
 def test_task_tally_matches_the_block_tally(kernel, n, jobs):
     import numpy as np
@@ -546,6 +554,7 @@ def test_descent_tally_reuses_one_workspace_per_slice(monkeypatch):
 def test_kernels_reuse_one_workspace_per_slice(monkeypatch, task, buffers):
     import numpy as np
 
+    oracle._columns(9)  # S_9 is cached, not built by the first kernel call
     made = {}
     for n in (10, 11):  # 1 and 10 tasks in one serial slice
         recording = _RecordingNumpy(np, least=oracle._CHUNK)  # a uint8 row of a chunk
@@ -554,7 +563,9 @@ def test_kernels_reuse_one_workspace_per_slice(monkeypatch, task, buffers):
         monkeypatch.undo()
         assert hist.sum() == math.factorial(n)
         made[n] = recording.made
-    assert len(made[11]) == len(made[10]) == buffers
+    # n = 10's one task reads the cached S_9, so only n = 11 makes a block
+    assert len(made[10]) == buffers - 1
+    assert len(made[11]) == buffers
 
 
 def test_key_width_holds_every_key():
