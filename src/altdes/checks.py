@@ -266,8 +266,13 @@ def _odd_part(n: int, rows: Callable) -> CheckResult:
 
 
 def _reversal_cases(maxn: int, brute_max: int, *_) -> list[dict]:
-    return [{"n": n, "m": m, "brute_max": brute_max}
-            for n in range(2, min(maxn, brute_max) + 1) for m in range(1, n // 2 + 1)]
+    """Cases (n, m), 2m <= n <= min(maxn, brute_max).  The rows of one n
+    read one walk of S_n, made when the first of them runs: run reads
+    them in order, so row m takes the walk's result m with rows()."""
+    def walk(n: int) -> Iterator[CheckResult]:  # walks S_n at its first read
+        yield from divisibility.thm411_bijection_check(n, brute_max=brute_max)
+    return [{"n": n, "m": m, "rows": rows} for n in range(2, min(maxn, brute_max) + 1)
+            for rows in [_reader(walk(n))] for m in range(1, n // 2 + 1)]
 
 
 def _derivative_route(n: int, rows: Callable) -> CheckResult:
@@ -370,7 +375,7 @@ SUITES: dict[str, tuple[int, tuple[_Check, ...]]] = {
                                                        range(1, 5)),
                _substituted(lambda upto, n: upto(n + 1))))),
     "thm4.11": (9, (_Check("prefix-reversal bijection n={n} m={m}",
-                           divisibility.thm411_bijection_check, _reversal_cases),)),
+                           lambda n, m, rows: rows(), _reversal_cases),)),
     "eq2": (10, (_Check("generating function through order {order}",
                         recurrences.egf_check, lambda maxn, *_: [{"order": maxn}]),)),
     "eq-fn0": (20, (_Check("derivative route matches recursion n={n}", _derivative_route,

@@ -218,34 +218,35 @@ def verify_conj410(
     return CheckResult.passed()
 
 
-def thm411_bijection_check(
-    n: int, m: int, *, brute_max: int | None = None
-) -> CheckResult:
-    """Reversing the first 2m letters is an involution on S_n that
-    shifts altmaj by m mod 2m; consequently the altmaj residue classes
-    l and l+m (mod 2m) are equinumerous.  The witness of a failed shift
-    is the first failing word in the block order of
-    oracle.iter_perm_arrays, which is lexicographic only for n <= 10."""
-    if m < 1 or 2 * m > n:
-        raise ValueError("need 1 <= 2m <= n")
+def thm411_bijection_check(n: int, *, brute_max: int | None = None) -> list[CheckResult]:
+    """For each 1 <= m <= n/2, in order, whether reversing the first 2m
+    letters is an involution on S_n that shifts altmaj by m mod 2m;
+    consequently the altmaj residue classes l and l+m (mod 2m) are
+    equinumerous.  One walk of S_n serves every m: each block is coded
+    once for altmaj and once per m for its reversed prefixes.  The
+    witness of a failed shift is the first failing word in the block
+    order of oracle.iter_perm_arrays, which is lexicographic only for
+    n <= 10."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     oracle._guard(n, brute_max)
     np = oracle._load_numpy()
-    mod = 2 * m
-    perm = np.r_[mod - 1 : -1 : -1, mod:n]  # the image's letter i is the word's perm[i]
-    if not np.array_equal(perm[perm], np.arange(n)):
-        return CheckResult.failed(f"n={n}, m={m}: prefix reversal not an involution")
-    class_sizes = np.zeros(mod, dtype=np.int64)
+    # perm[m]: the image's letter i is the word's letter perm[m][i]
+    perm = {m: np.r_[2 * m - 1 : -1 : -1, 2 * m : n] for m in range(1, n // 2 + 1)}
+    witness = {m: f"n={n}, m={m}: prefix reversal not an involution"
+               for m, p in perm.items() if not np.array_equal(p[p], np.arange(n))}
+    class_sizes = {m: np.zeros(2 * m, dtype=np.int64) for m in perm}
     # int16: altmaj <= n(n-1)/2 = 120, since _guard stops n at 16
     altmaj = oracle._set_stats(n)["altmaj"].astype(np.int16)
     for P in oracle.iter_perm_arrays(n):
         am = oracle._stat_vector(P.T, altmaj)
-        am2 = oracle._stat_vector(P.T[perm], altmaj)
-        off = (am2 - am - m) % mod
-        if off.any():
-            row = int(np.flatnonzero(off)[0])
-            w = tuple(int(x) + 1 for x in P[row])
-            return CheckResult.failed(f"n={n}, m={m}: shift fails at {w}")
-        class_sizes += np.bincount(am % mod, minlength=mod)
-    if any(class_sizes[l] != class_sizes[l + m] for l in range(m)):
-        return CheckResult.failed(f"n={n}, m={m}: residue classes unbalanced")
-    return CheckResult.passed()
+        for m in [m for m in perm if m not in witness]:
+            off = (oracle._stat_vector(P.T[perm[m]], altmaj) - am - m) % (2 * m)
+            if off.any():
+                w = tuple(int(x) + 1 for x in P[int(np.flatnonzero(off)[0])])
+                witness[m] = f"n={n}, m={m}: shift fails at {w}"
+            class_sizes[m] += np.bincount(am % (2 * m), minlength=2 * m)
+    for m, sizes in class_sizes.items():
+        if m not in witness and (sizes[:m] != sizes[m:]).any():
+            witness[m] = f"n={n}, m={m}: residue classes unbalanced"
+    return [CheckResult(m not in witness, witness.get(m)) for m in perm]

@@ -4,16 +4,16 @@ Every histogram here is a tally over materialized words, never read from
 a recurrence.  S_k is an int8 array of shape (k, k!), one word per
 column in lexicographic order; blocks up to S_9 are cached (about
 3.7 MB, published under a lock).  Every enumeration of S_n (n >= 2)
-reads one stream, _rests, of its tasks' blocks of S_{n-1}.  Up to
-n = 10, S_n has one task, whose block is the cached S_{n-1}; above it
-the (n-1)!/9! blocks of 9! words are the tasks, and the parallelism
-seam: they are dealt in strided slices to at most min(jobs, tasks, cpu
-count) processes, this one included.  Slice 0 is tallied here; each
-other slice runs in a child made by os.fork after S_9 and its descent
-codes are built, so the child inherits them, and sends its one
-histogram back down a pipe.  A slice allocates its (n-1, 9!) block once
-and reuses it for every task: S_9 is copied in and relabelled in place
-under each letter the task fixes in front of it.
+reads its tasks' blocks of S_{n-1}, the kernels through one stream,
+_rests.  Up to n = 10, S_n has one task, whose block is the cached
+S_{n-1}; above it the (n-1)!/9! blocks of 9! words are the tasks, and
+the parallelism seam: they are dealt in strided slices to at most
+min(jobs, tasks, cpu count) processes, this one included.  Slice 0 is
+tallied here; each other slice runs in a child made by os.fork after
+S_9 and its descent codes are built, so the child inherits them, and
+sends its one histogram back down a pipe.  A slice allocates its
+(n-1, 9!) block once and reuses it for every task: S_9 is copied in and
+each letter the task fixes is placed in front of it.
 
 The words of a task are v.rest' for each first letter v < n, rest
 being the task's block of S_{n-1} and rest' rest relabelled onto the
@@ -58,7 +58,9 @@ It also counts des3 on the words of S_{n+1} that start with their least
 letter: w -> 0.(w+1) is a bijection onto them from S_n, and adds a
 3-descent iff w_1 > w_2, which for w = v.rest' is [rest_0 < v].  The
 chunk rows are allocated once per slice.  iter_perm_arrays, which yields
-whole words, places each first letter in front of the block in place.
+whole words, rebuilds the task's block with _rest in its one buffer for
+each first letter and places the letter in front with _place, the one
+step that writes every word here, S_k and the blocks included.
 Simsun words are generated by inserting each new largest letter where
 it makes no double descent, one block of at most E_10 = 50 521 words
 (about 0.45 MB) per length at a time.  One descent-set histogram of the
@@ -145,13 +147,17 @@ _CODE_CACHE: np.ndarray | None = None  # descent-set codes of S_K, once built
 _BLOCK_LOCK = threading.Lock()
 
 
-def _relabel(rows: np.ndarray, v: int, scratch: np.ndarray) -> None:
-    """x -> x + [x >= v] on every row of rows, in place, comparing into
-    scratch, an int8 row, viewed as bool."""
-    flag = scratch.view(np.bool_)
-    for row in rows:
+def _place(W: np.ndarray, v: int) -> None:
+    """Put the first letter v in front of the words in W[1:], in place:
+    x -> x + [x >= v] on every row of W[1:], so they are relabelled onto
+    the letters other than v, comparing into W[0], viewed as bool, which
+    then holds v."""
+    head = W[0]
+    flag = head.view(np.bool_)
+    for row in W[1:]:
         np.greater_equal(row, v, out=flag)
-        np.add(row, scratch, out=row)
+        np.add(row, head, out=row)
+    head.fill(v)
 
 
 def _columns(k: int) -> np.ndarray:
@@ -170,8 +176,7 @@ def _columns(k: int) -> np.ndarray:
         for v in range(k):  # v, then S_{k-1} relabelled onto the other letters
             block = W[:, v * f : (v + 1) * f]
             block[1:] = sub
-            _relabel(block[1:], v, block[0])
-            block[0] = v
+            _place(block, v)
     W.flags.writeable = False
     with _BLOCK_LOCK:
         return _BLOCK_CACHE.setdefault(k, W)
@@ -191,9 +196,8 @@ def _rest(idx: int, out: np.ndarray) -> np.ndarray:
     (idx + 1) f - 1.  Above K its first m - K letters are fixed by idx,
     read as first letter and block of S_{m-1}, that block's first letter
     and block of S_{m-2}, and so on down to S_K.  So S_K is copied into
-    the last K rows and relabelled in place under each fixed letter in
-    turn, the innermost first, with the row that letter will fill as
-    scratch; return out."""
+    the last K rows and each fixed letter placed in front in turn, the
+    innermost first; return out."""
     m = out.shape[0]
     letters = []
     for i in range(m - _BLOCK_CACHE_MAX):
@@ -201,39 +205,19 @@ def _rest(idx: int, out: np.ndarray) -> np.ndarray:
         letters.append(v)
     np.copyto(out[len(letters):], _columns(min(m, _BLOCK_CACHE_MAX)))
     for i in reversed(range(len(letters))):
-        _relabel(out[i + 1 :], letters[i], out[i])
-        out[i] = letters[i]
+        _place(out[i:], letters[i])
     return out
 
 
-def _rests(n: int, tasks: range, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def _rests(n: int, tasks: range) -> Iterator[np.ndarray]:
     """An iterator over the blocks of S_{n-1} of the tasks in tasks
     (n >= 1).  Up to n = K + 1, S_n has one task, whose block is the
-    cached S_{n-1} itself; with out, or above K + 1, _rest writes each
-    block into out, or into one (n - 1, K!) buffer per slice, in turn."""
-    if out is None and n - 1 <= _BLOCK_CACHE_MAX:
+    cached S_{n-1} itself; above it, _rest writes each block in turn into
+    one (n - 1, K!) buffer per slice."""
+    if n - 1 <= _BLOCK_CACHE_MAX:
         return (_columns(n - 1) for _ in tasks)
-    if out is None:
-        out = np.empty((n - 1, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
+    out = np.empty((n - 1, factorial(_BLOCK_CACHE_MAX)), dtype=np.int8)
     return (_rest(idx, out) for idx in tasks)
-
-
-def _letters(W: np.ndarray) -> Iterator[None]:
-    """Place each first letter v = 0..n-1 in turn in front of the block of
-    S_{n-1} in W[1:], in place, and yield after each.  The block is first
-    relabelled onto 1..n-1; from first letter v - 1 to v only one letter
-    of each word changes, v in the tail becoming v - 1.  Row 0 is the
-    comparison's scratch until it is set to v."""
-    tail = W[1:]
-    tail += 1
-    flag = W[0].view(np.bool_)
-    for v in range(W.shape[0]):
-        if v:
-            for row in tail:
-                np.equal(row, v, out=flag)
-                np.subtract(row, W[0], out=row)
-        W[0] = v
-        yield
 
 
 def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
@@ -242,16 +226,19 @@ def iter_perm_arrays(n: int) -> Iterator[np.ndarray]:
     letter v < n, a block of f = (n-1)!/_n_partitions(n) rows whose row j
     is the word of lexicographic rank v (n-1)! + b f + j (lexicographic
     up to n = 10, where S_n has one task).  One (n, f) buffer serves the
-    stream: each task's block of S_{n-1} is written into rows 1.. and each
-    first letter placed in front in place; copy what must outlive it."""
+    stream: for each first letter, the task's block of S_{n-1} is written
+    into rows 1.. and the letter placed in front; copy what must outlive
+    it."""
     if n == 0:
         yield _columns(0).T
         return
     W = np.empty((n, factorial(n - 1) // _n_partitions(n)), dtype=np.int8)
     rows = W.T
     rows.flags.writeable = False
-    for _ in _rests(n, range(_n_partitions(n)), W[1:]):
-        for _ in _letters(W):
+    for idx in range(_n_partitions(n)):
+        for v in range(n):
+            _rest(idx, W[1:])
+            _place(W, v)
             yield rows
 
 

@@ -676,6 +676,44 @@ def test_corrupted_divisibility_subject_is_a_negative_row(capsys, monkeypatch, m
         == [(r.name, r.status, r.witness) for r in rows]
 
 
+_real_iter_perm_arrays = oracle.iter_perm_arrays
+
+
+def test_prefix_reversal_walks_each_sn_once(monkeypatch):
+    walked = []
+
+    def counted(n):
+        walked.append(n)
+        return _real_iter_perm_arrays(n)
+
+    monkeypatch.setattr(oracle, "iter_perm_arrays", counted)
+    rows = checks.run("thm4.11", 9)
+    assert len(rows) == sum(n // 2 for n in range(2, 10))
+    assert all(r.status == "pass" for r in rows)
+    assert walked == list(range(2, 10))  # one walk per n, not one per (n, m)
+
+
+def _swapped_identity(n):
+    # S_4 yields 1324 in place of 1234: altmaj 2 in place of 0, the same
+    # class mod 2 but not mod 4
+    for rows in _real_iter_perm_arrays(n):
+        if n == 4 and tuple(rows[0]) == (0, 1, 2, 3):
+            rows = rows.copy()
+            rows[0] = (0, 2, 1, 3)
+        yield rows
+
+
+def test_unbalanced_classes_fail_only_their_m(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "iter_perm_arrays", _swapped_identity)
+    rows = checks.run("thm4.11", 5)
+    assert [(r.name, r.status, r.witness) for r in rows if r.status != "pass"] == [
+        ("prefix-reversal bijection n=4 m=2", "fail", "n=4, m=2: residue classes unbalanced")]
+    code, out, err = run(capsys, "verify", "thm4.11", "--max-n", "5")
+    assert code == 1 and err == ""
+    assert [line for line in out.splitlines()[:-1] if not line.startswith("PASS")] == [
+        "FAIL    prefix-reversal bijection n=4 m=2  [n=4, m=2: residue classes unbalanced]"]
+
+
 def test_theta_is_capped_by_brute_max(capsys):
     code, out, _ = run(capsys, "verify", "theta", "--max-n", "12", "--brute-max", "8",
                        "--format", "csv")

@@ -568,6 +568,18 @@ def test_kernels_reuse_one_workspace_per_slice(monkeypatch, task, buffers):
     assert len(made[11]) == buffers
 
 
+def test_word_stream_keeps_one_buffer(monkeypatch):
+    import numpy as np
+
+    oracle._columns(9)  # S_9 is cached, not built by the walk
+    recording = _RecordingNumpy(np)
+    monkeypatch.setattr(oracle, "np", recording)
+    blocks = sum(1 for _ in iter_perm_arrays(11))
+    monkeypatch.undo()
+    assert blocks == 10 * 11  # every task's block rebuilt under each first letter
+    assert recording.made == [11 * math.factorial(9)]
+
+
 def test_key_width_holds_every_key():
     import numpy as np
 
